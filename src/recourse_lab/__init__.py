@@ -11,13 +11,9 @@ from .dataset import (
     Dataset,
     FeatureSchema,
     FeatureSpec,
-    Scaler,
     ShiftSpec,
-    apply_scaler,
     load_csv,
-    save_csv,
     split,
-    standardize,
     synth_base,
     synth_shift,
 )
@@ -65,9 +61,8 @@ from .theory import (
 )
 
 __all__ = [
-    "Dataset", "FeatureSchema", "FeatureSpec", "Scaler", "ShiftSpec",
-    "apply_scaler", "load_csv", "save_csv", "split", "standardize",
-    "synth_base", "synth_shift",
+    "Dataset", "FeatureSchema", "FeatureSpec", "ShiftSpec",
+    "load_csv", "split", "synth_base", "synth_shift",
     "ModelSpec", "TrainedModel", "accuracy", "cross_val_accuracy",
     "linear_model", "numeric_gradient", "parallel_perturb", "train",
     "CostFn", "RecourseRecord", "RecourseSet", "Scm", "ScmVariable",

@@ -10,11 +10,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 
 import numpy as np
 
@@ -35,7 +34,6 @@ from .shiftlab import (
     CsvSource,
     ExperimentConfig,
     Seeds,
-    SweepPoint,
     run_pipeline,
     sensitivity_sweep,
     sweep_csv_text,
@@ -233,16 +231,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _sweep_one(payload) -> SweepPoint:
-    base, scenario, alpha = payload
-    cfg = replace(
-        base,
-        d2_source=ShiftSpec(scenario, alpha, base.d2_source.n, base.d2_source.seed),
-    )
-    report = run_pipeline(cfg)
-    return SweepPoint(alpha, report.invalidation_pct, report.cf1_size)
-
-
 def cmd_sweep(args) -> int:
     started = time.monotonic()
     cfg, doc = _load_config(args.config)
@@ -250,18 +238,10 @@ def cmd_sweep(args) -> int:
         alphas = [float(a) for a in args.alphas.split(",") if a.strip() != ""]
     except ValueError:
         raise ConfigError(f"alphas: expected comma-separated numbers, got {args.alphas!r}")
-    if not alphas:
-        raise ConfigError("alphas: list must be nonempty")
-    if not isinstance(cfg.d1_source, ShiftSpec) or not isinstance(cfg.d2_source, ShiftSpec):
-        raise ConfigError("d1_source/d2_source: sweeps need synthetic sources")
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            points = list(pool.map(_sweep_one, [(cfg, args.scenario, a) for a in alphas]))
-    else:
-        try:
-            points = sensitivity_sweep(args.scenario, alphas, cfg)
-        except ValueError as exc:
-            raise ConfigError(f"sweep: {exc}")
+    try:
+        points = sensitivity_sweep(args.scenario, alphas, cfg, jobs=args.jobs)
+    except ValueError as exc:
+        raise ConfigError(f"sweep: {exc}")
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "sweep.csv")
     atomic_write_text(csv_path, sweep_csv_text(points))
@@ -270,8 +250,17 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _builtin_ordinal_setup() -> tuple:
-    schema = FeatureSchema((FeatureSpec("level", kind="ordinal", lower=0, upper=80),))
+def _builtin_ordinal_setup(rho: float) -> tuple:
+    """Unit grid 0..top with the boundary at 30.5 and negatives on 0..30.
+
+    Walkers cross at 31 and then stop with probability rho per step, so the
+    top leaves room for ceil(log(1e-6) / log1p(-rho)) further steps: a walker
+    stalls at the top with probability below 1e-6.
+    """
+    top = 80
+    if rho < 1.0:
+        top = max(top, 31 + math.ceil(math.log(1e-6) / math.log1p(-rho)))
+    schema = FeatureSchema((FeatureSpec("level", kind="ordinal", lower=0, upper=top),))
     model = linear_model(np.array([1.0]), -30.5, schema)
     values = np.tile(np.arange(31), 10)[:, None].astype(float)
     labels = np.full(values.shape[0], -1)
@@ -291,7 +280,7 @@ def cmd_bounds(args) -> int:
 
             model = train(ModelSpec.logistic(epochs=200), data)
         else:
-            model, data = _builtin_ordinal_setup()
+            model, data = _builtin_ordinal_setup(args.rho)
         check = verify_bound(model, data, args.rho, args.delta, n_trials=2000, seed=0)
         print(
             f"empirical_Q={check.empirical_q:.5f} "

@@ -1,4 +1,4 @@
-"""Dataset containers, CSV ingestion, splitting, scaling, and synthetic generators.
+"""Dataset containers, CSV ingestion, splitting, and synthetic generators.
 
 Labels are always in {-1, +1}. Feature kinds:
   continuous - any real value within the declared bounds
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,9 +65,6 @@ class FeatureSchema:
     @property
     def kinds(self) -> tuple[str, ...]:
         return tuple(f.kind for f in self.features)
-
-    def continuous_mask(self) -> np.ndarray:
-        return np.array([f.kind == "continuous" for f in self.features])
 
     def grid_mask(self) -> np.ndarray:
         """Features living on a discrete grid (ordinal or binary)."""
@@ -223,6 +220,9 @@ def load_csv(path, schema: FeatureSchema) -> Dataset:
         except StopIteration:
             raise CsvParseError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        duplicated = sorted({h for h in header if header.count(h) > 1})
+        if duplicated:
+            raise SchemaMismatchError(f"duplicate column {duplicated[0]!r}")
         expected = set(schema.names) | {schema.label_name}
         missing = expected - set(header)
         extra = set(header) - expected
@@ -253,15 +253,6 @@ def load_csv(path, schema: FeatureSchema) -> Dataset:
     return Dataset(schema, X, y)
 
 
-def save_csv(data: Dataset, path) -> None:
-    """Serialize back to the same dialect load_csv reads."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(data.schema.names) + [data.schema.label_name])
-        for row, label in zip(data.X, data.y):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
-
-
 def split(data: Dataset, holdout_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Disjoint (train, holdout) partition; holdout size = round-half-up(fraction * n)."""
     if not 0.0 < holdout_fraction < 1.0:
@@ -271,63 +262,6 @@ def split(data: Dataset, holdout_fraction: float, seed: int) -> tuple[Dataset, D
     h = int(math.floor(holdout_fraction * data.n + 0.5))
     perm = np.random.default_rng(seed).permutation(data.n)
     return data.subset(perm[h:]), data.subset(perm[:h])
-
-
-@dataclass(frozen=True)
-class Scaler:
-    """Per-feature affine transform fit on training data; identity off continuous features."""
-
-    offset: np.ndarray
-    scale: np.ndarray
-    feature_names: tuple[str, ...]
-    feature_kinds: tuple[str, ...]
-
-    def __post_init__(self):
-        offset = np.asarray(self.offset, dtype=float)
-        scale = np.asarray(self.scale, dtype=float)
-        offset.flags.writeable = False
-        scale.flags.writeable = False
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "scale", scale)
-
-
-def standardize(train: Dataset) -> tuple[Scaler, Dataset]:
-    """Fit a scaler so continuous train columns get mean 0, population std 1.
-
-    Zero-variance columns keep scale 1 with offset equal to the constant.
-    """
-    cont = train.schema.continuous_mask()
-    offset = np.zeros(train.n_features)
-    scale = np.ones(train.n_features)
-    if train.n:
-        mean = train.X.mean(axis=0)
-        std = train.X.std(axis=0)
-        offset[cont] = mean[cont]
-        nonzero = cont & (std > 1e-12)
-        scale[nonzero] = std[nonzero]
-    scaler = Scaler(offset, scale, train.schema.names, train.schema.kinds)
-    return scaler, apply_scaler(scaler, train)
-
-
-def apply_scaler(scaler: Scaler, data: Dataset) -> Dataset:
-    """Apply a fitted scaler; bounds on continuous features move with the transform."""
-    if scaler.feature_names != data.schema.names or scaler.feature_kinds != data.schema.kinds:
-        raise SchemaMismatchError(
-            f"scaler was fit on columns {scaler.feature_names}, got {data.schema.names}"
-        )
-    X = (data.X - scaler.offset) / scaler.scale
-    feats = []
-    for j, f in enumerate(data.schema.features):
-        if f.kind == "continuous" and (math.isfinite(f.lower) or math.isfinite(f.upper)):
-            feats.append(replace(
-                f,
-                lower=(f.lower - scaler.offset[j]) / scaler.scale[j],
-                upper=(f.upper - scaler.offset[j]) / scaler.scale[j],
-            ))
-        else:
-            feats.append(f)
-    schema = FeatureSchema(tuple(feats), data.schema.label_name)
-    return Dataset(schema, X, data.y.copy())
 
 
 def synth_schema() -> FeatureSchema:
@@ -345,19 +279,18 @@ def synth_base(n: int, seed: int) -> Dataset:
     return Dataset(synth_schema(), X, y)
 
 
-def synth_shift(spec: ShiftSpec, raw_coefficient: bool = False) -> Dataset:
+def synth_shift(spec: ShiftSpec) -> Dataset:
     """Shifted companion sample.
 
     target_shift: same predictor law as synth_base, labels from x0 + c*x1 >= 0 with
-    c = 1 + alpha (alpha = 0 reproduces synth_base bit for bit). Set raw_coefficient
-    to interpret alpha as c directly.
+    c = 1 + alpha (alpha = 0 reproduces synth_base bit for bit).
 
     predictor_shift: label rule unchanged, predictor mean moved to (alpha, alpha).
     """
     rng = np.random.default_rng(spec.seed)
     X = rng.standard_normal((spec.n, 2))
     if spec.scenario == "target_shift":
-        c = spec.alpha if raw_coefficient else 1.0 + spec.alpha
+        c = 1.0 + spec.alpha
         y = np.where(X[:, 0] + c * X[:, 1] >= 0.0, 1, -1)
     else:
         X = X + spec.alpha

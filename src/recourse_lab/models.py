@@ -7,7 +7,6 @@ linear kinds, an exact parallel translation of the decision boundary.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,7 @@ from .errors import (
     TrainingError,
     UnsupportedModelError,
 )
-from .util import canonical_json, derive_seed, sigmoid
+from .util import derive_seed, sigmoid
 
 MODEL_KINDS = ("logistic_regression", "linear_svm", "mlp")
 
@@ -67,28 +66,6 @@ class ModelSpec:
     @classmethod
     def mlp(cls, hidden_layers=(16, 16), learning_rate=1e-3, epochs=60, l2_penalty=1e-4, seed=0):
         return cls("mlp", tuple(hidden_layers), learning_rate, epochs, l2_penalty, seed)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "hidden_layers": list(self.hidden_layers),
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "l2_penalty": self.l2_penalty,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ModelSpec":
-        return cls(
-            kind=doc["kind"],
-            hidden_layers=tuple(doc.get("hidden_layers", ())),
-            learning_rate=float(doc["learning_rate"]),
-            epochs=int(doc["epochs"]),
-            l2_penalty=float(doc["l2_penalty"]),
-            seed=int(doc["seed"]),
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class TrainedModel:
@@ -171,44 +148,6 @@ class TrainedModel:
         if x.ndim == 1:
             return float(sigmoid(self.decision_value(x)))
         return sigmoid(self.decision_values(x))
-
-    def to_json(self) -> str:
-        doc = {
-            "format": "recourse-lab-model",
-            "version": 1,
-            "kind": self.spec.kind,
-            "spec": self.spec.to_dict(),
-            "schema": self.schema.to_dict(),
-            "schema_digest": schema_digest(self.schema),
-            "layers": [
-                {"shape": list(W.shape), "weights": W.ravel().tolist(), "bias": b.tolist()}
-                for W, b in self.layers
-            ],
-        }
-        return json.dumps(doc, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TrainedModel":
-        doc = json.loads(text)
-        if doc.get("format") != "recourse-lab-model":
-            raise ValueError("not a recourse-lab model document")
-        schema = FeatureSchema.from_dict(doc["schema"])
-        if doc.get("schema_digest") != schema_digest(schema):
-            raise SchemaMismatchError("schema digest mismatch in model document")
-        spec = ModelSpec.from_dict(doc["spec"])
-        layers = tuple(
-            (np.array(l["weights"], dtype=float).reshape(l["shape"]),
-             np.array(l["bias"], dtype=float))
-            for l in doc["layers"]
-        )
-        return cls(spec, schema, layers)
-
-
-def schema_digest(schema: FeatureSchema) -> str:
-    import hashlib
-
-    return hashlib.sha256(canonical_json(schema.to_dict()).encode()).hexdigest()[:16]
-
 
 def linear_model(weights, bias: float, schema: FeatureSchema, kind: str = "logistic_regression") -> TrainedModel:
     """Hand-built linear classifier (surrogates, perturbation targets, test fixtures)."""

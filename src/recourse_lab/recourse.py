@@ -159,38 +159,6 @@ class RecourseSet:
             return np.empty((0, d))
         return np.stack([r.recourse for r in self.records])
 
-    def to_csv(self, path) -> None:
-        import csv as _csv
-
-        names = self.model.schema.names
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(
-                [f"origin_{n}" for n in names]
-                + [f"recourse_{n}" for n in names]
-                + ["cost", "method", "iterations"]
-            )
-            for r in self.records:
-                writer.writerow(
-                    [repr(float(v)) for v in r.origin]
-                    + [repr(float(v)) for v in r.recourse]
-                    + [repr(float(r.cost)), r.method, r.iterations]
-                )
-
-    def summary_dict(self) -> dict:
-        return {
-            "records": self.size,
-            "not_found": self.not_found,
-            "model_kind": self.model.kind,
-        }
-
-    def write_summary_json(self, path) -> None:
-        import json as _json
-
-        with open(path, "w", encoding="utf-8") as fh:
-            _json.dump(self.summary_dict(), fh, indent=2)
-            fh.write("\n")
-
 
 def _snap_to_schema(schema: FeatureSchema, Z: np.ndarray) -> np.ndarray:
     """Round grid features to their grids and clip everything to bounds."""

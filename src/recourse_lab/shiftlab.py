@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import csv
 import io
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -221,24 +223,53 @@ class SweepPoint:
     cf1_size: int
 
 
-def sensitivity_sweep(scenario: str, alphas, base: ExperimentConfig) -> list[SweepPoint]:
+def _sweep_point(prepared: _Prepared, d2_source: ShiftSpec) -> SweepPoint:
+    report = _run_d2(prepared, d2_source)
+    return SweepPoint(d2_source.alpha, report.invalidation_pct, report.cf1_size)
+
+
+# Set by _init_worker in each pool worker; forked workers get its argument without pickling.
+_worker_prepared: _Prepared | None = None
+
+
+def _init_worker(prepared: _Prepared) -> None:
+    global _worker_prepared
+    _worker_prepared = prepared
+
+
+def _worker_sweep_point(d2_source: ShiftSpec) -> SweepPoint:
+    return _sweep_point(_worker_prepared, d2_source)
+
+
+def sensitivity_sweep(scenario: str, alphas, base: ExperimentConfig, jobs: int = 1) -> list[SweepPoint]:
     """One pipeline run per shift magnitude, with the d1 sample and model fixed.
 
-    Results match per-alpha run_pipeline calls exactly (all stages are pure),
-    the d1 side is just not recomputed.
+    Every alpha is validated before any training, so a bad alpha fails the same
+    way whatever `jobs` is. The d1 side is prepared once in the calling process.
+    When min(jobs, len(alphas)) exceeds one, that many forked workers run only
+    the d2 side. Results match per-alpha run_pipeline calls exactly (all
+    stages are pure).
     """
     alphas = list(alphas)
     if not alphas:
         raise ValueError("alphas must be nonempty")
     if not isinstance(base.d1_source, ShiftSpec) or not isinstance(base.d2_source, ShiftSpec):
         raise ValueError("sensitivity_sweep needs synthetic d1 and d2 sources")
+    specs = [
+        ShiftSpec(scenario, float(alpha), base.d2_source.n, base.d2_source.seed)
+        for alpha in alphas
+    ]
     prepared = _prepare(base)
-    points = []
-    for alpha in alphas:
-        spec2 = ShiftSpec(scenario, float(alpha), base.d2_source.n, base.d2_source.seed)
-        report = _run_d2(prepared, spec2)
-        points.append(SweepPoint(float(alpha), report.invalidation_pct, report.cf1_size))
-    return points
+    workers = min(jobs, len(specs))
+    if workers <= 1:
+        return [_sweep_point(prepared, spec) for spec in specs]
+    with ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+        initargs=(prepared,),
+    ) as pool:
+        return list(pool.map(_worker_sweep_point, specs))
 
 
 def sweep_csv_text(points) -> str:

@@ -9,8 +9,6 @@ are lower bounds, which verify_bound checks empirically.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -101,22 +99,6 @@ class BoundCheck:
     abs_gap: float
     n: int
 
-    def csv_row(self) -> list:
-        return [
-            repr(self.rho), repr(self.delta_m),
-            f"{self.empirical_q:.6f}", f"{self.theoretical_q:.6f}",
-            f"{self.abs_gap:.6f}", self.n,
-        ]
-
-
-def bound_checks_csv(checks) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["rho", "delta_m", "empirical_Q", "theoretical_Q", "abs_gap", "n"])
-    for c in checks:
-        writer.writerow(c.csv_row())
-    return buf.getvalue()
-
 
 def _data_kind(data: Dataset) -> str:
     if all(k in ("ordinal", "binary") for k in data.schema.kinds):
@@ -183,7 +165,8 @@ def verify_bound(
     points = np.stack([pt for pt in finals if pt is not None])
     if points.shape[0] < n_trials:
         raise InsufficientSampleError(
-            f"walk budget exhausted for {n_trials - points.shape[0]} of {n_trials} trials"
+            f"{n_trials - points.shape[0]} of {n_trials} walks failed "
+            "(walk budget exhausted or walker stalled at a grid bound)"
         )
 
     if m1.is_linear:

@@ -1,8 +1,10 @@
 import json
+import math
 import os
 
 import pytest
 
+from recourse_lab import shiftlab
 from recourse_lab.cli import SEED_OVERRIDE_ENV, main
 
 
@@ -62,6 +64,16 @@ class TestBoundsCommand:
 
     def test_missing_flag_exits_2(self):
         assert main(["bounds", "--rho", "1.0"]) == 2
+
+    def test_verify_small_ordinal_rho(self, capsys):
+        # the built-in grid must leave the slow walkers room to stop
+        code = main(["bounds", "--rho", "0.02", "--delta", "3", "--kind", "ordinal",
+                     "--verify"])
+        assert code == 0
+        line = capsys.readouterr().out.splitlines()[1]
+        empirical = float(line.split("empirical_Q=")[1].split()[0])
+        q = 1.0 - (1.0 - 0.02) ** 3
+        assert abs(empirical - q) <= 4.0 * math.sqrt(q * (1.0 - q) / 2000) + 0.03
 
 
 class TestRunCommand:
@@ -173,12 +185,60 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s"),
                      "--scenario", "target_shift", "--alphas", "0,zebra"]) == 2
 
-    def test_out_of_range_alpha_exits_1(self, tmp_path):
-        # valid config, runtime failure inside the sweep
+    def test_out_of_range_alpha_exits_2(self, tmp_path):
+        # target_shift alpha lies in [-0.6, 0.6]; alphas are checked before any training
         cfg = write_config(tmp_path)
-        code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s"),
-                     "--scenario", "target_shift", "--alphas", "0.9"])
-        assert code in (1, 2)
+        for jobs in ("1", "2"):
+            assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s"),
+                         "--scenario", "target_shift", "--alphas", "0.9",
+                         "--jobs", jobs]) == 2
+
+    def test_nan_alpha_exits_2(self, tmp_path):
+        cfg = write_config(tmp_path)
+        for jobs in ("1", "2"):
+            assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s"),
+                         "--scenario", "target_shift", "--alphas", "0,nan",
+                         "--jobs", jobs]) == 2
+
+    def test_parallel_sweep_prepares_once_in_caller(self, tmp_path, monkeypatch):
+        calls = []
+        prepare = shiftlab._prepare
+
+        def counting_prepare(cfg):
+            calls.append(os.getpid())
+            return prepare(cfg)
+
+        monkeypatch.setattr(shiftlab, "_prepare", counting_prepare)
+        cfg = write_config(tmp_path)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s"),
+                     "--scenario", "target_shift", "--alphas", "0,0.4",
+                     "--jobs", "2"]) == 0
+        assert calls == [os.getpid()]
+
+    def test_workers_capped_at_alpha_count(self, tmp_path, monkeypatch):
+        requested = []
+
+        class FakeExecutor:
+            def __init__(self, max_workers, initializer, initargs, **kwargs):
+                requested.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(shiftlab, "ProcessPoolExecutor", FakeExecutor)
+        monkeypatch.setattr(shiftlab, "_worker_prepared", None)
+        cfg = write_config(tmp_path)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s"),
+                     "--scenario", "target_shift", "--alphas", "0,0.4",
+                     "--jobs", "64"]) == 0
+        assert requested == [2]
 
     def test_parallel_jobs_match_serial(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -9,7 +9,7 @@ from recourse_lab.errors import (
     TrainingError,
     UnsupportedModelError,
 )
-from recourse_lab.models import numeric_gradient_batch, schema_digest
+from recourse_lab.models import numeric_gradient_batch
 
 
 def schema2():
@@ -241,27 +241,6 @@ class TestCrossVal:
         data = rl.synth_base(300, 2)
         acc = rl.cross_val_accuracy(rl.ModelSpec.logistic(epochs=50), data, 3)
         assert 0.0 <= acc <= 100.0
-
-
-class TestSerialization:
-    def test_round_trip_bit_exact(self):
-        data = rl.synth_base(500, 4)
-        for spec in (rl.ModelSpec.logistic(epochs=40),
-                     rl.ModelSpec.mlp(hidden_layers=(6, 3), epochs=3)):
-            model = rl.train(spec, data)
-            again = rl.TrainedModel.from_json(model.to_json())
-            assert again.spec == model.spec
-            for (Wa, ba), (Wb, bb) in zip(model.layers, again.layers):
-                assert np.array_equal(Wa, Wb) and np.array_equal(ba, bb)
-
-    def test_digest_guard(self):
-        model = rl.train(rl.ModelSpec.logistic(epochs=5), rl.synth_base(200, 1))
-        doc = model.to_json().replace('"x0"', '"z0"')
-        with pytest.raises(SchemaMismatchError):
-            rl.TrainedModel.from_json(doc)
-
-    def test_digest_stable(self):
-        assert schema_digest(schema2()) == schema_digest(rl.synth_base(3, 9).schema)
 
 
 class TestGradientBatch:

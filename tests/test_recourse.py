@@ -450,19 +450,3 @@ class TestRecourseSet:
         )
         with pytest.raises(DataValidationError):
             rl.RecourseSet((bad,), m)
-
-    def test_csv_and_summary(self, tmp_path, logistic10k, synth10k):
-        sub = synth10k.subset(np.arange(120))
-        cf = rl.batch_recourse(logistic10k, sub, "cfe", rl.CostFn("L2"))
-        out = tmp_path / "cf.csv"
-        cf.to_csv(out)
-        header = out.read_text().splitlines()[0].split(",")
-        assert header == ["origin_x0", "origin_x1", "recourse_x0", "recourse_x1",
-                          "cost", "method", "iterations"]
-        assert len(out.read_text().splitlines()) == cf.size + 1
-        assert cf.summary_dict()["not_found"] == cf.not_found
-        side = tmp_path / "cf.summary.json"
-        cf.write_summary_json(side)
-        import json
-
-        assert json.loads(side.read_text())["records"] == cf.size

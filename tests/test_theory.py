@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import recourse_lab as rl
 from recourse_lab.errors import InsufficientSampleError
-from recourse_lab.theory import bound_checks_csv
 
 
 class TestClosedForms:
@@ -131,11 +130,3 @@ class TestVerifyBound:
         check = rl.verify_bound(model, data, rho=0.5, delta_m=2, n_trials=800, seed=1)
         assert check.kind == "ordinal"
         assert check.theoretical_q == pytest.approx(0.75)
-
-    def test_csv_output(self, logistic10k, synth10k):
-        check = rl.verify_bound(logistic10k, synth10k, rho=2.0, delta_m=0.1,
-                                n_trials=300, seed=2)
-        text = bound_checks_csv([check])
-        lines = text.splitlines()
-        assert lines[0] == "rho,delta_m,empirical_Q,theoretical_Q,abs_gap,n"
-        assert lines[1].startswith("2.0,0.1,")
