@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -250,16 +249,14 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _builtin_ordinal_setup(rho: float) -> tuple:
+def _builtin_ordinal_setup(delta: float) -> tuple:
     """Unit grid 0..top with the boundary at 30.5 and negatives on 0..30.
 
-    Walkers cross at 31 and then stop with probability rho per step, so the
-    top leaves room for ceil(log(1e-6) / log1p(-rho)) further steps: a walker
-    stalls at the top with probability below 1e-6.
+    Walkers cross at 31, and verify_bound retires a walker once the boundary
+    translated by delta accepts it, at level 31 + delta at the latest. A top
+    of at least that level means no walker can stall there, whatever rho is.
     """
-    top = 80
-    if rho < 1.0:
-        top = max(top, 31 + math.ceil(math.log(1e-6) / math.log1p(-rho)))
+    top = max(80, 31 + int(delta))
     schema = FeatureSchema((FeatureSpec("level", kind="ordinal", lower=0, upper=top),))
     model = linear_model(np.array([1.0]), -30.5, schema)
     values = np.tile(np.arange(31), 10)[:, None].astype(float)
@@ -280,7 +277,7 @@ def cmd_bounds(args) -> int:
 
             model = train(ModelSpec.logistic(epochs=200), data)
         else:
-            model, data = _builtin_ordinal_setup(args.rho)
+            model, data = _builtin_ordinal_setup(args.delta)
         check = verify_bound(model, data, args.rho, args.delta, n_trials=2000, seed=0)
         print(
             f"empirical_Q={check.empirical_q:.5f} "

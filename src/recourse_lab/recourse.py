@@ -424,6 +424,7 @@ def _markov_batch(
     rho: float,
     seed: int,
     max_steps: int,
+    settle: TrainedModel | None = None,
 ):
     """Vectorized stochastic boundary-crossing walk.
 
@@ -432,6 +433,12 @@ def _markov_batch(
     reaches a +1 point it draws, before every further step, a uniform variate and
     stops with probability min(1, rho * step); rho is a stop rate per unit of
     distance walked, which for unit grids equals a per-step probability.
+
+    With `settle`, a walker also stops, keeping its point, as soon as `settle`
+    accepts it (checked at the start and after every step). A caller that only
+    needs the verdict of `settle` on the final point may pass it when no later
+    step can take an accepted walker back out, as for a linear model and its
+    parallel translation.
 
     Returns (list of points or None, iterations array).
     """
@@ -450,6 +457,8 @@ def _markov_batch(
     z = X.copy()
     crossed = model.decision_values(z) >= 0.0
     done = crossed.copy()  # already-valid starts return themselves
+    if settle is not None:
+        done |= settle.decision_values(z) >= 0.0
     failed = np.zeros(n, dtype=bool)
     iters = np.zeros(n, dtype=int)
 
@@ -510,6 +519,8 @@ def _markov_batch(
         z[rows] = proposal
         iters[rows] += 1
         crossed[rows] |= model.decision_values(z[rows]) >= 0.0
+        if settle is not None:
+            done[rows] |= settle.decision_values(z[rows]) >= 0.0
 
     unfinished = ~done & ~failed
     failed |= unfinished & ~crossed

@@ -14,7 +14,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .dataset import Dataset, FeatureSchema, ShiftSpec, load_csv, split, synth_shift
 from .errors import (
@@ -244,15 +243,17 @@ def _worker_sweep_point(d2_source: ShiftSpec) -> SweepPoint:
 def sensitivity_sweep(scenario: str, alphas, base: ExperimentConfig, jobs: int = 1) -> list[SweepPoint]:
     """One pipeline run per shift magnitude, with the d1 sample and model fixed.
 
-    Every alpha is validated before any training, so a bad alpha fails the same
-    way whatever `jobs` is. The d1 side is prepared once in the calling process.
-    When min(jobs, len(alphas)) exceeds one, that many forked workers run only
-    the d2 side. Results match per-alpha run_pipeline calls exactly (all
+    Every alpha, and `jobs` itself, is validated before any training, so a bad
+    alpha fails the same way whatever `jobs` is. The d1 side is prepared once
+    in the calling process. When min(jobs, len(alphas)) exceeds one, that many
+    forked workers run only the d2 side. Results match per-alpha run_pipeline calls exactly (all
     stages are pure).
     """
     alphas = list(alphas)
     if not alphas:
         raise ValueError("alphas must be nonempty")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     if not isinstance(base.d1_source, ShiftSpec) or not isinstance(base.d2_source, ShiftSpec):
         raise ValueError("sensitivity_sweep needs synthetic d1 and d2 sources")
     specs = [
@@ -316,5 +317,22 @@ def cost_invalidation_check(cf1: RecourseSet, m2_draws) -> TradeoffStats:
     mean_invalid = invalid.mean(axis=1)
     if np.all(mean_invalid == mean_invalid[0]):
         return TradeoffStats(rates, float("nan"))
-    rho = _scipy_stats.spearmanr(costs, mean_invalid).statistic
-    return TradeoffStats(rates, float(rho))
+    return TradeoffStats(rates, _spearman(costs, mean_invalid))
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the mean of the ranks they span."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], values.size]
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
+def _spearman(a, b) -> float:
+    """Spearman rank correlation: Pearson correlation of the average ranks."""
+    ra = _average_ranks(np.asarray(a, dtype=float))
+    rb = _average_ranks(np.asarray(b, dtype=float))
+    return float(np.corrcoef(ra, rb)[0, 1])

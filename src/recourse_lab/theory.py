@@ -142,13 +142,17 @@ def verify_bound(
     Walk starts are drawn (with replacement) from the model's negatives; the
     updated model is the exact parallel translation for linear kinds and the
     bias-shift approximation otherwise, where only empirical >= theoretical
-    is claimed.
+    is claimed. On the linear path a walker retires once the translated model
+    accepts it: every later step raises its signed distance, so its verdict
+    is settled. rho and delta_m are checked before any walk.
     """
+    kind = _data_kind(data)
+    if m1.is_linear and kind == "ordinal":
+        theoretical = bound_ordinal(rho, delta_m)
+    else:
+        theoretical = bound_continuous(rho, delta_m)
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
-    if delta_m < 0:
-        raise ValueError("delta_m must be nonnegative")
-    kind = _data_kind(data)
     neg = np.flatnonzero(m1.predict(data.X) == -1)
     if neg.size < 100:
         raise InsufficientSampleError(
@@ -157,24 +161,23 @@ def verify_bound(
     rng = np.random.default_rng(derive_seed(seed, "verify-starts"))
     starts = data.X[rng.choice(neg, size=n_trials, replace=True)]
 
+    if m1.is_linear:
+        m2 = settle = parallel_perturb(m1, delta_m)
+    else:
+        m2, settle = _comparison_perturb(m1, delta_m, data), None
     if step is None:
         step = 1.0 if kind == "ordinal" else float(np.clip(0.02 / rho, 1e-3, 0.05))
     finals, _ = _markov_batch(
-        m1, starts, step, rho, derive_seed(seed, "verify-walk"), max_steps
+        m1, starts, step, rho, derive_seed(seed, "verify-walk"), max_steps, settle=settle
     )
-    points = np.stack([pt for pt in finals if pt is not None])
-    if points.shape[0] < n_trials:
+    kept = [pt for pt in finals if pt is not None]
+    if len(kept) < n_trials:
         raise InsufficientSampleError(
-            f"{n_trials - points.shape[0]} of {n_trials} walks failed "
+            f"{n_trials - len(kept)} of {n_trials} walks failed "
             "(walk budget exhausted or walker stalled at a grid bound)"
         )
+    points = np.stack(kept)
 
-    if m1.is_linear:
-        m2 = parallel_perturb(m1, delta_m)
-        theoretical = bound_continuous(rho, delta_m) if kind == "continuous" else bound_ordinal(rho, delta_m)
-    else:
-        m2 = _comparison_perturb(m1, delta_m, data)
-        theoretical = bound_continuous(rho, delta_m)
     empirical = float(np.mean(m2.predict(points) == -1))
     return BoundCheck(
         rho=rho,

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from recourse_lab import shiftlab
+from recourse_lab import shiftlab, theory
 from recourse_lab.cli import SEED_OVERRIDE_ENV, main
 
 
@@ -65,15 +65,33 @@ class TestBoundsCommand:
     def test_missing_flag_exits_2(self):
         assert main(["bounds", "--rho", "1.0"]) == 2
 
-    def test_verify_small_ordinal_rho(self, capsys):
-        # the built-in grid must leave the slow walkers room to stop
-        code = main(["bounds", "--rho", "0.02", "--delta", "3", "--kind", "ordinal",
+    def check_ordinal_verify(self, capsys, rho, delta):
+        code = main(["bounds", "--rho", str(rho), "--delta", str(delta), "--kind", "ordinal",
                      "--verify"])
         assert code == 0
         line = capsys.readouterr().out.splitlines()[1]
         empirical = float(line.split("empirical_Q=")[1].split()[0])
-        q = 1.0 - (1.0 - 0.02) ** 3
+        q = 1.0 - (1.0 - rho) ** delta
         assert abs(empirical - q) <= 4.0 * math.sqrt(q * (1.0 - q) / 2000) + 0.03
+
+    def test_verify_small_ordinal_rho(self, capsys):
+        # the built-in grid must leave the slow walkers room to stop
+        self.check_ordinal_verify(capsys, 0.02, 3)
+
+    def test_verify_tiny_ordinal_rho(self, capsys, monkeypatch):
+        # walkers start at or above 0 and retire at level 31 + delta at the latest,
+        # so none walks near the 50 000-step budget or the grid top
+        walk = theory._markov_batch
+        longest = []
+
+        def recording_walk(*args, **kwargs):
+            finals, iters = walk(*args, **kwargs)
+            longest.append(int(iters.max()))
+            return finals, iters
+
+        monkeypatch.setattr(theory, "_markov_batch", recording_walk)
+        self.check_ordinal_verify(capsys, 0.0001, 6)
+        assert len(longest) == 1 and longest[0] <= 31 + 6
 
 
 class TestRunCommand:
@@ -239,6 +257,18 @@ class TestSweepCommand:
                      "--scenario", "target_shift", "--alphas", "0,0.4",
                      "--jobs", "64"]) == 0
         assert requested == [2]
+
+    def test_nonpositive_jobs_exit_2(self, tmp_path, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("started work before checking --jobs")
+
+        monkeypatch.setattr(shiftlab, "_prepare", no_work)
+        monkeypatch.setattr(shiftlab, "ProcessPoolExecutor", no_work)
+        cfg = write_config(tmp_path)
+        for jobs in ("0", "-3"):
+            assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s"),
+                         "--scenario", "target_shift", "--alphas", "0,0.4",
+                         "--jobs", jobs]) == 2
 
     def test_parallel_jobs_match_serial(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import recourse_lab as rl
 from recourse_lab.errors import DataValidationError
-from recourse_lab.recourse import DECILE_PERCENTILES, _percentile_grid
+from recourse_lab.recourse import DECILE_PERCENTILES, _markov_batch, _percentile_grid
 
 
 def schema2():
@@ -253,6 +253,17 @@ class TestMarkovSearch:
                                params={"step": 0.01, "rho": 2.0}, seed=5)
         depths = np.array([r.boundary_distance for r in cf.records])
         assert abs(depths.mean() - 0.5) <= 0.025
+
+    def test_settle_on_the_model_stops_at_first_crossing(self, logistic10k, synth10k):
+        # settle=model retires each walker where it first crosses, which is where
+        # a stop probability of one (rho * step = 2) halts it
+        X = synth10k.X[logistic10k.predict(synth10k.X) == -1][:400]
+        step = 0.05
+        settled, settled_iters = _markov_batch(logistic10k, X, step, 0.01, 9, 5000,
+                                               settle=logistic10k)
+        first, first_iters = _markov_batch(logistic10k, X, step, 2.0 / step, 9, 5000)
+        assert np.array_equal(settled_iters, first_iters)
+        assert all(a is not None and np.array_equal(a, b) for a, b in zip(settled, first))
 
     def test_budget_exhaustion_returns_none(self):
         m = rl.linear_model([1.0, 0.0], -100.0, schema2())

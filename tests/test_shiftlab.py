@@ -11,6 +11,7 @@ from recourse_lab.shiftlab import (
     REPORT_COLUMNS,
     _evaluate_m2,
     _prepare,
+    _spearman,
     sweep_csv_text,
 )
 
@@ -253,3 +254,16 @@ class TestCostInvalidationCheck:
         stats = rl.cost_invalidation_check(cf, draws)
         assert stats.quartile_rates[0] >= stats.quartile_rates[3]
         assert stats.spearman <= -0.2
+
+    def test_spearman_matches_scipy_on_ties(self):
+        from scipy import stats
+
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            n = int(rng.integers(4, 80))
+            # few distinct values, so most ranks are shared; never constant
+            a = rng.integers(0, int(rng.integers(2, 6)), size=n) * 0.5
+            b = np.round(rng.normal(size=n) + 0.3 * a, int(rng.integers(0, 2)))
+            a[:2], b[:2] = (0.0, 1.0), (-9.0, 9.0)
+            expected = stats.spearmanr(a, b).statistic
+            assert abs(_spearman(a, b) - expected) <= 1e-12

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import recourse_lab as rl
+from recourse_lab import theory
 from recourse_lab.errors import InsufficientSampleError
 
 
@@ -125,8 +126,36 @@ class TestVerifyBound:
         with pytest.raises(InsufficientSampleError):
             rl.verify_bound(model, data, 1.0, 0.1, 100, 0)
 
+    def test_every_walk_failing_is_named(self):
+        data = rl.synth_base(2000, 0)
+        model = rl.linear_model([1.0, 0.0], -3.0, data.schema)  # boundary far from most starts
+        with pytest.raises(InsufficientSampleError, match="200 of 200 walks failed"):
+            rl.verify_bound(model, data, 1.0, 0.1, 200, 0, max_steps=1)
+
     def test_ordinal_kind_detected(self, ordinal_setup):
         model, data = ordinal_setup
         check = rl.verify_bound(model, data, rho=0.5, delta_m=2, n_trials=800, seed=1)
         assert check.kind == "ordinal"
         assert check.theoretical_q == pytest.approx(0.75)
+
+    def test_small_rate_within_tolerance(self, logistic10k, synth10k):
+        check = rl.verify_bound(logistic10k, synth10k, rho=0.02, delta_m=2.5,
+                                n_trials=2000, seed=6)
+        q = 1.0 - math.exp(-0.02 * 2.5)
+        assert abs(check.empirical_q - q) <= 4.0 * math.sqrt(q * (1.0 - q) / 2000) + 0.03
+
+    def test_inputs_checked_before_walking(self, logistic10k, synth10k, ordinal_setup,
+                                           monkeypatch):
+        def no_walk(*args, **kwargs):
+            raise AssertionError("walked before checking rho and delta_m")
+
+        monkeypatch.setattr(theory, "_markov_batch", no_walk)
+        with pytest.raises(ValueError, match="delta_m"):
+            rl.verify_bound(logistic10k, synth10k, 0.01, math.inf, 2000, 0)
+        with pytest.raises(ValueError, match="delta_m"):
+            rl.verify_bound(logistic10k, synth10k, 0.01, math.nan, 2000, 0)
+        model, data = ordinal_setup
+        with pytest.raises(ValueError, match="rho"):
+            rl.verify_bound(model, data, 1.5, 2, 100, 0)
+        with pytest.raises(ValueError, match="whole number"):
+            rl.verify_bound(model, data, 0.5, 1.5, 100, 0)
