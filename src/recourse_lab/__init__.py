@@ -36,10 +36,8 @@ from .recourse import (
     ar_search,
     batch_recourse,
     causal_recourse,
-    cfe_search,
     default_chain_scm,
     fit_local_linear,
-    markov_search,
 )
 from .shiftlab import (
     CsvSource,
@@ -66,8 +64,8 @@ __all__ = [
     "ModelSpec", "TrainedModel", "accuracy", "cross_val_accuracy",
     "linear_model", "numeric_gradient", "parallel_perturb", "train",
     "CostFn", "RecourseRecord", "RecourseSet", "Scm", "ScmVariable",
-    "ar_search", "batch_recourse", "causal_recourse", "cfe_search",
-    "default_chain_scm", "fit_local_linear", "markov_search",
+    "ar_search", "batch_recourse", "causal_recourse",
+    "default_chain_scm", "fit_local_linear",
     "CsvSource", "ExperimentConfig", "InvalidationReport", "Seeds",
     "cost_invalidation_check", "invalidation_fraction", "run_pipeline",
     "sensitivity_sweep",

@@ -20,15 +20,7 @@ from . import __version__
 from .dataset import Dataset, FeatureSchema, FeatureSpec, ShiftSpec, synth_base
 from .errors import ConfigError, RecourseLabError, SchemaMismatchError
 from .models import ModelSpec, linear_model
-from .recourse import (
-    AR_DEFAULTS,
-    CAUSAL_DEFAULTS,
-    CFE_DEFAULTS,
-    MARKOV_DEFAULTS,
-    CostFn,
-    Scm,
-    ScmVariable,
-)
+from .recourse import RECOURSE_METHODS, CostFn, Scm, ScmVariable, method_params
 from .shiftlab import (
     CsvSource,
     ExperimentConfig,
@@ -38,7 +30,7 @@ from .shiftlab import (
     sweep_csv_text,
 )
 from .theory import BoundInput, verify_bound
-from .util import atomic_write_text, canonical_json
+from .util import atomic_write_text, canonical_json, is_number
 
 SEED_OVERRIDE_ENV = "RECOURSE_LAB_SEED_OVERRIDE"
 
@@ -90,12 +82,16 @@ def _parse_scm(doc, field: str) -> Scm:
         _fail(field, "expected a nonempty list of variables")
     variables = []
     for i, var in enumerate(doc):
-        parents = tuple(
-            (int(idx), float(coeff)) for idx, coeff in _get(var, f"{field}[{i}].parents", dict, {}).items()
-        )
+        if not isinstance(var, dict):
+            _fail(f"{field}[{i}]", f"expected an object, got {type(var).__name__}")
+        parents = _get(var, f"{field}[{i}].parents", dict, {})
+        for idx, coeff in parents.items():
+            if not (idx.isdecimal() and is_number(coeff)):
+                _fail(f"{field}[{i}].parents",
+                      f"expected parent index: coefficient, got {idx!r}: {coeff!r}")
         variables.append(ScmVariable(
             name=_get(var, f"{field}[{i}].name", str),
-            parents=parents,
+            parents=tuple((int(idx), float(coeff)) for idx, coeff in parents.items()),
             noise_std=float(_get(var, f"{field}[{i}].noise_std", (int, float), 1.0)),
             intervenable=bool(_get(var, f"{field}[{i}].intervenable", bool, True)),
         ))
@@ -133,10 +129,13 @@ def parse_config(doc: dict) -> ExperimentConfig:
         recourse=int(_get(seeds_doc, "seeds.recourse", int)),
     )
     model_doc = _get(doc, "model", dict)
+    hidden = _get(model_doc, "model.hidden_layers", list, [])
+    if not all(is_number(width, int) for width in hidden):
+        _fail("model.hidden_layers", f"expected a list of integers, got {hidden!r}")
     try:
         spec = ModelSpec(
             kind=_get(model_doc, "model.kind", str),
-            hidden_layers=tuple(_get(model_doc, "model.hidden_layers", list, [])),
+            hidden_layers=tuple(hidden),
             learning_rate=float(_get(model_doc, "model.learning_rate", (int, float), 0.5)),
             epochs=int(_get(model_doc, "model.epochs", int, 300)),
             l2_penalty=float(_get(model_doc, "model.l2_penalty", (int, float), 1e-4)),
@@ -147,14 +146,12 @@ def parse_config(doc: dict) -> ExperimentConfig:
     recourse_doc = _get(doc, "recourse", dict)
     method = _get(recourse_doc, "recourse.method", str)
     params = _get(recourse_doc, "recourse.params", dict, {})
-    if "grid_percentiles" in params:
-        params = {**params, "grid_percentiles": tuple(params["grid_percentiles"])}
-    defaults = {"cfe": CFE_DEFAULTS, "ar": AR_DEFAULTS,
-                "markov": MARKOV_DEFAULTS, "causal": CAUSAL_DEFAULTS}.get(method)
-    if defaults is not None:
-        unknown = set(params) - set(defaults)
-        if unknown:
-            _fail("recourse.params", f"unknown parameter(s) {sorted(unknown)} for {method}")
+    if method in RECOURSE_METHODS:  # ExperimentConfig names an unknown method
+        for name, value in params.items():
+            try:
+                method_params(method, {name: value})
+            except ValueError as exc:
+                _fail(f"recourse.params.{name}", str(exc))
     cost_doc = _get(doc, "cost", dict, {"norm": "L2"})
     try:
         cost = CostFn(_get(cost_doc, "cost.norm", str, "L2"))

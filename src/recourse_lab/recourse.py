@@ -18,6 +18,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,40 +35,11 @@ from .models import (
     linear_model,
     numeric_gradient_batch,
 )
-from .util import derive_seed
+from .util import derive_seed, is_number
 
 COST_NORMS = ("L1", "L2")
-RECOURSE_METHODS = ("cfe", "ar", "causal", "markov")
 
 DECILE_PERCENTILES = tuple(range(10, 100, 10))
-
-CFE_DEFAULTS = {
-    "lambda_init": 0.1,
-    "lambda_growth": 10.0,
-    "lambda_steps": 6,
-    "inner_iters": 1000,
-    "step_size": 0.01,
-    "tolerance": 1e-6,
-    "margin_target": 1e-4,
-}
-
-AR_DEFAULTS = {
-    "grid_percentiles": DECILE_PERCENTILES,
-    "max_changed_features": 3,
-    "n_samples": 1000,
-    "kernel_width": 0.75,
-}
-
-MARKOV_DEFAULTS = {
-    "step": 0.05,
-    "rho": 1.0,
-    "max_steps": 10_000,
-}
-
-CAUSAL_DEFAULTS = {
-    "grid_percentiles": DECILE_PERCENTILES,
-    "max_intervened": 2,
-}
 
 _DIFF_H = 1e-4  # numeric-gradient step used inside the searches
 
@@ -120,7 +92,7 @@ class RecourseRecord:
         recourse.flags.writeable = False
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "recourse", recourse)
-        if self.method not in RECOURSE_METHODS:
+        if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if not (math.isfinite(self.cost) and self.cost >= 0.0):
             raise ValueError(f"cost must be finite and nonnegative, got {self.cost}")
@@ -184,11 +156,18 @@ def _boundary_distance(model: TrainedModel, x: np.ndarray) -> float | None:
     return float((w @ x + model.bias) / norm)
 
 
+def _record(model: TrainedModel, x, point, cost: CostFn, method: str, iterations) -> RecourseRecord:
+    return RecourseRecord(
+        origin=x, recourse=point, cost=cost(x, point), method=method,
+        iterations=int(iterations), boundary_distance=_boundary_distance(model, point),
+    )
+
+
 _B1, _B2 = 0.9, 0.999
 
 
-def _cfe_batch(model: TrainedModel, X: np.ndarray, cost: CostFn, p: dict):
-    """Vectorized penalized-distance descent over a batch of origins.
+def _cfe_batch(model, data, rows, cost, p, seed, scm):
+    """Vectorized penalized-distance descent from the origins data.X[rows].
 
     Per point, each penalty-weight stage runs adaptive first-order descent until
     the iterate stops moving (or inner_iters elapse). The stage's converged
@@ -199,6 +178,7 @@ def _cfe_batch(model: TrainedModel, X: np.ndarray, cost: CostFn, p: dict):
 
     Returns (list of recourse vectors or None, iterations array).
     """
+    X = data.X[rows]
     n, d = X.shape
     schema = model.schema
     margin = p["margin_target"]
@@ -212,11 +192,6 @@ def _cfe_batch(model: TrainedModel, X: np.ndarray, cost: CostFn, p: dict):
     seen_z = np.zeros_like(X)
     seen_cost = np.full(n, np.inf)
     has_seen = np.zeros(n, dtype=bool)
-
-    f0 = model.decision_values(X)
-    for i in np.flatnonzero(f0 >= 0.0):
-        final[i] = X[i].copy()
-        done[i] = True
 
     def remember_valid(rows, f):
         rows = rows[f >= 0.0]
@@ -283,36 +258,6 @@ def _cfe_batch(model: TrainedModel, X: np.ndarray, cost: CostFn, p: dict):
     return final, iters
 
 
-def cfe_search(model: TrainedModel, x, cost: CostFn, **params) -> RecourseRecord | None:
-    """Gradient counterfactual search for one point; None when the schedule fails.
-
-    Accepts overrides of CFE_DEFAULTS, i.e. lambda_init, lambda_growth,
-    lambda_steps, inner_iters, step_size, tolerance, margin_target.
-    """
-    p = _merged(CFE_DEFAULTS, params)
-    x = np.asarray(x, dtype=float)
-    finals, iters = _cfe_batch(model, x[None, :], cost, p)
-    if finals[0] is None:
-        return None
-    return RecourseRecord(
-        origin=x,
-        recourse=finals[0],
-        cost=cost(x, finals[0]),
-        method="cfe",
-        iterations=int(iters[0]),
-        boundary_distance=_boundary_distance(model, finals[0]),
-    )
-
-
-def _merged(defaults: dict, overrides: dict) -> dict:
-    unknown = set(overrides) - set(defaults)
-    if unknown:
-        raise ValueError(f"unknown parameter(s): {sorted(unknown)}")
-    out = dict(defaults)
-    out.update(overrides)
-    return out
-
-
 def fit_local_linear(
     model: TrainedModel,
     x,
@@ -371,14 +316,23 @@ def ar_search(
     """
     if not model.is_linear:
         raise ValueError("ar_search requires a linear model (fit a surrogate first)")
+    if max_changed_features < 1:
+        raise ValueError("max_changed_features must be at least 1")
     x = np.asarray(x, dtype=float)
+    grids = _action_grids(model, data, grid_percentiles)
+    point, popped = _ar_point(model, x, grids, cost, max_changed_features)
+    return None if point is None else _record(model, x, point, cost, "ar", popped)
+
+
+def _action_grids(model: TrainedModel, data: Dataset, percentiles) -> dict:
     actionable = model.schema.actionable_indices()
     if not actionable:
         raise ValueError("schema has no actionable features")
-    if max_changed_features < 1:
-        raise ValueError("max_changed_features must be at least 1")
+    return {j: _percentile_grid(data.X[:, j], percentiles) for j in actionable}
 
-    grids = {j: _percentile_grid(data.X[:, j], grid_percentiles) for j in actionable}
+
+def _ar_point(model: TrainedModel, x: np.ndarray, grids: dict, cost: CostFn, max_changed: int):
+    """Best-first grid search for one origin; (point or None, nodes popped)."""
 
     def key(delta: float) -> float:
         return abs(delta) if cost.norm == "L1" else delta * delta
@@ -394,27 +348,45 @@ def ar_search(
         for j, v in changes:
             point[j] = v
         if model.decision_value(point) >= 0.0:
-            return RecourseRecord(
-                origin=x,
-                recourse=point,
-                cost=cost(x, point),
-                method="ar",
-                iterations=popped,
-                boundary_distance=_boundary_distance(model, point),
-            )
-        if len(changes) >= max_changed_features:
+            return point, popped
+        if len(changes) >= max_changed:
             continue
         last = changes[-1][0] if changes else -1
-        for j in actionable:
+        for j, grid in grids.items():
             if j <= last:
                 continue
-            for v in grids[j]:
+            for v in grid:
                 if v == x[j]:
                     continue
                 heapq.heappush(
                     heap, (k + key(v - x[j]), next(counter), changes + ((j, float(v)),))
                 )
-    return None
+    return None, popped
+
+
+def _ar_batch(model, data, rows, cost, p, seed, scm):
+    """ar_search from each origin data.X[rows], against a local linear surrogate
+    (seeded per row) when the model is nonlinear; a failed fit finds nothing."""
+    grids = _action_grids(model, data, p["grid_percentiles"])
+    points, iters = [], np.zeros(len(rows), dtype=int)
+    for k, i in enumerate(rows):
+        x = data.X[i]
+        if model.is_linear:
+            surrogate = model
+        else:
+            try:
+                surrogate = fit_local_linear(
+                    model, x,
+                    n_samples=p["n_samples"],
+                    kernel_width=p["kernel_width"],
+                    seed=derive_seed(seed, "surrogate", int(i)),
+                )
+            except SurrogateFitError:
+                points.append(None)
+                continue
+        point, iters[k] = _ar_point(surrogate, x, grids, cost, p["max_changed_features"])
+        points.append(point)
+    return points, iters
 
 
 def _markov_batch(
@@ -424,7 +396,7 @@ def _markov_batch(
     rho: float,
     seed: int,
     max_steps: int,
-    settle: TrainedModel | None = None,
+    settle_at: float | None = None,
 ):
     """Vectorized stochastic boundary-crossing walk.
 
@@ -434,11 +406,13 @@ def _markov_batch(
     stops with probability min(1, rho * step); rho is a stop rate per unit of
     distance walked, which for unit grids equals a per-step probability.
 
-    With `settle`, a walker also stops, keeping its point, as soon as `settle`
-    accepts it (checked at the start and after every step). A caller that only
-    needs the verdict of `settle` on the final point may pass it when no later
-    step can take an accepted walker back out, as for a linear model and its
-    parallel translation.
+    With `settle_at`, a walker also stops, keeping its point, as soon as its
+    decision value reaches settle_at (checked at the start and after every
+    step, on the value the step computes anyway). A caller that only needs to
+    know whether the final point clears that level may pass it when no later
+    step can lower the value again, as on a linear model, whose parallel
+    translation by delta_m accepts exactly the points at or above
+    delta_m * ||w||.
 
     Returns (list of points or None, iterations array).
     """
@@ -455,10 +429,11 @@ def _markov_batch(
     schema = model.schema
     grid = schema.grid_mask()
     z = X.copy()
-    crossed = model.decision_values(z) >= 0.0
+    f = model.decision_values(z)
+    crossed = f >= 0.0
     done = crossed.copy()  # already-valid starts return themselves
-    if settle is not None:
-        done |= settle.decision_values(z) >= 0.0
+    if settle_at is not None:
+        done |= f >= settle_at
     failed = np.zeros(n, dtype=bool)
     iters = np.zeros(n, dtype=int)
 
@@ -518,9 +493,10 @@ def _markov_batch(
             raise SearchError("walk produced a non-finite point")
         z[rows] = proposal
         iters[rows] += 1
-        crossed[rows] |= model.decision_values(z[rows]) >= 0.0
-        if settle is not None:
-            done[rows] |= settle.decision_values(z[rows]) >= 0.0
+        f = model.decision_values(z[rows])
+        crossed[rows] |= f >= 0.0
+        if settle_at is not None:
+            done[rows] |= f >= settle_at
 
     unfinished = ~done & ~failed
     failed |= unfinished & ~crossed
@@ -531,27 +507,10 @@ def _markov_batch(
     return finals, iters
 
 
-def markov_search(
-    model: TrainedModel,
-    x,
-    step: float,
-    rho: float,
-    seed: int,
-    max_steps: int = MARKOV_DEFAULTS["max_steps"],
-) -> RecourseRecord | None:
-    """Stochastic boundary-crossing walk for one point; None if the budget runs out."""
-    x = np.asarray(x, dtype=float)
-    finals, iters = _markov_batch(model, x[None, :], step, rho, seed, max_steps)
-    if finals[0] is None:
-        return None
-    cost = CostFn("L2")
-    return RecourseRecord(
-        origin=x,
-        recourse=finals[0],
-        cost=cost(x, finals[0]),
-        method="markov",
-        iterations=int(iters[0]),
-        boundary_distance=_boundary_distance(model, finals[0]),
+def _walk_batch(model, data, rows, cost, p, seed, scm):
+    """_markov_batch from the origins data.X[rows], with one stop stream per batch."""
+    return _markov_batch(
+        model, data.X[rows], p["step"], p["rho"], derive_seed(seed, "markov-batch"), p["max_steps"]
     )
 
 
@@ -613,14 +572,28 @@ class Scm:
 
     def propagate(self, x, interventions: dict[int, float]) -> np.ndarray:
         """Apply interventions and recompute descendants with abducted noises fixed."""
-        x = np.asarray(x, dtype=float)
+        values = np.zeros((1, self.n_variables))
+        mask = np.zeros((1, self.n_variables), dtype=bool)
+        for j, v in interventions.items():
+            values[0, j] = v
+            mask[0, j] = True
+        return self.propagate_rows(x, values, mask)[0]
+
+    def propagate_rows(self, x, values, mask) -> np.ndarray:
+        """propagate for a batch of interventions on one origin x.
+
+        Row k sets the variables where mask[k] holds to values[k]. Each other
+        variable is its abducted noise plus its coeff * parent terms, summed
+        from zero in the parents' order as the structural equations list them,
+        so every row equals the one-row call bit for bit.
+        """
         u = self.abduct(x)
-        out = np.zeros(self.n_variables)
+        out = np.empty(np.shape(values))
         for i, var in enumerate(self.variables):
-            if i in interventions:
-                out[i] = interventions[i]
-            else:
-                out[i] = u[i] + sum(coeff * out[parent] for parent, coeff in var.parents)
+            total = np.zeros(len(out))
+            for parent, coeff in var.parents:
+                total = total + coeff * out[:, parent]
+            out[:, i] = np.where(mask[:, i], values[:, i], u[i] + total)
         return out
 
 
@@ -639,65 +612,150 @@ def causal_recourse(
     scm: Scm,
     model: TrainedModel,
     x,
+    data: Dataset,
     cost: CostFn,
     grid_percentiles=DECILE_PERCENTILES,
     max_intervened: int = 2,
-    data: Dataset | None = None,
-    grid_samples: int = 1000,
-    seed: int = 0,
 ) -> RecourseRecord | None:
     """Cheapest grid intervention whose propagated point the model accepts.
 
-    Grids hold empirical percentiles of `data` when given, otherwise of a seeded
-    sample from the structural model itself. Cost is measured between x and the
-    full post-intervention vector. Enumeration is exhaustive over interventions
-    touching at most max_intervened variables.
+    Grids hold empirical percentiles of `data`. Cost is measured between x and
+    the full post-intervention vector. Enumeration is exhaustive over
+    interventions touching at most max_intervened variables.
     """
+    values, mask = _intervention_rows(scm, model, data, grid_percentiles, max_intervened)
+    x = np.asarray(x, dtype=float)
+    if model.predict(x) == 1:
+        return _record(model, x, x, cost, "causal", 0)
+    point, evaluated = _causal_point(scm, model, x, values, mask, cost)
+    return None if point is None else _record(model, x, point, cost, "causal", evaluated)
+
+
+def _intervention_rows(scm: Scm, model: TrainedModel, data: Dataset, percentiles, max_intervened: int):
+    """Every grid intervention on 1..max_intervened variables as (values, mask)
+    rows, in order of size, then variables, then grid values."""
     if scm.n_variables != model.schema.n_features:
         raise SchemaMismatchError(
             f"SCM has {scm.n_variables} variables but the schema has "
             f"{model.schema.n_features} features"
         )
-    x = np.asarray(x, dtype=float)
-    if model.predict(x) == 1:
-        return RecourseRecord(
-            origin=x, recourse=x.copy(), cost=0.0, method="causal", iterations=0,
-            boundary_distance=_boundary_distance(model, x),
-        )
-    source = data.X if data is not None else scm.sample(grid_samples, derive_seed(seed, "scm-grid"))
     targets = scm.intervenable_indices()
     if not targets:
         raise ValueError("SCM has no intervenable variables")
-    grids = {j: _percentile_grid(source[:, j], grid_percentiles) for j in targets}
+    grids = {j: _percentile_grid(data.X[:, j], percentiles) for j in targets}
+    actions = [
+        (list(combo), chosen)
+        for r in range(1, max_intervened + 1)
+        for combo in itertools.combinations(targets, r)
+        for chosen in itertools.product(*(grids[j] for j in combo))
+    ]
+    values = np.zeros((len(actions), scm.n_variables))
+    mask = np.zeros(values.shape, dtype=bool)
+    for k, (combo, chosen) in enumerate(actions):
+        values[k, combo] = chosen
+        mask[k, combo] = True
+    return values, mask
 
-    best = None
-    best_cost = np.inf
-    evaluated = 0
-    for r in range(1, max_intervened + 1):
-        for combo in itertools.combinations(targets, r):
-            for values in itertools.product(*(grids[j] for j in combo)):
-                interventions = {
-                    j: float(v) for j, v in zip(combo, values) if v != x[j]
-                }
-                if len(interventions) != len(combo):
-                    continue  # no-op component; covered by a smaller combo
-                candidate = scm.propagate(x, interventions)
-                evaluated += 1
-                if model.predict(candidate) != 1:
-                    continue
-                c = cost(x, candidate)
-                if c < best_cost - 1e-12:
-                    best, best_cost = candidate, c
-    if best is None:
-        return None
-    return RecourseRecord(
-        origin=x,
-        recourse=best,
-        cost=best_cost,
-        method="causal",
-        iterations=evaluated,
-        boundary_distance=_boundary_distance(model, best),
-    )
+
+def _causal_point(scm: Scm, model: TrainedModel, x: np.ndarray, values, mask, cost: CostFn):
+    """Cheapest accepted intervention on x, its candidates scored in one model
+    call; (point or None, candidates evaluated). Ties within 1e-12 go to the
+    earliest candidate."""
+    # a component that sets a variable to its current value is covered by a smaller combo
+    keep = ~np.any(mask & (values == x), axis=1)
+    candidates = scm.propagate_rows(x, values[keep], mask[keep])
+    if not len(candidates):
+        return None, 0
+    accepted = np.flatnonzero(model.decision_values(candidates) >= 0.0)
+    best, best_cost = None, np.inf
+    for k, c in zip(accepted, cost.pairwise(x, candidates[accepted])):
+        if c < best_cost - 1e-12:
+            best, best_cost = k, c
+    # a copy, so the point does not keep every candidate alive
+    return (None if best is None else candidates[best].copy()), len(candidates)
+
+
+def _causal_batch(model, data, rows, cost, p, seed, scm):
+    """causal_recourse from each origin data.X[rows], with grids and
+    intervention rows built once; the default chain stands in for a missing scm."""
+    if scm is None:
+        if data.schema.n_features != 3:
+            raise ValueError("no SCM given and the default chain needs 3 features")
+        scm = default_chain_scm(data.schema.names)
+    values, mask = _intervention_rows(scm, model, data, p["grid_percentiles"], p["max_intervened"])
+    points, iters = [], np.zeros(len(rows), dtype=int)
+    for k, x in enumerate(data.X[rows]):
+        point, iters[k] = _causal_point(scm, model, x, values, mask, cost)
+        points.append(point)
+    return points, iters
+
+
+# name -> (parameter defaults, batch kernel). A kernel takes
+# (model, data, rows, cost, params, seed, scm) and returns one point or None
+# per origin data.X[rows], plus an iterations array.
+_METHODS = {
+    "cfe": ({
+        "lambda_init": 0.1,
+        "lambda_growth": 10.0,
+        "lambda_steps": 6,
+        "inner_iters": 1000,
+        "step_size": 0.01,
+        "tolerance": 1e-6,
+        "margin_target": 1e-4,
+    }, _cfe_batch),
+    "ar": ({
+        "grid_percentiles": DECILE_PERCENTILES,
+        "max_changed_features": 3,
+        "n_samples": 1000,
+        "kernel_width": 0.75,
+    }, _ar_batch),
+    "causal": ({
+        "grid_percentiles": DECILE_PERCENTILES,
+        "max_intervened": 2,
+    }, _causal_batch),
+    "markov": ({
+        "step": 0.05,
+        "rho": 1.0,
+        "max_steps": 10_000,
+    }, _walk_batch),
+}
+RECOURSE_METHODS = tuple(_METHODS)
+
+_MAY_BE_ZERO = ("lambda_steps", "margin_target")
+
+
+def method_params(method: str, params: dict | None = None) -> dict:
+    """The method's defaults updated by `params`, each value checked.
+
+    A value must have its default's type: an integer, a number (returned as a
+    float), or a nonempty list of percentiles in [0, 100] (returned as a
+    tuple). Numbers must be finite, integers at least 1 and other numbers
+    positive; lambda_steps and margin_target may also be 0. Unknown names
+    and bad values raise ValueError.
+    """
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {RECOURSE_METHODS}")
+    defaults = _METHODS[method][0]
+    merged = dict(defaults)
+    for name, value in (params or {}).items():
+        if name not in defaults:
+            raise ValueError(f"unknown parameter {name!r} for {method}")
+        merged[name] = _checked_param(name, value, defaults[name])
+    return merged
+
+
+def _checked_param(name: str, value, default):
+    if isinstance(default, tuple):
+        if isinstance(value, (list, tuple)) and value and all(
+            is_number(v) and 0 <= v <= 100 for v in value
+        ):
+            return tuple(value)
+        raise ValueError(f"{name} must be a nonempty list of numbers in [0, 100], got {value!r}")
+    kind = numbers.Integral if isinstance(default, int) else numbers.Real
+    if is_number(value, kind) and (value > 0 or (value == 0 and name in _MAY_BE_ZERO)):
+        return type(default)(value)
+    what = "an integer" if kind is numbers.Integral else "a number"
+    raise ValueError(f"{name} must be {what} {'>= 0' if name in _MAY_BE_ZERO else '> 0'}, got {value!r}")
 
 
 def batch_recourse(
@@ -712,91 +770,22 @@ def batch_recourse(
     """Run one generator over every point the model classifies -1.
 
     Successes land in the returned set's records (input order); per-point
-    failures are counted in not_found, never raised. Every record is re-checked
-    against the true model, so surrogate-driven methods cannot leak invalid
-    points into the set.
+    failures are counted in not_found, never raised. Every proposal is
+    re-checked against the true model, so surrogate-driven methods cannot leak
+    invalid points into the set.
     """
     if not model.schema.compatible_with(data.schema):
         raise SchemaMismatchError("model and data schemas are incompatible")
-    if method not in RECOURSE_METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {RECOURSE_METHODS}")
-    params = dict(params or {})
+    p = method_params(method, params)
+    rows = np.flatnonzero(model.predict(data.X) == -1)
+    points, iters = _METHODS[method][1](model, data, rows, cost, p, seed, scm)
 
-    neg_idx = np.flatnonzero(model.predict(data.X) == -1)
-    X_neg = data.X[neg_idx]
-
-    proposals: list[tuple[np.ndarray, int] | None] = []
-    if method == "cfe":
-        p = _merged(CFE_DEFAULTS, params)
-        finals, iters = _cfe_batch(model, X_neg, cost, p)
-        proposals = [
-            (pt, int(it)) if pt is not None else None
-            for pt, it in zip(finals, iters)
-        ]
-    elif method == "markov":
-        p = _merged(MARKOV_DEFAULTS, params)
-        finals, iters = _markov_batch(
-            model, X_neg, p["step"], p["rho"], derive_seed(seed, "markov-batch"), p["max_steps"]
-        )
-        proposals = [
-            (pt, int(it)) if pt is not None else None
-            for pt, it in zip(finals, iters)
-        ]
-    elif method == "ar":
-        p = _merged(AR_DEFAULTS, params)
-        for i, x in zip(neg_idx, X_neg):
-            if model.is_linear:
-                surrogate = model
-            else:
-                try:
-                    surrogate = fit_local_linear(
-                        model, x,
-                        n_samples=p["n_samples"],
-                        kernel_width=p["kernel_width"],
-                        seed=derive_seed(seed, "surrogate", int(i)),
-                    )
-                except SurrogateFitError:
-                    proposals.append(None)
-                    continue
-            rec = ar_search(
-                surrogate, x, data, cost,
-                grid_percentiles=p["grid_percentiles"],
-                max_changed_features=p["max_changed_features"],
-            )
-            proposals.append((rec.recourse, rec.iterations) if rec is not None else None)
-    else:  # causal
-        p = _merged(CAUSAL_DEFAULTS, params)
-        the_scm = scm
-        if the_scm is None:
-            if data.schema.n_features != 3:
-                raise ValueError("no SCM given and the default chain needs 3 features")
-            the_scm = default_chain_scm(data.schema.names)
-        for i, x in zip(neg_idx, X_neg):
-            rec = causal_recourse(
-                the_scm, model, x, cost,
-                grid_percentiles=p["grid_percentiles"],
-                max_intervened=p["max_intervened"],
-                data=data,
-                seed=derive_seed(seed, "causal", int(i)),
-            )
-            proposals.append((rec.recourse, rec.iterations) if rec is not None else None)
-
-    records = []
-    not_found = 0
-    for x, prop in zip(X_neg, proposals):
-        if prop is None:
-            not_found += 1
-            continue
-        point, iters = prop
-        if model.predict(point) != 1:  # surrogate or snapping may have lied
-            not_found += 1
-            continue
-        records.append(RecourseRecord(
-            origin=x,
-            recourse=point,
-            cost=cost(x, point),
-            method=method,
-            iterations=iters,
-            boundary_distance=_boundary_distance(model, point),
-        ))
-    return RecourseSet(tuple(records), model, not_found)
+    found = [k for k, point in enumerate(points) if point is not None]
+    proposed = np.reshape([points[k] for k in found], (len(found), data.schema.n_features))
+    # surrogates and snapping may propose points the true model rejects
+    valid = model.predict(proposed) == 1
+    records = [
+        _record(model, data.X[rows[k]], points[k], cost, method, iters[k])
+        for k, ok in zip(found, valid) if ok
+    ]
+    return RecourseSet(tuple(records), model, len(points) - len(records))

@@ -143,8 +143,9 @@ def verify_bound(
     updated model is the exact parallel translation for linear kinds and the
     bias-shift approximation otherwise, where only empirical >= theoretical
     is claimed. On the linear path a walker retires once the translated model
-    accepts it: every later step raises its signed distance, so its verdict
-    is settled. rho and delta_m are checked before any walk.
+    accepts it, i.e. once m1's decision value reaches delta_m * ||w||: every
+    later step raises that value, so its verdict is settled. rho and delta_m
+    are checked before any walk.
     """
     kind = _data_kind(data)
     if m1.is_linear and kind == "ordinal":
@@ -162,13 +163,14 @@ def verify_bound(
     starts = data.X[rng.choice(neg, size=n_trials, replace=True)]
 
     if m1.is_linear:
-        m2 = settle = parallel_perturb(m1, delta_m)
+        m2 = parallel_perturb(m1, delta_m)
+        settle_at = delta_m * float(np.linalg.norm(m1.weight_vector))
     else:
-        m2, settle = _comparison_perturb(m1, delta_m, data), None
+        m2, settle_at = _comparison_perturb(m1, delta_m, data), None
     if step is None:
         step = 1.0 if kind == "ordinal" else float(np.clip(0.02 / rho, 1e-3, 0.05))
     finals, _ = _markov_batch(
-        m1, starts, step, rho, derive_seed(seed, "verify-walk"), max_steps, settle=settle
+        m1, starts, step, rho, derive_seed(seed, "verify-walk"), max_steps, settle_at=settle_at
     )
     kept = [pt for pt in finals if pt is not None]
     if len(kept) < n_trials:

@@ -1,8 +1,10 @@
-"""Small shared helpers: seed derivation, stable sigmoid, atomic file writes."""
+"""Small shared helpers: seed derivation, number checks, stable sigmoid, atomic file writes."""
 
 import hashlib
 import json
+import numbers
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -16,6 +18,11 @@ def derive_seed(*parts) -> int:
     """
     digest = hashlib.sha256(repr(parts).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
+
+
+def is_number(value, kind=numbers.Real) -> bool:
+    """A real (or, with kind=int, an integer) in the float range; no bool, NaN or infinity."""
+    return isinstance(value, kind) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 def sigmoid(z):

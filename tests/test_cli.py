@@ -149,6 +149,27 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "recourse.params" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, overrides", [
+        ("recourse.params.step", {"recourse": {"method": "markov", "params": {"step": "a"}}}),
+        ("recourse.params.inner_iters",
+         {"recourse": {"method": "cfe", "params": {"inner_iters": -1}}}),
+        ("recourse.params.grid_percentiles",
+         {"recourse": {"method": "ar", "params": {"grid_percentiles": [200]}}}),
+        ("model.hidden_layers", {"model": {"kind": "mlp", "hidden_layers": [4.5]}}),
+        ("model.hidden_layers", {"model": {"kind": "mlp", "hidden_layers": ["a"]}}),
+        ("scm[1]", {"scm": [{"name": "x0"}, 3]}),
+        ("scm[1].parents", {"scm": [{"name": "x0"}, {"name": "x1", "parents": {"a": 0.5}}]}),
+    ], ids=["step-str", "inner-iters-negative", "percentile-200", "hidden-float", "hidden-str",
+            "scm-entry-int", "scm-parent-key"])
+    def test_bad_value_names_field(self, tmp_path, capsys, monkeypatch, field, overrides):
+        def no_training(*args, **kwargs):
+            raise AssertionError("config errors must come before any training")
+
+        monkeypatch.setattr(shiftlab, "train", no_training)
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {field}:" in capsys.readouterr().err
+
     def test_incompatible_source_schemas_exit_2(self, tmp_path, capsys):
         schema_doc = {"features": [{"name": "z0"}], "label": "label"}
         cfg = write_config(

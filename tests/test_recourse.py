@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
 import recourse_lab as rl
 from recourse_lab.errors import DataValidationError
@@ -12,6 +13,26 @@ from recourse_lab.recourse import DECILE_PERCENTILES, _markov_batch, _percentile
 
 def schema2():
     return rl.synth_base(2, 0).schema
+
+
+def search_one(model, x, method, params=None, seed=0, cost=rl.CostFn("L2")):
+    """batch_recourse on a one-row dataset: the record for x, or None."""
+    data = rl.Dataset(model.schema, np.asarray(x, dtype=float)[None, :], np.array([-1]))
+    cf = rl.batch_recourse(model, data, method, cost, params=params, seed=seed)
+    assert cf.size + cf.not_found == 1
+    return cf.records[0] if cf.records else None
+
+
+def reference_propagate(scm, x, interventions):
+    """The structural equations evaluated one variable at a time (independent oracle)."""
+    u = np.array([x[i] - sum(c * x[p] for p, c in var.parents) for i, var in enumerate(scm.variables)])
+    out = np.zeros(scm.n_variables)
+    for i, var in enumerate(scm.variables):
+        if i in interventions:
+            out[i] = interventions[i]
+        else:
+            out[i] = u[i] + sum(coeff * out[parent] for parent, coeff in var.parents)
+    return out
 
 
 def brute_force_ar(model, x, data, cost, percentiles, max_changed):
@@ -60,23 +81,16 @@ class TestCfeSearch:
     def test_projection_oracle_on_linear_model(self):
         # minimal L2 recourse is the orthogonal projection onto the boundary
         m = rl.linear_model([1.0, 0.0], 0.0, schema2())
-        rec = rl.cfe_search(m, np.array([-2.0, 0.0]), rl.CostFn("L2"))
+        rec = search_one(m, [-2.0, 0.0], "cfe")
         assert rec is not None
         assert rec.cost == pytest.approx(2.0, abs=0.05)
         assert 0.0 <= rec.recourse[0] <= 0.05
         assert abs(rec.recourse[1]) <= 0.05
         assert m.predict(rec.recourse) == 1
 
-    def test_identity_when_already_valid(self):
-        m = rl.linear_model([1.0, 0.0], 0.0, schema2())
-        x = np.array([0.5, 1.0])
-        rec = rl.cfe_search(m, x, rl.CostFn("L2"))
-        assert rec.cost == 0.0 and rec.iterations == 0
-        assert np.array_equal(rec.recourse, x)
-
     def test_constant_negative_model_not_found(self):
         m = rl.linear_model([0.0, 0.0], -1.0, schema2())
-        assert rl.cfe_search(m, np.zeros(2), rl.CostFn("L2")) is None
+        assert search_one(m, np.zeros(2), "cfe") is None
 
     def test_ordinal_rounding_revalidated(self):
         schema = rl.FeatureSchema(
@@ -84,7 +98,7 @@ class TestCfeSearch:
              rl.FeatureSpec("c")),
         )
         m = rl.linear_model([1.0, 0.0], -2.5, schema, kind="logistic_regression")
-        rec = rl.cfe_search(m, np.array([0.0, 0.0]), rl.CostFn("L2"))
+        rec = search_one(m, [0.0, 0.0], "cfe")
         assert rec is not None
         assert rec.recourse[0] == np.round(rec.recourse[0])
         assert m.predict(rec.recourse) == 1
@@ -95,14 +109,14 @@ class TestCfeSearch:
              rl.FeatureSpec("b", lower=-1.0, upper=1.0)),
         )
         m = rl.linear_model([1.0, 1.0], -0.5, schema)
-        rec = rl.cfe_search(m, np.array([-0.5, -0.5]), rl.CostFn("L2"))
+        rec = search_one(m, [-0.5, -0.5], "cfe")
         assert rec is not None
         assert np.all(rec.recourse <= 1.0) and np.all(rec.recourse >= -1.0)
 
     def test_unknown_parameter_rejected(self):
         m = rl.linear_model([1.0, 0.0], 0.0, schema2())
-        with pytest.raises(ValueError):
-            rl.cfe_search(m, np.zeros(2), rl.CostFn("L2"), momentum=0.9)
+        with pytest.raises(ValueError, match="momentum"):
+            search_one(m, [-1.0, 0.0], "cfe", params={"momentum": 0.9})
 
     def test_near_optimality_sample(self, logistic10k, synth10k):
         w, b = logistic10k.weight_vector, logistic10k.bias
@@ -234,14 +248,14 @@ class TestMarkovSearch:
     def test_immediate_stop_at_unit_rate(self):
         # rho * step = 1: the walk halts at the first valid point
         m = rl.linear_model([1.0, 0.0], 0.0, schema2())
-        rec = rl.markov_search(m, np.array([-2.3, 0.0]), step=1.0, rho=1.0, seed=4)
+        rec = search_one(m, [-2.3, 0.0], "markov", {"step": 1.0, "rho": 1.0}, seed=4)
         assert rec is not None
         assert 0.0 <= rec.boundary_distance <= 1.0
 
     def test_deterministic_per_seed(self):
         m = rl.linear_model([1.0, 1.0], -0.5, schema2())
-        a = rl.markov_search(m, np.array([-1.0, -1.0]), 0.05, 0.5, seed=11)
-        b = rl.markov_search(m, np.array([-1.0, -1.0]), 0.05, 0.5, seed=11)
+        a = search_one(m, [-1.0, -1.0], "markov", {"step": 0.05, "rho": 0.5}, seed=11)
+        b = search_one(m, [-1.0, -1.0], "markov", {"step": 0.05, "rho": 0.5}, seed=11)
         assert np.array_equal(a.recourse, b.recourse)
         assert a.iterations == b.iterations
 
@@ -254,40 +268,61 @@ class TestMarkovSearch:
         depths = np.array([r.boundary_distance for r in cf.records])
         assert abs(depths.mean() - 0.5) <= 0.025
 
+    @pytest.mark.parametrize("step, rho", [(0.05, 1.0), (0.01, 4.0)])
+    def test_crossed_depth_law(self, logistic10k, synth10k, step, rho):
+        # On a linear model a walker first crosses at step * U past the boundary,
+        # U ~ Uniform(0, 1), then takes K ~ Geometric(rho * step) failures more
+        # steps of length step along the normal before it stops.
+        neg = synth10k.X[logistic10k.predict(synth10k.X) == -1]
+        data = rl.Dataset(synth10k.schema, neg, np.full(len(neg), -1))
+        cf = rl.batch_recourse(logistic10k, data, "markov", rl.CostFn("L2"),
+                               params={"step": step, "rho": rho}, seed=13)
+        depths = np.array([r.boundary_distance for r in cf.records])
+
+        def law(rate):
+            rng = np.random.default_rng(21)
+            n = 20_000
+            return step * rng.uniform(size=n) + step * (rng.geometric(rate * step, size=n) - 1)
+
+        assert cf.size == len(neg)
+        assert ks_2samp(depths, law(rho)).pvalue > 0.01
+        # control: a stop rate 25% higher is told apart at the same alpha
+        assert ks_2samp(depths, law(1.25 * rho)).pvalue < 0.01
+
     def test_settle_on_the_model_stops_at_first_crossing(self, logistic10k, synth10k):
-        # settle=model retires each walker where it first crosses, which is where
+        # settle_at=0 retires each walker where it first crosses, which is where
         # a stop probability of one (rho * step = 2) halts it
         X = synth10k.X[logistic10k.predict(synth10k.X) == -1][:400]
         step = 0.05
         settled, settled_iters = _markov_batch(logistic10k, X, step, 0.01, 9, 5000,
-                                               settle=logistic10k)
+                                               settle_at=0.0)
         first, first_iters = _markov_batch(logistic10k, X, step, 2.0 / step, 9, 5000)
         assert np.array_equal(settled_iters, first_iters)
         assert all(a is not None and np.array_equal(a, b) for a, b in zip(settled, first))
 
     def test_budget_exhaustion_returns_none(self):
         m = rl.linear_model([1.0, 0.0], -100.0, schema2())
-        assert rl.markov_search(m, np.zeros(2), 0.01, 1.0, seed=0, max_steps=10) is None
+        assert search_one(m, np.zeros(2), "markov", {"step": 0.01, "max_steps": 10}) is None
 
     def test_validity_of_result(self):
         m = rl.linear_model([1.0, 2.0], -1.0, schema2())
-        rec = rl.markov_search(m, np.array([-3.0, 0.0]), 0.05, 0.8, seed=7)
+        rec = search_one(m, [-3.0, 0.0], "markov", {"step": 0.05, "rho": 0.8}, seed=7)
         assert m.predict(rec.recourse) == 1
 
     def test_boundary_distance_absent_for_nonlinear(self):
         data = rl.synth_base(1500, 4)
         mlp = rl.train(rl.ModelSpec.mlp(epochs=20, seed=1), data)
         neg = data.X[mlp.predict(data.X) == -1][0]
-        rec = rl.markov_search(mlp, neg, 0.05, 1.0, seed=3)
+        rec = search_one(mlp, neg, "markov", {"step": 0.05, "rho": 1.0}, seed=3)
         assert rec is not None and rec.boundary_distance is None
         assert mlp.predict(rec.recourse) == 1
 
     def test_parameter_validation(self):
         m = rl.linear_model([1.0, 0.0], 0.0, schema2())
-        with pytest.raises(ValueError):
-            rl.markov_search(m, np.zeros(2), step=0.0, rho=1.0, seed=0)
-        with pytest.raises(ValueError):
-            rl.markov_search(m, np.zeros(2), step=0.1, rho=-1.0, seed=0)
+        with pytest.raises(ValueError, match="step"):
+            search_one(m, [-1.0, 0.0], "markov", {"step": 0.0, "rho": 1.0})
+        with pytest.raises(ValueError, match="rho"):
+            search_one(m, [-1.0, 0.0], "markov", {"step": 0.1, "rho": -1.0})
 
 
 class TestScm:
@@ -331,6 +366,35 @@ class TestScm:
         scm = self.chain()
         assert np.array_equal(scm.sample(50, 3), scm.sample(50, 3))
 
+    def test_propagate_matches_structural_equations(self):
+        # random DAGs with up to three parents per variable; dict and row forms alike
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            d = int(rng.integers(2, 7))
+            scm = rl.Scm(tuple(
+                rl.ScmVariable(f"v{i}", parents=tuple(
+                    (int(p), float(rng.normal())) for p in
+                    rng.choice(i, size=min(i, int(rng.integers(0, 4))), replace=False)
+                ))
+                for i in range(d)
+            ))
+            x = rng.normal(size=d)
+            rows = [
+                {int(j): float(rng.normal()) for j in rng.choice(d, size=int(rng.integers(0, d + 1)),
+                                                                 replace=False)}
+                for _ in range(8)
+            ]
+            values = np.zeros((len(rows), d))
+            mask = np.zeros((len(rows), d), dtype=bool)
+            for k, iv in enumerate(rows):
+                for j, v in iv.items():
+                    values[k, j], mask[k, j] = v, True
+            batch = scm.propagate_rows(x, values, mask)
+            for k, iv in enumerate(rows):
+                expected = reference_propagate(scm, x, iv)
+                assert np.array_equal(scm.propagate(x, iv), expected)
+                assert np.array_equal(batch[k], expected)
+
 
 class TestCausalRecourse:
     def setup_case(self):
@@ -352,7 +416,7 @@ class TestCausalRecourse:
             x = sample[rng.integers(0, 400)]
             if model.predict(x) == 1:
                 continue
-            rec = rl.causal_recourse(scm, model, x, rl.CostFn("L2"), data=data)
+            rec = rl.causal_recourse(scm, model, x, data, rl.CostFn("L2"))
             # oracle: enumerate every grid intervention directly
             best = np.inf
             grids = {j: _percentile_grid(data.X[:, j], DECILE_PERCENTILES) for j in (0, 1)}
@@ -362,7 +426,7 @@ class TestCausalRecourse:
                         iv = {j: float(v) for j, v in zip(combo, values) if v != x[j]}
                         if len(iv) != len(combo):
                             continue
-                        cand = scm.propagate(x, iv)
+                        cand = reference_propagate(scm, x, iv)
                         if model.predict(cand) == 1:
                             best = min(best, rl.CostFn("L2")(x, cand))
             if rec is None:
@@ -375,17 +439,20 @@ class TestCausalRecourse:
     def test_downstream_effects_counted_in_cost(self):
         scm, schema, model = self.setup_case()
         x = np.array([-1.0, -0.3])
-        rec = rl.causal_recourse(scm, model, x, rl.CostFn("L2"))
-        if rec is not None:
-            assert rec.cost == pytest.approx(rl.CostFn("L2")(x, rec.recourse), abs=1e-9)
+        sample = scm.sample(400, 12)
+        data = rl.Dataset(schema, sample, model.predict(sample))
+        rec = rl.causal_recourse(scm, model, x, data, rl.CostFn("L2"))
+        assert rec is not None
+        assert rec.cost == pytest.approx(rl.CostFn("L2")(x, rec.recourse), abs=1e-9)
 
     def test_schema_alignment(self):
         scm = rl.default_chain_scm()
         model = rl.linear_model([1.0, 0.0], 0.0, schema2())
         from recourse_lab.errors import SchemaMismatchError
 
+        data = rl.synth_base(50, 0)
         with pytest.raises(SchemaMismatchError):
-            rl.causal_recourse(scm, model, np.zeros(2), rl.CostFn("L2"))
+            rl.causal_recourse(scm, model, np.zeros(2), data, rl.CostFn("L2"))
 
 
 class TestBatchRecourse:
@@ -430,6 +497,26 @@ class TestBatchRecourse:
         assert cf.size + cf.not_found == int(np.sum(model.predict(data.X[:60]) == -1))
         if cf.size:
             assert np.all(model.predict(cf.recourse_matrix()) == 1)
+
+    def test_causal_scores_each_origin_in_one_call(self, monkeypatch):
+        scm = rl.default_chain_scm()
+        schema = rl.FeatureSchema(tuple(rl.FeatureSpec(n) for n in ("x0", "x1", "x2")))
+        sample = scm.sample(200, 4)
+        model = rl.linear_model([0.3, 0.4, 1.0], -0.6, schema)
+        data = rl.Dataset(schema, sample, model.predict(sample))
+        calls = []
+        scores = rl.TrainedModel.decision_values
+
+        def counting(self, X):
+            calls.append(len(X))
+            return scores(self, X)
+
+        monkeypatch.setattr(rl.TrainedModel, "decision_values", counting)
+        cf = rl.batch_recourse(model, data, "causal", rl.CostFn("L2"))
+        negatives = cf.size + cf.not_found
+        assert negatives > 50 and cf.size > 0
+        # the scan for negatives, one call per origin, the recheck, RecourseSet's check
+        assert len(calls) <= negatives + 3
 
     def test_unknown_method(self, logistic10k, synth10k):
         with pytest.raises(ValueError):
