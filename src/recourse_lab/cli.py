@@ -45,9 +45,12 @@ def _get(doc: dict, field: str, expected=None, default=...):
             return default
         _fail(field, "missing required field")
     value = doc[field.split(".")[-1]]
-    if expected is not None and not isinstance(value, expected):
-        names = expected if isinstance(expected, tuple) else (expected,)
-        _fail(field, f"expected {'/'.join(t.__name__ for t in names)}, got {type(value).__name__}")
+    if expected in (int, (int, float)):
+        if not (is_number(value, int) if expected is int else is_number(value)):
+            what = "an integer" if expected is int else "a finite number"
+            _fail(field, f"expected {what}, got {json.dumps(value)}")
+    elif expected is not None and not isinstance(value, expected):
+        _fail(field, f"expected {expected.__name__}, got {type(value).__name__}")
     return value
 
 

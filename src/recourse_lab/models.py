@@ -7,6 +7,8 @@ linear kinds, an exact parallel translation of the decision boundary.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,12 +50,12 @@ class ModelSpec:
             raise ValueError(f"{self.kind} takes no hidden layers")
         if any(w < 1 for w in self.hidden_layers):
             raise ValueError("hidden layer widths must be positive")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
-        if self.l2_penalty < 0:
-            raise ValueError("l2_penalty must be nonnegative")
+        if not 0 <= self.l2_penalty < math.inf:
+            raise ValueError("l2_penalty must be nonnegative and finite")
 
     @classmethod
     def logistic(cls, learning_rate=0.5, epochs=300, l2_penalty=1e-4, seed=0):
@@ -173,36 +175,37 @@ def _train_linear(spec: ModelSpec, data: Dataset, hinge: bool) -> TrainedModel:
     w = np.zeros(d)
     b = 0.0
     lr = spec.learning_rate
+    # Each hinge or softplus term is at most |margin| + 1, so while every
+    # |margin| and the penalty stay within this limit the loss is finite and
+    # the divergence check need not compute it.
+    limit = sys.float_info.max / (2.0 * (n + 1))
     for epoch in range(spec.epochs):
         # overflow to inf is exactly what the divergence check looks for
         with np.errstate(over="ignore", invalid="ignore"):
-            f = X @ w + b
-            margin = y * f
-            if hinge:
-                loss = np.mean(np.maximum(0.0, 1.0 - margin)) + spec.l2_penalty * (w @ w)
-                active = (1.0 - margin) > 0.0
-                coeff = y * active
-            else:
-                loss = np.mean(np.logaddexp(0.0, -margin)) + spec.l2_penalty * (w @ w)
-                coeff = y * sigmoid(-margin)
-        if not np.isfinite(loss):
-            raise DivergenceError(f"non-finite loss at epoch {epoch}")
-        gw = -(X * coeff[:, None]).mean(axis=0) + 2.0 * spec.l2_penalty * w
+            margin = y * (X @ w + b)
+            penalty = spec.l2_penalty * (w @ w)
+            if not (np.abs(margin).max() <= limit and penalty <= limit):
+                terms = np.maximum(0.0, 1.0 - margin) if hinge else np.logaddexp(0.0, -margin)
+                if not np.isfinite(np.mean(terms) + penalty):
+                    raise DivergenceError(f"non-finite loss at epoch {epoch}")
+            coeff = y * ((1.0 - margin) > 0.0) if hinge else y * sigmoid(-margin)
+        gw = -(X.T @ coeff) / n + 2.0 * spec.l2_penalty * w
         gb = -coeff.mean()
         w = w - lr * gw
         b = b - lr * gb
     return TrainedModel(spec, data.schema, ((w[:, None], np.array([b])),))
 
 
-def _init_mlp(spec: ModelSpec, d: int) -> list[list[np.ndarray]]:
-    rng = np.random.default_rng(spec.seed)
-    dims = [d, *spec.hidden_layers, 1]
-    params = []
+def _layer_views(flat: np.ndarray, dims: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(W, b) per layer, each a view into one flat vector, in layer order."""
+    views = []
+    start = 0
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        W = rng.uniform(-limit, limit, size=(fan_in, fan_out))
-        params.append([W, np.zeros(fan_out)])
-    return params
+        W = flat[start:start + fan_in * fan_out].reshape(fan_in, fan_out)
+        start += fan_in * fan_out
+        views.append((W, flat[start:start + fan_out]))
+        start += fan_out
+    return views
 
 
 def _mlp_forward(params, X):
@@ -219,9 +222,21 @@ def _train_mlp(spec: ModelSpec, data: Dataset) -> TrainedModel:
     X = data.X
     y = data.y.astype(float)
     n = X.shape[0]
-    params = _init_mlp(spec, X.shape[1])
-    m_state = [[np.zeros_like(W), np.zeros_like(b)] for W, b in params]
-    v_state = [[np.zeros_like(W), np.zeros_like(b)] for W, b in params]
+    dims = [X.shape[1], *spec.hidden_layers, 1]
+    size = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+    # Weights and gradients are views into two flat vectors, so one Adam
+    # update covers every tensor.
+    theta = np.zeros(size)
+    grad = np.empty(size)
+    params = _layer_views(theta, dims)
+    grads = _layer_views(grad, dims)
+    init_rng = np.random.default_rng(spec.seed)
+    for W, _ in params:
+        limit = np.sqrt(6.0 / (W.shape[0] + W.shape[1]))
+        W[...] = init_rng.uniform(-limit, limit, size=W.shape)
+    m_state = np.zeros(size)
+    v_state = np.zeros(size)
+    decay = 2.0 * spec.l2_penalty
     rng = np.random.default_rng(derive_seed(spec.seed, "mlp-batches"))
     step = 0
     for epoch in range(spec.epochs):
@@ -231,25 +246,20 @@ def _train_mlp(spec: ModelSpec, data: Dataset) -> TrainedModel:
             xb, yb = X[idx], y[idx]
             acts, logits = _mlp_forward(params, xb)
             # d/dlogit of mean softplus(-y * logit)
-            dlogit = (-yb * sigmoid(-yb * logits)) / len(idx)
-            grads = [None] * len(params)
-            delta = dlogit[:, None]
+            delta = ((-yb * sigmoid(-yb * logits)) / len(idx))[:, None]
             for li in range(len(params) - 1, -1, -1):
                 W, _ = params[li]
-                gW = acts[li].T @ delta + 2.0 * spec.l2_penalty * W
-                gb = delta.sum(axis=0)
-                grads[li] = (gW, gb)
+                gW, gb = grads[li]
+                np.add(acts[li].T @ delta, decay * W, out=gW)
+                delta.sum(axis=0, out=gb)
                 if li > 0:
                     delta = (delta @ W.T) * (acts[li] > 0.0)
             step += 1
             c1 = 1.0 - _ADAM_BETA1 ** step
             c2 = 1.0 - _ADAM_BETA2 ** step
-            for li, (gW, gb) in enumerate(grads):
-                for slot, g in ((0, gW), (1, gb)):
-                    m_state[li][slot] = _ADAM_BETA1 * m_state[li][slot] + (1 - _ADAM_BETA1) * g
-                    v_state[li][slot] = _ADAM_BETA2 * v_state[li][slot] + (1 - _ADAM_BETA2) * g * g
-                    upd = (m_state[li][slot] / c1) / (np.sqrt(v_state[li][slot] / c2) + _ADAM_EPS)
-                    params[li][slot] = params[li][slot] - spec.learning_rate * upd
+            m_state = _ADAM_BETA1 * m_state + (1 - _ADAM_BETA1) * grad
+            v_state = _ADAM_BETA2 * v_state + (1 - _ADAM_BETA2) * grad * grad
+            theta -= spec.learning_rate * ((m_state / c1) / (np.sqrt(v_state / c2) + _ADAM_EPS))
         _, logits = _mlp_forward(params, X)
         loss = np.mean(np.logaddexp(0.0, -y * logits))
         if not np.isfinite(loss):

@@ -22,7 +22,7 @@ from .errors import (
     UndefinedMetricError,
 )
 from .models import ModelSpec, TrainedModel, cross_val_accuracy, train
-from .recourse import CostFn, RecourseSet, Scm, batch_recourse
+from .recourse import CostFn, RecourseSet, Scm, batch_recourse, method_params
 from .util import derive_seed
 
 ALGORITHM_LABELS = {"cfe": "CFE", "ar": "AR", "causal": "Causal", "markov": "Markov"}
@@ -64,6 +64,7 @@ class ExperimentConfig:
             )
         if self.method not in ALGORITHM_LABELS:
             raise ValueError(f"unknown recourse method {self.method!r}")
+        method_params(self.method, self.method_params)
         if self.cv_folds < 2:
             raise ValueError("cv_folds must be at least 2")
         s1, s2 = _source_schema(self.d1_source), _source_schema(self.d2_source)

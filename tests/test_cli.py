@@ -159,8 +159,12 @@ class TestRunCommand:
         ("model.hidden_layers", {"model": {"kind": "mlp", "hidden_layers": ["a"]}}),
         ("scm[1]", {"scm": [{"name": "x0"}, 3]}),
         ("scm[1].parents", {"scm": [{"name": "x0"}, {"name": "x1", "parents": {"a": 0.5}}]}),
+        ("model.learning_rate", {"model": {"kind": "logistic_regression", "learning_rate": True}}),
+        ("model.epochs", {"model": {"kind": "logistic_regression", "epochs": True}}),
+        ("model.l2_penalty", {"model": {"kind": "logistic_regression", "l2_penalty": math.nan}}),
+        ("model.l2_penalty", {"model": {"kind": "logistic_regression", "l2_penalty": math.inf}}),
     ], ids=["step-str", "inner-iters-negative", "percentile-200", "hidden-float", "hidden-str",
-            "scm-entry-int", "scm-parent-key"])
+            "scm-entry-int", "scm-parent-key", "rate-bool", "epochs-bool", "l2-nan", "l2-inf"])
     def test_bad_value_names_field(self, tmp_path, capsys, monkeypatch, field, overrides):
         def no_training(*args, **kwargs):
             raise AssertionError("config errors must come before any training")

@@ -5,11 +5,13 @@ from hypothesis import strategies as st
 
 import recourse_lab as rl
 from recourse_lab.errors import (
+    DivergenceError,
     SchemaMismatchError,
     TrainingError,
     UnsupportedModelError,
 )
 from recourse_lab.models import numeric_gradient_batch
+from recourse_lab.util import derive_seed, sigmoid
 
 
 def schema2():
@@ -31,6 +33,141 @@ def backprop_input_gradient(model, x):
     return g
 
 
+def masked_sigmoid(z):
+    """Reference sigmoid: one exp per sign class, scattered through a mask."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def reference_train_linear(spec, data):
+    """Reference linear loop: n x d gradient temporary and the full loss every epoch.
+
+    Returns the weights and bias, or the DivergenceError message.
+    """
+    hinge = spec.kind == "linear_svm"
+    X = data.X
+    y = data.y.astype(float)
+    w = np.zeros(X.shape[1])
+    b = 0.0
+    for epoch in range(spec.epochs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            margin = y * (X @ w + b)
+            if hinge:
+                loss = np.mean(np.maximum(0.0, 1.0 - margin)) + spec.l2_penalty * (w @ w)
+                coeff = y * ((1.0 - margin) > 0.0)
+            else:
+                loss = np.mean(np.logaddexp(0.0, -margin)) + spec.l2_penalty * (w @ w)
+                coeff = y * masked_sigmoid(-margin)
+        if not np.isfinite(loss):
+            return f"non-finite loss at epoch {epoch}"
+        with np.errstate(over="ignore", invalid="ignore"):
+            gw = -(X * coeff[:, None]).mean(axis=0) + 2.0 * spec.l2_penalty * w
+            gb = -coeff.mean()
+            w = w - spec.learning_rate * gw
+            b = b - spec.learning_rate * gb
+    return np.r_[w, b]
+
+
+def reference_train_mlp(spec, data):
+    """Reference MLP loop: separate tensors and one Adam update per tensor."""
+    X = data.X
+    y = data.y.astype(float)
+    n = X.shape[0]
+    rng = np.random.default_rng(spec.seed)
+    dims = [X.shape[1], *spec.hidden_layers, 1]
+    params = []
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        params.append([rng.uniform(-limit, limit, size=(fan_in, fan_out)), np.zeros(fan_out)])
+    m_state = [[np.zeros_like(W), np.zeros_like(b)] for W, b in params]
+    v_state = [[np.zeros_like(W), np.zeros_like(b)] for W, b in params]
+    rng = np.random.default_rng(derive_seed(spec.seed, "mlp-batches"))
+    step = 0
+    for _ in range(spec.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, 128):
+            idx = order[start:start + 128]
+            xb, yb = X[idx], y[idx]
+            acts = [xb]
+            for W, b in params[:-1]:
+                acts.append(np.maximum(acts[-1] @ W + b, 0.0))
+            logits = (acts[-1] @ params[-1][0] + params[-1][1])[:, 0]
+            delta = ((-yb * masked_sigmoid(-yb * logits)) / len(idx))[:, None]
+            grads = [None] * len(params)
+            for li in range(len(params) - 1, -1, -1):
+                W = params[li][0]
+                grads[li] = (acts[li].T @ delta + 2.0 * spec.l2_penalty * W, delta.sum(axis=0))
+                if li > 0:
+                    delta = (delta @ W.T) * (acts[li] > 0.0)
+            step += 1
+            c1 = 1.0 - 0.9 ** step
+            c2 = 1.0 - 0.999 ** step
+            for li, pair in enumerate(grads):
+                for slot, g in enumerate(pair):
+                    m_state[li][slot] = 0.9 * m_state[li][slot] + (1 - 0.9) * g
+                    v_state[li][slot] = 0.999 * v_state[li][slot] + (1 - 0.999) * g * g
+                    upd = (m_state[li][slot] / c1) / (np.sqrt(v_state[li][slot] / c2) + 1e-8)
+                    params[li][slot] = params[li][slot] - spec.learning_rate * upd
+    return params
+
+
+class TestTrainingOracles:
+    """The training loops against test-local copies of their plain forms."""
+
+    def test_sigmoid_bit_equal(self):
+        z = np.concatenate([
+            np.linspace(-800.0, 800.0, 20001), np.geomspace(1e-300, 800.0, 2000),
+            -np.geomspace(1e-300, 800.0, 2000), [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324],
+        ])
+        got, want = sigmoid(z), masked_sigmoid(z)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.isnan(sigmoid(np.nan))
+        assert np.all(np.isnan(sigmoid(np.array([np.nan, -np.nan]))))
+
+    @pytest.mark.parametrize("spec", [
+        rl.ModelSpec.mlp(epochs=6, seed=2),
+        rl.ModelSpec.mlp(hidden_layers=(10, 10, 5), learning_rate=1e-2, epochs=4,
+                         l2_penalty=1e-2, seed=7),
+    ], ids=["16-16", "10-10-5"])
+    def test_mlp_weights_equal(self, spec):
+        data = rl.synth_base(1080, 3)
+        model = rl.train(spec, data)
+        want = reference_train_mlp(spec, data)
+        for (W, b), (W0, b0) in zip(model.layers, want, strict=True):
+            assert np.array_equal(W, W0) and np.array_equal(b, b0)
+
+    @pytest.mark.parametrize("spec", [rl.ModelSpec.logistic(), rl.ModelSpec.svm()],
+                             ids=["logistic", "svm"])
+    def test_linear_weights_agree(self, spec):
+        data = rl.synth_base(4500, 1)
+        model = rl.train(spec, data)
+        got = np.r_[model.weight_vector, model.bias]
+        np.testing.assert_allclose(got, reference_train_linear(spec, data), rtol=1e-12, atol=0)
+
+    def test_divergence_epoch_matches(self):
+        data = rl.synth_base(300, 1)
+        epochs = set()
+        for kind in ("logistic_regression", "linear_svm"):
+            for lr in (1.0, 1e5, 1e50, 1e100, 1e150, 1e160, 1e200, 1e300):
+                for l2 in (0.0, 1e-4, 1.0, 1e3):
+                    spec = rl.ModelSpec(kind, learning_rate=lr, epochs=40, l2_penalty=l2)
+                    want = reference_train_linear(spec, data)
+                    if isinstance(want, str):
+                        with pytest.raises(DivergenceError) as info:
+                            rl.train(spec, data)
+                        assert str(info.value) == want, (kind, lr, l2)
+                        epochs.add(int(want.rsplit(" ", 1)[1]))
+                    else:
+                        rl.train(spec, data)
+        assert len(epochs) >= 3 and min(epochs) >= 1
+
+
 class TestModelSpec:
     def test_mlp_needs_hidden_layers(self):
         with pytest.raises(ValueError):
@@ -47,6 +184,10 @@ class TestModelSpec:
             rl.ModelSpec("logistic_regression", epochs=0)
         with pytest.raises(ValueError):
             rl.ModelSpec("logistic_regression", l2_penalty=-1.0)
+        for field in ("learning_rate", "l2_penalty"):
+            for value in (np.nan, np.inf):
+                with pytest.raises(ValueError, match=field):
+                    rl.ModelSpec("logistic_regression", **{field: value})
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import recourse_lab as rl
+from recourse_lab import shiftlab
 from recourse_lab.errors import (
     DegenerateMetricError,
     SchemaMismatchError,
@@ -45,6 +46,19 @@ class TestConfig:
     def test_cv_folds(self):
         with pytest.raises(ValueError):
             small_config(cv_folds=1)
+
+    def test_bad_method_params_rejected_before_training(self, monkeypatch):
+        calls = []
+        real_train = shiftlab.train
+
+        def counting_train(*args, **kwargs):
+            calls.append(args)
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(shiftlab, "train", counting_train)
+        with pytest.raises(ValueError, match="inner_iters"):
+            rl.run_pipeline(small_config(method_params={"inner_iters": -1}))
+        assert calls == []
 
     def test_schema_compatibility_enforced(self):
         other = rl.FeatureSchema((rl.FeatureSpec("z"),))
