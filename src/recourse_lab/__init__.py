@@ -23,7 +23,6 @@ from .models import (
     accuracy,
     cross_val_accuracy,
     linear_model,
-    numeric_gradient,
     parallel_perturb,
     train,
 )
@@ -62,7 +61,7 @@ __all__ = [
     "Dataset", "FeatureSchema", "FeatureSpec", "ShiftSpec",
     "load_csv", "split", "synth_base", "synth_shift",
     "ModelSpec", "TrainedModel", "accuracy", "cross_val_accuracy",
-    "linear_model", "numeric_gradient", "parallel_perturb", "train",
+    "linear_model", "parallel_perturb", "train",
     "CostFn", "RecourseRecord", "RecourseSet", "Scm", "ScmVariable",
     "ar_search", "batch_recourse", "causal_recourse",
     "default_chain_scm", "fit_local_linear",

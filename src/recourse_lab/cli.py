@@ -95,7 +95,6 @@ def _parse_scm(doc, field: str) -> Scm:
         variables.append(ScmVariable(
             name=_get(var, f"{field}[{i}].name", str),
             parents=tuple((int(idx), float(coeff)) for idx, coeff in parents.items()),
-            noise_std=float(_get(var, f"{field}[{i}].noise_std", (int, float), 1.0)),
             intervenable=bool(_get(var, f"{field}[{i}].intervenable", bool, True)),
         ))
     try:

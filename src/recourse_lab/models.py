@@ -1,7 +1,7 @@
 """From-scratch binary classifiers: logistic regression, linear SVM, and a ReLU MLP.
 
 Every model exposes a signed decision value whose sign is the predicted class
-(ties go to +1), a sigmoid probability, numeric input gradients, and, for the
+(ties go to +1), a sigmoid probability, exact input gradients, and, for the
 linear kinds, an exact parallel translation of the decision boundary.
 """
 
@@ -116,17 +116,39 @@ class TrainedModel:
             raise UnsupportedModelError("bias is defined for linear kinds only")
         return float(self.layers[0][1][0])
 
-    def decision_values(self, X) -> np.ndarray:
-        """Signed scores for a batch; pre-sigmoid logit for the MLP."""
+    def _batch(self, X) -> np.ndarray:
         Z = np.asarray(X, dtype=float)
         if Z.ndim != 2 or Z.shape[1] != self.schema.n_features:
             raise SchemaMismatchError(
                 f"expected shape (n, {self.schema.n_features}), got {Z.shape}"
             )
+        return Z
+
+    def decision_values(self, X) -> np.ndarray:
+        """Signed scores for a batch; pre-sigmoid logit for the MLP."""
+        Z = self._batch(X)
         for W, b in self.layers[:-1]:
             Z = np.maximum(Z @ W + b, 0.0)
         W, b = self.layers[-1]
         return (Z @ W + b)[:, 0]
+
+    def input_gradient(self, X) -> np.ndarray:
+        """Exact gradient of the decision value with respect to each row of X.
+
+        Every kind is piecewise linear, so no step size is involved: the linear
+        kinds give w on every row, and the MLP backpropagates through the ReLU
+        masks of one forward pass, taking ReLU'(0) = 0.
+        """
+        Z = self._batch(X)
+        masks = []
+        for W, b in self.layers[:-1]:
+            A = Z @ W + b
+            masks.append(A > 0.0)
+            Z = np.maximum(A, 0.0)
+        G = self.layers[-1][0].T.repeat(len(Z), axis=0)
+        for (W, _), mask in zip(reversed(self.layers[:-1]), reversed(masks)):
+            G = (G * mask) @ W.T
+        return G
 
     def decision_value(self, x) -> float:
         x = np.asarray(x, dtype=float)
@@ -276,36 +298,6 @@ def train(spec: ModelSpec, data: Dataset) -> TrainedModel:
     if spec.kind == "linear_svm":
         return _train_linear(spec, data, hinge=True)
     return _train_mlp(spec, data)
-
-
-def numeric_gradient(model: TrainedModel, x, h: float = 1e-4) -> np.ndarray:
-    """Central-difference gradient of the decision value at x."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("numeric_gradient expects a single point")
-    g = numeric_gradient_batch(model, x[None, :], h)[0]
-    return g
-
-
-def numeric_gradient_batch(model: TrainedModel, X, h: float = 1e-4) -> np.ndarray:
-    """Central differences for a batch of points, one dimension at a time."""
-    if not h > 0:
-        raise ValueError("step size h must be positive")
-    X = np.asarray(X, dtype=float)
-    if not np.all(np.isfinite(X)):
-        raise ValueError("points must be finite")
-    n, d = X.shape
-    grad = np.empty((n, d))
-    for j in range(d):
-        bumped = X.copy()
-        bumped[:, j] += h
-        hi = model.decision_values(bumped)
-        bumped[:, j] = X[:, j] - h
-        lo = model.decision_values(bumped)
-        grad[:, j] = (hi - lo) / (2.0 * h)
-    if not np.all(np.isfinite(grad)):
-        raise ValueError("numeric gradient is not finite")
-    return grad
 
 
 def parallel_perturb(model: TrainedModel, delta_m: float) -> TrainedModel:

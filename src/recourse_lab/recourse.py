@@ -9,7 +9,7 @@ Four search strategies produce points the model classifies +1:
   markov - a boundary-crossing walk that keeps stepping past the boundary with a
            constant per-step stop probability, so crossing depths follow an
            exponential (continuous grids) or geometric (integer grids) law
-  causal - enumeration of interventions on a linear-Gaussian structural model,
+  causal - enumeration of interventions on a linear structural model,
            with downstream effects propagated under abducted noise
 """
 
@@ -30,18 +30,12 @@ from .errors import (
     SearchError,
     SurrogateFitError,
 )
-from .models import (
-    TrainedModel,
-    linear_model,
-    numeric_gradient_batch,
-)
+from .models import TrainedModel, linear_model
 from .util import derive_seed, is_number
 
 COST_NORMS = ("L1", "L2")
 
 DECILE_PERCENTILES = tuple(range(10, 100, 10))
-
-_DIFF_H = 1e-4  # numeric-gradient step used inside the searches
 
 
 @dataclass(frozen=True)
@@ -225,7 +219,7 @@ def _cfe_batch(model, data, rows, cost, p, seed, scm):
             zl = z[live]
             f = model.decision_values(zl)
             remember_valid(np.flatnonzero(live), f)
-            grad_f = numeric_gradient_batch(model, zl, _DIFF_H)
+            grad_f = model.input_gradient(zl)
             gap = np.maximum(0.0, margin - f)
             g = (
                 lam[live, None] * (-2.0 * gap[:, None]) * grad_f
@@ -425,7 +419,7 @@ def _markov_batch(
     p_stop = min(1.0, rho * step)
     rng = np.random.default_rng(seed)
 
-    n, d = X.shape
+    n = len(X)
     schema = model.schema
     grid = schema.grid_mask()
     z = X.copy()
@@ -436,16 +430,6 @@ def _markov_batch(
         done |= f >= settle_at
     failed = np.zeros(n, dtype=bool)
     iters = np.zeros(n, dtype=int)
-
-    linear_dir = None
-    if model.is_linear:
-        w = model.weight_vector
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            failed[:] = ~done
-            done[:] = True
-        else:
-            linear_dir = w / norm
 
     for _ in range(max_steps):
         active = ~done & ~failed
@@ -461,24 +445,20 @@ def _markov_batch(
             if not active.any():
                 continue
         rows = np.flatnonzero(active)
-        if linear_dir is not None:
-            direction = np.broadcast_to(linear_dir, (rows.size, d))
-        else:
-            g = numeric_gradient_batch(model, z[rows], _DIFF_H)
-            norms = np.linalg.norm(g, axis=1, keepdims=True)
-            flat = norms[:, 0] <= 1e-12
-            if flat.any():
-                failed[rows[flat]] = True
-                rows = rows[~flat]
-                if rows.size == 0:
-                    continue
-                g = g[~flat]
-                norms = norms[~flat]
-            direction = g / norms
-        proposal = z[rows] + step * direction
+        zr = z.take(rows, axis=0)  # several times faster than z[rows] for short rows
+        g = model.input_gradient(zr)
+        norms = np.linalg.norm(g, axis=1, keepdims=True)
+        flat = norms[:, 0] <= 1e-12
+        if flat.any():
+            failed[rows[flat]] = True
+            rows, zr, g, norms = rows[~flat], zr[~flat], g[~flat], norms[~flat]
+            if rows.size == 0:
+                continue
+        direction = g / norms
+        proposal = zr + step * direction
         if grid.any():
             proposal = _snap_to_schema(schema, proposal)
-            stalled = np.all(proposal == z[rows], axis=1)
+            stalled = np.all(proposal == zr, axis=1)
             if stalled.any():
                 # force one grid unit along the steepest grid coordinate
                 sub = np.flatnonzero(stalled)
@@ -487,13 +467,13 @@ def _markov_batch(
                 bump = proposal[sub]
                 bump[np.arange(sub.size), j] += np.sign(dir_grid[np.arange(sub.size), j])
                 proposal[sub] = _snap_to_schema(schema, bump)
-                still = np.all(proposal[sub] == z[rows][sub], axis=1)
+                still = np.all(proposal[sub] == zr[sub], axis=1)
                 failed[rows[sub[still]]] = True
         if not np.all(np.isfinite(proposal)):
             raise SearchError("walk produced a non-finite point")
         z[rows] = proposal
         iters[rows] += 1
-        f = model.decision_values(z[rows])
+        f = model.decision_values(proposal)
         crossed[rows] |= f >= 0.0
         if settle_at is not None:
             done[rows] |= f >= settle_at
@@ -520,18 +500,15 @@ class ScmVariable:
 
     name: str
     parents: tuple[tuple[int, float], ...] = ()
-    noise_std: float = 1.0
     intervenable: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "parents", tuple((int(i), float(c)) for i, c in self.parents))
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be nonnegative")
 
 
 @dataclass(frozen=True)
 class Scm:
-    """Linear-Gaussian structural model over topologically ordered variables."""
+    """Linear structural model over topologically ordered variables."""
 
     variables: tuple[ScmVariable, ...]
 
@@ -551,16 +528,6 @@ class Scm:
 
     def intervenable_indices(self) -> tuple[int, ...]:
         return tuple(i for i, v in enumerate(self.variables) if v.intervenable)
-
-    def sample(self, n: int, seed: int) -> np.ndarray:
-        rng = np.random.default_rng(seed)
-        X = np.zeros((n, self.n_variables))
-        for i, var in enumerate(self.variables):
-            noise = var.noise_std * rng.standard_normal(n)
-            X[:, i] = noise
-            for parent, coeff in var.parents:
-                X[:, i] += coeff * X[:, parent]
-        return X
 
     def abduct(self, x) -> np.ndarray:
         """Residual noises that reproduce x exactly under the structural equations."""
@@ -598,7 +565,7 @@ class Scm:
 
 
 def default_chain_scm(names=("x0", "x1", "x2")) -> Scm:
-    """Three-variable chain with coefficients 0.8 and 0.5 and unit noises."""
+    """Three-variable chain x0 -> x1 -> x2 with coefficients 0.8 and 0.5."""
     if len(names) != 3:
         raise ValueError("default chain is defined for exactly 3 variables")
     return Scm((

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import InsufficientSampleError, UnsupportedModelError
-from .models import TrainedModel, numeric_gradient_batch, parallel_perturb
+from .models import TrainedModel, parallel_perturb
 from .recourse import _markov_batch
 from .util import derive_seed
 
@@ -119,7 +119,7 @@ def _comparison_perturb(model: TrainedModel, delta_m: float, data: Dataset) -> T
     f = model.decision_values(data.X)
     take = max(50, data.n // 10)
     near = np.argsort(np.abs(f))[:take]
-    grads = numeric_gradient_batch(model, data.X[near])
+    grads = model.input_gradient(data.X[near])
     mean_norm = float(np.linalg.norm(grads, axis=1).mean())
     layers = list(model.layers)
     W, b = layers[-1]

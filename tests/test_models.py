@@ -10,7 +10,6 @@ from recourse_lab.errors import (
     TrainingError,
     UnsupportedModelError,
 )
-from recourse_lab.models import numeric_gradient_batch
 from recourse_lab.util import derive_seed, sigmoid
 
 
@@ -31,6 +30,28 @@ def backprop_input_gradient(model, x):
     for (Wl, _), a in zip(reversed(model.layers[:-1]), reversed(preacts)):
         g = Wl @ (g * (a > 0.0))
     return g
+
+
+def central_difference(model, X, h=1e-4):
+    """Central-difference input gradient, one coordinate at a time (independent oracle)."""
+    X = np.asarray(X, dtype=float)
+    grad = np.empty_like(X)
+    for j in range(X.shape[1]):
+        e = np.zeros(X.shape[1])
+        e[j] = h
+        grad[:, j] = (model.decision_values(X + e) - model.decision_values(X - e)) / (2 * h)
+    return grad
+
+
+def relu_masks(model, X):
+    """Which hidden units are active at each row of X, all layers side by side."""
+    Z = np.asarray(X, dtype=float)
+    masks = []
+    for W, b in model.layers[:-1]:
+        A = Z @ W + b
+        masks.append(A > 0.0)
+        Z = np.maximum(A, 0.0)
+    return np.hstack(masks)
 
 
 def masked_sigmoid(z):
@@ -281,14 +302,20 @@ class TestDecisionGeometry:
             m.decision_value(np.array([1.0]))
 
 
+@pytest.fixture(scope="module")
+def mlp3000():
+    return rl.train(rl.ModelSpec.mlp(hidden_layers=(10, 10, 5), epochs=30, seed=2),
+                    rl.synth_base(3000, 1))
+
+
 class TestNumericGradient:
-    def test_linear_exact_across_step_sizes(self):
-        m = rl.linear_model([3.0, -2.0], 0.5, schema2())
-        # keep |f(x)| moderate: float cancellation scales with |f| / h
-        x = np.array([0.1, 0.2])
-        for h in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2):
-            g = rl.numeric_gradient(m, x, h)
-            assert np.max(np.abs(g - np.array([3.0, -2.0]))) <= 1e-10
+    @pytest.mark.parametrize("kind", ["logistic_regression", "linear_svm"])
+    def test_linear_input_gradient_is_weight_vector(self, kind):
+        m = rl.linear_model([3.0, -2.0], 0.5, schema2(), kind=kind)
+        pts = np.random.default_rng(4).standard_normal((25, 2)) * 3
+        g = m.input_gradient(pts)
+        assert g.shape == (25, 2)
+        assert all(np.array_equal(row, m.weight_vector) for row in g)
 
     def test_proba_gradient_quarter_rule(self):
         # central difference of predict_proba at the boundary: sigma'(0) = 1/4
@@ -304,21 +331,43 @@ class TestNumericGradient:
             )
         assert np.allclose(g, [0.25, 0.25], atol=1e-6)
 
-    def test_mlp_matches_backprop_oracle(self):
-        data = rl.synth_base(3000, 1)
-        model = rl.train(rl.ModelSpec.mlp(hidden_layers=(10, 10, 5), epochs=30, seed=2), data)
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            x = rng.standard_normal(2) * 2
-            num = rl.numeric_gradient(model, x, 1e-4)
-            ana = backprop_input_gradient(model, x)
-            rel = np.linalg.norm(num - ana) / max(np.linalg.norm(ana), 1e-12)
-            assert rel <= 1e-4
+    def test_mlp_matches_backprop_oracle(self, mlp3000):
+        pts = np.random.default_rng(0).standard_normal((100, 2)) * 2
+        grads = mlp3000.input_gradient(pts)
+        for x, g in zip(pts, grads):
+            ana = backprop_input_gradient(mlp3000, x)
+            assert np.linalg.norm(g - ana) <= 1e-12 * max(np.linalg.norm(ana), 1e-12)
 
-    def test_step_must_be_positive(self):
+    def test_batch_matches_single_rows(self, mlp3000):
+        pts = np.random.default_rng(1).standard_normal((40, 2)) * 2
+        batch = mlp3000.input_gradient(pts)
+        for x, g in zip(pts, batch):
+            # a batched matrix product may sum in another order than a one-row one
+            assert np.allclose(g, mlp3000.input_gradient(x[None, :])[0], rtol=1e-12, atol=0.0)
+
+    def test_matches_central_difference_away_from_kinks(self, mlp3000):
+        h = 1e-4
+        pts = np.random.default_rng(2).standard_normal((300, 2)) * 2
+        # a point is away from every kink when no unit switches within h along any axis
+        masks = relu_masks(mlp3000, pts)
+        smooth = np.ones(len(pts), dtype=bool)
+        for j in range(2):
+            e = np.zeros(2)
+            e[j] = h
+            for shifted in (pts + e, pts - e):
+                smooth &= np.all(relu_masks(mlp3000, shifted) == masks, axis=1)
+        assert smooth.sum() >= 250
+        num = central_difference(mlp3000, pts[smooth], h)
+        ana = mlp3000.input_gradient(pts[smooth])
+        rel = np.linalg.norm(num - ana, axis=1) / np.maximum(np.linalg.norm(ana, axis=1), 1e-12)
+        assert rel.max() <= 1e-4
+
+    def test_wrong_shape_raises(self, mlp3000):
         m = rl.linear_model([1.0, 0.0], 0.0, schema2())
-        with pytest.raises(ValueError):
-            rl.numeric_gradient(m, np.zeros(2), h=0.0)
+        for model in (m, mlp3000):
+            for bad in (np.zeros(2), np.zeros((3, 3)), np.zeros((2, 2, 1))):
+                with pytest.raises(SchemaMismatchError):
+                    model.input_gradient(bad)
 
 
 class TestParallelPerturb:
@@ -382,11 +431,3 @@ class TestCrossVal:
         data = rl.synth_base(300, 2)
         acc = rl.cross_val_accuracy(rl.ModelSpec.logistic(epochs=50), data, 3)
         assert 0.0 <= acc <= 100.0
-
-
-class TestGradientBatch:
-    def test_matches_single(self, logistic10k):
-        pts = np.random.default_rng(2).standard_normal((10, 2))
-        batch = numeric_gradient_batch(logistic10k, pts, 1e-4)
-        for i, x in enumerate(pts):
-            assert np.allclose(batch[i], rl.numeric_gradient(logistic10k, x, 1e-4))

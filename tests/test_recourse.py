@@ -8,7 +8,14 @@ from scipy.stats import ks_2samp
 
 import recourse_lab as rl
 from recourse_lab.errors import DataValidationError
-from recourse_lab.recourse import DECILE_PERCENTILES, _markov_batch, _percentile_grid
+from recourse_lab.recourse import (
+    DECILE_PERCENTILES,
+    _cfe_batch,
+    _markov_batch,
+    _percentile_grid,
+    method_params,
+)
+from recourse_lab.util import derive_seed
 
 
 def schema2():
@@ -21,6 +28,36 @@ def search_one(model, x, method, params=None, seed=0, cost=rl.CostFn("L2")):
     cf = rl.batch_recourse(model, data, method, cost, params=params, seed=seed)
     assert cf.size + cf.not_found == 1
     return cf.records[0] if cf.records else None
+
+
+def sample_scm(scm, n, seed):
+    """Draws of the structural equations with standard normal noises."""
+    rng = np.random.default_rng(seed)
+    X = np.zeros((n, scm.n_variables))
+    for i, var in enumerate(scm.variables):
+        X[:, i] = rng.standard_normal(n)
+        for parent, coeff in var.parents:
+            X[:, i] += coeff * X[:, parent]
+    return X
+
+
+@pytest.fixture(scope="module")
+def mlp1500():
+    data = rl.synth_base(1500, 4)
+    return data, rl.train(rl.ModelSpec.mlp(epochs=20, seed=1), data)
+
+
+def count_decision_calls(monkeypatch):
+    """Patch TrainedModel.decision_values to log the rows of every call; return the log."""
+    calls = []
+    scores = rl.TrainedModel.decision_values
+
+    def counting(self, X):
+        calls.append(len(X))
+        return scores(self, X)
+
+    monkeypatch.setattr(rl.TrainedModel, "decision_values", counting)
+    return calls
 
 
 def reference_propagate(scm, x, interventions):
@@ -127,6 +164,29 @@ class TestCfeSearch:
         proj = np.abs(neg @ w + b) / norm
         ratio = cf.costs() / proj
         assert np.mean(ratio <= 1.10) >= 0.95
+
+    def test_stationary_point_on_readme_config(self):
+        # Wachter et al. 2017: on a linear model with L2 cost the penalized
+        # objective lam * (margin - f)^2 + ||z - x|| has its optimum on the line
+        # along w from x, where f = margin - 1 / (2 * lam * ||w||). The README
+        # run accepts at lam = 1; the cheapest-valid-iterate fallback keeps a
+        # few points off the optimum (0.0193 at most when measured).
+        d1 = rl.synth_shift(rl.ShiftSpec("target_shift", 0.0, 5000, 101))
+        train, _ = rl.split(d1, 0.1, derive_seed(0, "d1-split"))
+        m1 = rl.train(rl.ModelSpec.logistic(learning_rate=0.5, epochs=300, l2_penalty=1e-4,
+                                            seed=1), train)
+        margin, lam = 0.2, 1.0
+        cf = rl.batch_recourse(m1, train, "cfe", rl.CostFn("L2"),
+                               params={"margin_target": margin}, seed=2)
+        w, norm = m1.weight_vector, np.linalg.norm(m1.weight_vector)
+        origins = np.stack([r.origin for r in cf.records])
+        f_opt = margin - 1.0 / (2.0 * lam * norm)
+        along = (f_opt - m1.decision_values(origins)) / norm
+        optimum = origins + along[:, None] * (w / norm)
+        dist = np.linalg.norm(cf.recourse_matrix() - optimum, axis=1)
+        assert cf.size == 2325
+        assert dist.max() <= 0.03
+        assert np.median(dist) <= 1e-3
 
     def test_depths_sit_at_boundary(self):
         # Every CFE recourse ends just past the boundary whatever its origin, which
@@ -309,13 +369,21 @@ class TestMarkovSearch:
         rec = search_one(m, [-3.0, 0.0], "markov", {"step": 0.05, "rho": 0.8}, seed=7)
         assert m.predict(rec.recourse) == 1
 
-    def test_boundary_distance_absent_for_nonlinear(self):
-        data = rl.synth_base(1500, 4)
-        mlp = rl.train(rl.ModelSpec.mlp(epochs=20, seed=1), data)
+    def test_boundary_distance_absent_for_nonlinear(self, mlp1500):
+        data, mlp = mlp1500
         neg = data.X[mlp.predict(data.X) == -1][0]
         rec = search_one(mlp, neg, "markov", {"step": 0.05, "rho": 1.0}, seed=3)
         assert rec is not None and rec.boundary_distance is None
         assert mlp.predict(rec.recourse) == 1
+
+    def test_zero_weight_model_finds_nothing(self):
+        # a flat decision value gives no direction to climb, so no walker takes a step
+        m = rl.linear_model([0.0, 0.0], -1.0, schema2())
+        X = np.random.default_rng(6).standard_normal((20, 2))
+        finals, iters = _markov_batch(m, X, 0.05, 1.0, 3, 100)
+        assert all(point is None for point in finals)
+        assert np.array_equal(iters, np.zeros(20, dtype=int))
+        assert search_one(m, X[0], "markov") is None
 
     def test_parameter_validation(self):
         m = rl.linear_model([1.0, 0.0], 0.0, schema2())
@@ -362,10 +430,6 @@ class TestScm:
         with pytest.raises(ValueError):
             rl.Scm((rl.ScmVariable("a", parents=((1, 0.5),)), rl.ScmVariable("b")))
 
-    def test_sample_deterministic(self):
-        scm = self.chain()
-        assert np.array_equal(scm.sample(50, 3), scm.sample(50, 3))
-
     def test_propagate_matches_structural_equations(self):
         # random DAGs with up to three parents per variable; dict and row forms alike
         rng = np.random.default_rng(31)
@@ -409,7 +473,7 @@ class TestCausalRecourse:
     def test_matches_exhaustive_oracle(self):
         scm, schema, model = self.setup_case()
         rng = np.random.default_rng(8)
-        sample = scm.sample(400, 12)
+        sample = sample_scm(scm, 400, 12)
         data = rl.Dataset(schema, sample, np.where(model.predict(sample) == 1, 1, -1))
         checked = 0
         for _ in range(15):
@@ -439,7 +503,7 @@ class TestCausalRecourse:
     def test_downstream_effects_counted_in_cost(self):
         scm, schema, model = self.setup_case()
         x = np.array([-1.0, -0.3])
-        sample = scm.sample(400, 12)
+        sample = sample_scm(scm, 400, 12)
         data = rl.Dataset(schema, sample, model.predict(sample))
         rec = rl.causal_recourse(scm, model, x, data, rl.CostFn("L2"))
         assert rec is not None
@@ -488,7 +552,7 @@ class TestBatchRecourse:
     def test_causal_batch_uses_default_chain(self):
         scm = rl.default_chain_scm()
         schema = rl.FeatureSchema(tuple(rl.FeatureSpec(n) for n in ("x0", "x1", "x2")))
-        sample = scm.sample(300, 2)
+        sample = sample_scm(scm, 300, 2)
         w = np.array([0.3, 0.4, 1.0])
         labels = np.where(sample @ w - 0.6 >= 0, 1, -1)
         data = rl.Dataset(schema, sample, labels)
@@ -501,22 +565,38 @@ class TestBatchRecourse:
     def test_causal_scores_each_origin_in_one_call(self, monkeypatch):
         scm = rl.default_chain_scm()
         schema = rl.FeatureSchema(tuple(rl.FeatureSpec(n) for n in ("x0", "x1", "x2")))
-        sample = scm.sample(200, 4)
+        sample = sample_scm(scm, 200, 4)
         model = rl.linear_model([0.3, 0.4, 1.0], -0.6, schema)
         data = rl.Dataset(schema, sample, model.predict(sample))
-        calls = []
-        scores = rl.TrainedModel.decision_values
-
-        def counting(self, X):
-            calls.append(len(X))
-            return scores(self, X)
-
-        monkeypatch.setattr(rl.TrainedModel, "decision_values", counting)
+        calls = count_decision_calls(monkeypatch)
         cf = rl.batch_recourse(model, data, "causal", rl.CostFn("L2"))
         negatives = cf.size + cf.not_found
         assert negatives > 50 and cf.size > 0
         # the scan for negatives, one call per origin, the recheck, RecourseSet's check
         assert len(calls) <= negatives + 3
+
+    def test_cfe_scores_once_per_inner_iteration(self, monkeypatch, mlp1500):
+        # input gradients cost no decision_values call; a lambda stage adds at most
+        # three: its last iterate, its snapped point and the fallback iterate
+        data, mlp = mlp1500
+        linear = rl.linear_model([1.0, 2.0], -1.0, data.schema)
+        p = method_params("cfe")
+        calls = count_decision_calls(monkeypatch)
+        for model in (linear, mlp):
+            for i in np.flatnonzero(model.predict(data.X) == -1)[:5]:
+                calls.clear()
+                _, iters = _cfe_batch(model, data, np.array([i]), rl.CostFn("L2"), p, 0, None)
+                assert iters[0] > 10
+                assert iters[0] + 2 <= len(calls) <= iters[0] + 3 * (p["lambda_steps"] + 1)
+
+    def test_mlp_walk_scores_once_per_step(self, monkeypatch, mlp1500):
+        data, mlp = mlp1500
+        X = data.X[mlp.predict(data.X) == -1][:50]
+        calls = count_decision_calls(monkeypatch)
+        _, iters = _markov_batch(mlp, X, 0.05, 1.0, 3, 10_000)
+        # the start, then one call for each step of the longest walk
+        assert iters.max() > 10
+        assert len(calls) == 1 + iters.max()
 
     def test_unknown_method(self, logistic10k, synth10k):
         with pytest.raises(ValueError):
