@@ -54,11 +54,20 @@ def _get(doc: dict, field: str, expected=None, default=...):
     return value
 
 
+def _known_keys(doc: dict, field: str, keys) -> dict:
+    """doc itself; a key outside `keys` exits 2 and names its full path."""
+    for key in doc:
+        if key not in keys:
+            _fail(f"{field}.{key}" if field else key, "unknown key")
+    return doc
+
+
 def _parse_source(doc, field: str):
     if not isinstance(doc, dict) or len(doc) != 1:
         _fail(field, 'expected exactly one of {"synthetic": {...}} or {"csv": {...}}')
     if "synthetic" in doc:
-        sub = doc["synthetic"]
+        field = f"{field}.synthetic"
+        sub = _known_keys(_get(doc, field, dict), field, ("scenario", "alpha", "n", "seed"))
         try:
             return ShiftSpec(
                 scenario=_get(sub, f"{field}.scenario", str),
@@ -69,7 +78,8 @@ def _parse_source(doc, field: str):
         except ValueError as exc:
             _fail(field, str(exc))
     if "csv" in doc:
-        sub = doc["csv"]
+        field = f"{field}.csv"
+        sub = _known_keys(_get(doc, field, dict), field, ("path", "schema"))
         path = _get(sub, f"{field}.path", str)
         schema_doc = _get(sub, f"{field}.schema", dict)
         try:
@@ -87,6 +97,7 @@ def _parse_scm(doc, field: str) -> Scm:
     for i, var in enumerate(doc):
         if not isinstance(var, dict):
             _fail(f"{field}[{i}]", f"expected an object, got {type(var).__name__}")
+        _known_keys(var, f"{field}[{i}]", ("name", "parents", "intervenable"))
         parents = _get(var, f"{field}[{i}].parents", dict, {})
         for idx, coeff in parents.items():
             if not (idx.isdecimal() and is_number(coeff)):
@@ -121,16 +132,22 @@ def _apply_seed_override(doc: dict) -> dict:
     return doc
 
 
+_TOP_LEVEL_KEYS = ("d1_source", "d2_source", "model", "recourse", "cost",
+                   "holdout_fraction", "seeds", "cv_folds", "scm")
+
+
 def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config: top level must be a JSON object")
-    seeds_doc = _get(doc, "seeds", dict)
+    _known_keys(doc, "", _TOP_LEVEL_KEYS)
+    seeds_doc = _known_keys(_get(doc, "seeds", dict), "seeds", ("data", "model", "recourse"))
     seeds = Seeds(
         data=int(_get(seeds_doc, "seeds.data", int)),
         model=int(_get(seeds_doc, "seeds.model", int)),
         recourse=int(_get(seeds_doc, "seeds.recourse", int)),
     )
-    model_doc = _get(doc, "model", dict)
+    model_doc = _known_keys(_get(doc, "model", dict), "model",
+                            ("kind", "hidden_layers", "learning_rate", "epochs", "l2_penalty"))
     hidden = _get(model_doc, "model.hidden_layers", list, [])
     if not all(is_number(width, int) for width in hidden):
         _fail("model.hidden_layers", f"expected a list of integers, got {hidden!r}")
@@ -145,7 +162,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         )
     except ValueError as exc:
         _fail("model", str(exc))
-    recourse_doc = _get(doc, "recourse", dict)
+    recourse_doc = _known_keys(_get(doc, "recourse", dict), "recourse", ("method", "params"))
     method = _get(recourse_doc, "recourse.method", str)
     params = _get(recourse_doc, "recourse.params", dict, {})
     if method in RECOURSE_METHODS:  # ExperimentConfig names an unknown method
@@ -154,7 +171,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
                 method_params(method, {name: value})
             except ValueError as exc:
                 _fail(f"recourse.params.{name}", str(exc))
-    cost_doc = _get(doc, "cost", dict, {"norm": "L2"})
+    cost_doc = _known_keys(_get(doc, "cost", dict, {"norm": "L2"}), "cost", ("norm",))
     try:
         cost = CostFn(_get(cost_doc, "cost.norm", str, "L2"))
     except ValueError as exc:

@@ -115,16 +115,6 @@ class FeatureSchema:
                     f"feature {f.name!r}: value {col[i]} at row {i} outside bounds [{low}, {up}]"
                 )
 
-    def to_dict(self) -> dict:
-        return {
-            "features": [
-                {"name": f.name, "kind": f.kind, "actionable": f.actionable,
-                 "lower": f.lower, "upper": f.upper}
-                for f in self.features
-            ],
-            "label": self.label_name,
-        }
-
     @classmethod
     def from_dict(cls, doc: dict) -> "FeatureSchema":
         feats = tuple(
@@ -172,9 +162,6 @@ class Dataset:
     @property
     def n_features(self) -> int:
         return self.X.shape[1]
-
-    def positive_fraction(self) -> float:
-        return float(np.mean(self.y == 1)) if self.n else float("nan")
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=int)

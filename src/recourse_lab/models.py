@@ -1,7 +1,7 @@
 """From-scratch binary classifiers: logistic regression, linear SVM, and a ReLU MLP.
 
 Every model exposes a signed decision value whose sign is the predicted class
-(ties go to +1), a sigmoid probability, exact input gradients, and, for the
+(ties go to +1), exact input gradients, and, for the
 linear kinds, an exact parallel translation of the decision boundary.
 """
 
@@ -167,11 +167,6 @@ class TrainedModel:
             return 1 if self.decision_value(x) >= 0.0 else -1
         return np.where(self.decision_values(x) >= 0.0, 1, -1)
 
-    def predict_proba(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return float(sigmoid(self.decision_value(x)))
-        return sigmoid(self.decision_values(x))
 
 def linear_model(weights, bias: float, schema: FeatureSchema, kind: str = "logistic_regression") -> TrainedModel:
     """Hand-built linear classifier (surrogates, perturbation targets, test fixtures)."""

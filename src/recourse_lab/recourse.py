@@ -170,6 +170,9 @@ def _cfe_batch(model, data, rows, cost, p, seed, scm):
     valid iterate seen so far stands in. Points with no accepted candidate get
     their penalty weight grown and continue from where they stopped.
 
+    A stage descends on contiguous copies of its live rows, in row order, and
+    drops rows from them as they freeze, so no step gathers or scatters state.
+
     Returns (list of recourse vectors or None, iterations array).
     """
     X = data.X[rows]
@@ -187,14 +190,15 @@ def _cfe_batch(model, data, rows, cost, p, seed, scm):
     seen_cost = np.full(n, np.inf)
     has_seen = np.zeros(n, dtype=bool)
 
-    def remember_valid(rows, f):
-        rows = rows[f >= 0.0]
+    def remember_valid(rows, zr, f):
+        valid = f >= 0.0
+        rows, zr = rows[valid], zr[valid]
         if rows.size:
-            c = cost.pairwise(z[rows], X[rows])
+            c = cost.pairwise(zr, X[rows])
             better = c < seen_cost[rows]
             rows = rows[better]
             seen_cost[rows] = c[better]
-            seen_z[rows] = z[rows]
+            seen_z[rows] = zr[better]
             has_seen[rows] = True
 
     def accept(rows, points):
@@ -205,46 +209,42 @@ def _cfe_batch(model, data, rows, cost, p, seed, scm):
                 done[r] = True
 
     for _stage in range(p["lambda_steps"] + 1):
-        active = ~done
-        if not active.any():
+        active = np.flatnonzero(~done)
+        if not active.size:
             break
-        m_adam = np.zeros((n, d))
-        v_adam = np.zeros((n, d))
-        t_adam = np.zeros(n, dtype=int)
-        frozen = np.zeros(n, dtype=bool)
+        idx, zl, Xl, laml = active, z[active], X[active], lam[active, None]
+        m_adam, v_adam = np.zeros((idx.size, d)), np.zeros((idx.size, d))
+        t = np.zeros((idx.size, 1))  # a float column: _B1 ** t stays an elementwise array power
         for _it in range(p["inner_iters"]):
-            live = active & ~frozen
-            if not live.any():
+            if not idx.size:
                 break
-            zl = z[live]
             f = model.decision_values(zl)
-            remember_valid(np.flatnonzero(live), f)
-            grad_f = model.input_gradient(zl)
+            remember_valid(idx, zl, f)
             gap = np.maximum(0.0, margin - f)
-            g = (
-                lam[live, None] * (-2.0 * gap[:, None]) * grad_f
-                + cost.gradient(zl, X[live])
-            )
+            g = laml * (-2.0 * gap[:, None]) * model.input_gradient(zl) + cost.gradient(zl, Xl)
             if not np.all(np.isfinite(g)):
                 raise SearchError("non-finite search gradient")
-            t_adam[live] += 1
-            ml = _B1 * m_adam[live] + (1 - _B1) * g
-            vl = _B2 * v_adam[live] + (1 - _B2) * g * g
-            m_adam[live] = ml
-            v_adam[live] = vl
-            tl = t_adam[live][:, None].astype(float)
-            mhat = ml / (1.0 - _B1 ** tl)
-            vhat = vl / (1.0 - _B2 ** tl)
+            t += 1.0
+            m_adam = _B1 * m_adam + (1 - _B1) * g
+            v_adam = _B2 * v_adam + (1 - _B2) * g * g
+            mhat = m_adam / (1.0 - _B1 ** t)
+            vhat = v_adam / (1.0 - _B2 ** t)
             step = p["step_size"] * mhat / (np.sqrt(vhat) + 1e-8)
-            z[live] = zl - step
-            iters[live] += 1
-            frozen[live] |= np.abs(step).max(axis=1) < p["tolerance"]
-        rows = np.flatnonzero(active)
-        remember_valid(rows, model.decision_values(z[rows]))
+            zl = zl - step
+            frozen = np.abs(step).max(axis=1) < p["tolerance"]
+            if frozen.any():
+                z[idx[frozen]] = zl[frozen]
+                iters[idx[frozen]] += t[frozen, 0].astype(int)
+                keep = ~frozen
+                idx, zl, Xl, laml = idx[keep], zl[keep], Xl[keep], laml[keep]
+                m_adam, v_adam, t = m_adam[keep], v_adam[keep], t[keep]
+        z[idx] = zl
+        iters[idx] += t[:, 0].astype(int)
+        remember_valid(active, z[active], model.decision_values(z[active]))
 
         # converged iterate first, cheapest valid iterate as the fallback
-        accept(rows, _snap_to_schema(schema, z[rows]))
-        rows = np.flatnonzero(active & ~done & has_seen)
+        accept(active, _snap_to_schema(schema, z[active]))
+        rows = active[~done[active] & has_seen[active]]
         if rows.size:
             accept(rows, _snap_to_schema(schema, seen_z[rows]))
         lam[~done] *= p["lambda_growth"]
@@ -537,17 +537,8 @@ class Scm:
             u[i] = x[i] - sum(coeff * x[parent] for parent, coeff in var.parents)
         return u
 
-    def propagate(self, x, interventions: dict[int, float]) -> np.ndarray:
-        """Apply interventions and recompute descendants with abducted noises fixed."""
-        values = np.zeros((1, self.n_variables))
-        mask = np.zeros((1, self.n_variables), dtype=bool)
-        for j, v in interventions.items():
-            values[0, j] = v
-            mask[0, j] = True
-        return self.propagate_rows(x, values, mask)[0]
-
     def propagate_rows(self, x, values, mask) -> np.ndarray:
-        """propagate for a batch of interventions on one origin x.
+        """Apply a batch of interventions to one origin x, with abducted noises fixed.
 
         Row k sets the variables where mask[k] holds to values[k]. Each other
         variable is its abducted noise plus its coeff * parent terms, summed

@@ -153,7 +153,6 @@ class _Prepared:
     model_spec: ModelSpec
     d1_train: Dataset
     m1: TrainedModel
-    m1_acc: float
     cf1: RecourseSet
 
 
@@ -165,38 +164,23 @@ def _prepare(cfg: ExperimentConfig) -> _Prepared:
         d1_train = d1
     spec = replace(cfg.model_spec, seed=cfg.seeds.model)
     m1 = train(spec, d1_train)
-    m1_acc = cross_val_accuracy(spec, d1_train, cfg.cv_folds)
     cf1 = batch_recourse(
         m1, d1_train, cfg.method, cfg.cost,
         params=cfg.method_params, seed=cfg.seeds.recourse, scm=cfg.scm,
     )
-    return _Prepared(cfg, spec, d1_train, m1, m1_acc, cf1)
+    return _Prepared(cfg, spec, d1_train, m1, cf1)
 
 
-def _evaluate_m2(prepared: _Prepared, m2: TrainedModel, m2_acc: float) -> InvalidationReport:
-    cfg = prepared.config
-    cf1 = prepared.cf1
-    if cf1.size:
-        flags = m2.predict(cf1.recourse_matrix()) == -1
-        per_record = tuple(
-            (rec.cost, bool(flag)) for rec, flag in zip(cf1.records, flags)
-        )
-        pct = 100.0 * float(np.mean(flags))
-    else:
-        per_record = ()
-        pct = None
-    return InvalidationReport(
-        algorithm=ALGORITHM_LABELS[cfg.method],
-        model_kind=MODEL_LABELS[cfg.model_spec.kind],
-        m1_cv_acc=prepared.m1_acc,
-        m2_cv_acc=m2_acc,
-        cf1_size=cf1.size,
-        invalidation_pct=pct,
-        per_record=per_record,
-    )
+def _evaluate_m2(cf1: RecourseSet, m2: TrainedModel) -> tuple[np.ndarray, float | None]:
+    """Per-recourse invalidation flags under M2, and their percentage (None for an empty CF1)."""
+    if not cf1.size:
+        return np.zeros(0, dtype=bool), None
+    flags = m2.predict(cf1.recourse_matrix()) == -1
+    return flags, 100.0 * float(np.mean(flags))
 
 
-def _run_d2(prepared: _Prepared, d2_source) -> InvalidationReport:
+def _run_d2(prepared: _Prepared, d2_source) -> tuple[Dataset, TrainedModel]:
+    """The d2 training sample and M2 trained on it."""
     cfg = prepared.config
     d2 = _materialize(d2_source)
     if not prepared.d1_train.schema.compatible_with(d2.schema):
@@ -205,15 +189,25 @@ def _run_d2(prepared: _Prepared, d2_source) -> InvalidationReport:
         d2_train, _ = split(d2, cfg.holdout_fraction, derive_seed(cfg.seeds.data, "d2-split"))
     else:
         d2_train = d2
-    m2 = train(prepared.model_spec, d2_train)
-    m2_acc = cross_val_accuracy(prepared.model_spec, d2_train, cfg.cv_folds)
-    return _evaluate_m2(prepared, m2, m2_acc)
+    return d2_train, train(prepared.model_spec, d2_train)
 
 
 def run_pipeline(cfg: ExperimentConfig) -> InvalidationReport:
     """Full paired-model run; deterministic given the config (seeds included)."""
     prepared = _prepare(cfg)
-    return _run_d2(prepared, cfg.d2_source)
+    d2_train, m2 = _run_d2(prepared, cfg.d2_source)
+    flags, pct = _evaluate_m2(prepared.cf1, m2)
+    return InvalidationReport(
+        algorithm=ALGORITHM_LABELS[cfg.method],
+        model_kind=MODEL_LABELS[cfg.model_spec.kind],
+        m1_cv_acc=cross_val_accuracy(prepared.model_spec, prepared.d1_train, cfg.cv_folds),
+        m2_cv_acc=cross_val_accuracy(prepared.model_spec, d2_train, cfg.cv_folds),
+        cf1_size=prepared.cf1.size,
+        invalidation_pct=pct,
+        per_record=tuple(
+            (rec.cost, bool(flag)) for rec, flag in zip(prepared.cf1.records, flags)
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -224,8 +218,9 @@ class SweepPoint:
 
 
 def _sweep_point(prepared: _Prepared, d2_source: ShiftSpec) -> SweepPoint:
-    report = _run_d2(prepared, d2_source)
-    return SweepPoint(d2_source.alpha, report.invalidation_pct, report.cf1_size)
+    _, m2 = _run_d2(prepared, d2_source)
+    _, pct = _evaluate_m2(prepared.cf1, m2)
+    return SweepPoint(d2_source.alpha, pct, prepared.cf1.size)
 
 
 # Set by _init_worker in each pool worker; forked workers get its argument without pickling.
@@ -247,8 +242,9 @@ def sensitivity_sweep(scenario: str, alphas, base: ExperimentConfig, jobs: int =
     Every alpha, and `jobs` itself, is validated before any training, so a bad
     alpha fails the same way whatever `jobs` is. The d1 side is prepared once
     in the calling process. When min(jobs, len(alphas)) exceeds one, that many
-    forked workers run only the d2 side. Results match per-alpha run_pipeline calls exactly (all
-    stages are pure).
+    forked workers run only the d2 side. The sweep trains no CV folds: a
+    SweepPoint holds no accuracy. Invalidation and CF1 size match per-alpha
+    run_pipeline calls exactly (all stages are pure).
     """
     alphas = list(alphas)
     if not alphas:

@@ -174,6 +174,28 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert f"config error: {field}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, overrides", [
+        ("bogus", {"bogus": 1}),
+        ("seeds.extra", {"seeds": {"data": 0, "model": 1, "recourse": 2, "extra": 3}}),
+        ("model.epoch", {"model": {"kind": "logistic_regression", "epoch": 5}}),
+        ("recourse.param", {"recourse": {"method": "cfe", "param": {}}}),
+        ("cost.nrom", {"cost": {"norm": "L2", "nrom": "L1"}}),
+        ("d1_source.synthetic.sead", {"d1_source": {"synthetic": {
+            "scenario": "target_shift", "alpha": 0.0, "n": 1200, "seed": 31, "sead": 1}}}),
+        ("d2_source.csv.delimiter", {"d2_source": {"csv": {
+            "path": "d2.csv", "schema": {"features": [{"name": "x0"}, {"name": "x1"}]},
+            "delimiter": ";"}}}),
+        ("scm[0].noise_std", {"scm": [{"name": "x0", "noise_std": 1.0}, {"name": "x1"}]}),
+    ], ids=["top", "seeds", "model", "recourse", "cost", "synthetic", "csv", "scm-noise-std"])
+    def test_unknown_key_names_path(self, tmp_path, capsys, monkeypatch, field, overrides):
+        def no_training(*args, **kwargs):
+            raise AssertionError("config errors must come before any training")
+
+        monkeypatch.setattr(shiftlab, "train", no_training)
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {field}: unknown key" in capsys.readouterr().err
+
     def test_incompatible_source_schemas_exit_2(self, tmp_path, capsys):
         schema_doc = {"features": [{"name": "z0"}], "label": "label"}
         cfg = write_config(

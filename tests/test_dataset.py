@@ -38,13 +38,20 @@ class TestSchema:
         with pytest.raises(DataValidationError):
             rl.FeatureSchema((rl.FeatureSpec("y"),), label_name="y")
 
-    def test_round_trip_dict(self):
+    def test_from_dict_reads_every_field(self):
         schema = rl.FeatureSchema(
             (rl.FeatureSpec("a", kind="ordinal", lower=0, upper=5, actionable=False),
              rl.FeatureSpec("b", kind="binary")),
             "target",
         )
-        assert rl.FeatureSchema.from_dict(schema.to_dict()) == schema
+        doc = {
+            "features": [
+                {"name": "a", "kind": "ordinal", "actionable": False, "lower": 0, "upper": 5},
+                {"name": "b", "kind": "binary"},
+            ],
+            "label": "target",
+        }
+        assert rl.FeatureSchema.from_dict(doc) == schema
 
 
 class TestDatasetValidation:
@@ -169,7 +176,7 @@ class TestSplit:
 class TestSynth:
     def test_base_positive_fraction(self):
         data = rl.synth_base(10000, 123)
-        assert abs(data.positive_fraction() - 0.5) <= 0.02
+        assert abs(np.mean(data.y == 1) - 0.5) <= 0.02
 
     def test_base_feature_means(self):
         data = rl.synth_base(10000, 123)
@@ -201,7 +208,7 @@ class TestSynth:
         spec = rl.ShiftSpec("predictor_shift", 1.0, 20000, 44)
         data = rl.synth_shift(spec)
         analytic = float(norm.cdf(2.0 / math.sqrt(2.0)))
-        assert abs(data.positive_fraction() - analytic) <= 0.01
+        assert abs(np.mean(data.y == 1) - analytic) <= 0.01
 
     def test_predictor_shift_label_rule_unchanged(self):
         spec = rl.ShiftSpec("predictor_shift", -0.5, 3000, 1)

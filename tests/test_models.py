@@ -279,17 +279,6 @@ class TestDecisionGeometry:
         assert m.predict(np.array([1.0, 1.0])) == 1
         assert m.predict(np.array([-1.0, -1.0])) == -1
 
-    def test_proba_sigmoid(self):
-        m = rl.linear_model([2.0, 0.0], -1.0, schema2())
-        assert m.predict_proba(np.array([1.0, 1.0])) == pytest.approx(0.7311, abs=1e-4)
-
-    def test_proba_increasing_in_score(self, logistic10k):
-        pts = np.random.default_rng(0).standard_normal((50, 2))
-        f = logistic10k.decision_values(pts)
-        p = logistic10k.predict_proba(pts)
-        order = np.argsort(f)
-        assert np.all(np.diff(p[order]) >= 0)
-
     def test_sign_consistency_property(self, logistic10k):
         pts = np.random.default_rng(3).standard_normal((200, 2)) * 2
         f = logistic10k.decision_values(pts)
@@ -316,20 +305,6 @@ class TestNumericGradient:
         g = m.input_gradient(pts)
         assert g.shape == (25, 2)
         assert all(np.array_equal(row, m.weight_vector) for row in g)
-
-    def test_proba_gradient_quarter_rule(self):
-        # central difference of predict_proba at the boundary: sigma'(0) = 1/4
-        m = rl.linear_model([1.0, 1.0], 0.0, schema2())
-        h = 1e-4
-        g = []
-        for j in range(2):
-            e = np.zeros(2)
-            e[j] = h
-            g.append(
-                (m.predict_proba(np.zeros(2) + e) - m.predict_proba(np.zeros(2) - e))
-                / (2 * h)
-            )
-        assert np.allclose(g, [0.25, 0.25], atol=1e-6)
 
     def test_mlp_matches_backprop_oracle(self, mlp3000):
         pts = np.random.default_rng(0).standard_normal((100, 2)) * 2

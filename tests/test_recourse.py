@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 import recourse_lab as rl
-from recourse_lab.errors import DataValidationError
+from recourse_lab.errors import DataValidationError, SearchError
 from recourse_lab.recourse import (
+    _B1,
+    _B2,
     DECILE_PERCENTILES,
     _cfe_batch,
     _markov_batch,
     _percentile_grid,
+    _snap_to_schema,
     method_params,
 )
 from recourse_lab.util import derive_seed
@@ -60,6 +63,15 @@ def count_decision_calls(monkeypatch):
     return calls
 
 
+def propagate_one(scm, x, interventions):
+    """Scm.propagate_rows for a single {variable index: value} intervention."""
+    values = np.zeros((1, scm.n_variables))
+    mask = np.zeros((1, scm.n_variables), dtype=bool)
+    for j, v in interventions.items():
+        values[0, j], mask[0, j] = v, True
+    return scm.propagate_rows(x, values, mask)[0]
+
+
 def reference_propagate(scm, x, interventions):
     """The structural equations evaluated one variable at a time (independent oracle)."""
     u = np.array([x[i] - sum(c * x[p] for p, c in var.parents) for i, var in enumerate(scm.variables)])
@@ -70,6 +82,81 @@ def reference_propagate(scm, x, interventions):
         else:
             out[i] = u[i] + sum(coeff * out[parent] for parent, coeff in var.parents)
     return out
+
+
+def masked_cfe_batch(model, data, rows, cost, p, seed, scm):
+    """The CFE kernel as it was before stage compaction: every inner iteration
+    gathers and scatters the live rows' state through a boolean mask."""
+    X = data.X[rows]
+    n, d = X.shape
+    margin = p["margin_target"]
+    lam = np.full(n, p["lambda_init"])
+    z = X.copy()
+    done = np.zeros(n, dtype=bool)
+    final = [None] * n
+    iters = np.zeros(n, dtype=int)
+    seen_z = np.zeros_like(X)
+    seen_cost = np.full(n, np.inf)
+    has_seen = np.zeros(n, dtype=bool)
+
+    def remember_valid(rows, f):
+        rows = rows[f >= 0.0]
+        if rows.size:
+            c = cost.pairwise(z[rows], X[rows])
+            better = c < seen_cost[rows]
+            rows = rows[better]
+            seen_cost[rows] = c[better]
+            seen_z[rows] = z[rows]
+            has_seen[rows] = True
+
+    def accept(rows, points):
+        ok = model.decision_values(points) >= 0.0
+        for r, point, good in zip(rows, points, ok):
+            if good:
+                final[r] = point
+                done[r] = True
+
+    for _stage in range(p["lambda_steps"] + 1):
+        active = ~done
+        if not active.any():
+            break
+        m_adam = np.zeros((n, d))
+        v_adam = np.zeros((n, d))
+        t_adam = np.zeros(n, dtype=int)
+        frozen = np.zeros(n, dtype=bool)
+        for _it in range(p["inner_iters"]):
+            live = active & ~frozen
+            if not live.any():
+                break
+            zl = z[live]
+            f = model.decision_values(zl)
+            remember_valid(np.flatnonzero(live), f)
+            grad_f = model.input_gradient(zl)
+            gap = np.maximum(0.0, margin - f)
+            g = lam[live, None] * (-2.0 * gap[:, None]) * grad_f + cost.gradient(zl, X[live])
+            if not np.all(np.isfinite(g)):
+                raise SearchError("non-finite search gradient")
+            t_adam[live] += 1
+            ml = _B1 * m_adam[live] + (1 - _B1) * g
+            vl = _B2 * v_adam[live] + (1 - _B2) * g * g
+            m_adam[live] = ml
+            v_adam[live] = vl
+            tl = t_adam[live][:, None].astype(float)
+            mhat = ml / (1.0 - _B1 ** tl)
+            vhat = vl / (1.0 - _B2 ** tl)
+            step = p["step_size"] * mhat / (np.sqrt(vhat) + 1e-8)
+            z[live] = zl - step
+            iters[live] += 1
+            frozen[live] |= np.abs(step).max(axis=1) < p["tolerance"]
+        rows = np.flatnonzero(active)
+        remember_valid(rows, model.decision_values(z[rows]))
+        accept(rows, _snap_to_schema(model.schema, z[rows]))
+        rows = np.flatnonzero(active & ~done & has_seen)
+        if rows.size:
+            accept(rows, _snap_to_schema(model.schema, seen_z[rows]))
+        lam[~done] *= p["lambda_growth"]
+
+    return final, iters
 
 
 def brute_force_ar(model, x, data, cost, percentiles, max_changed):
@@ -198,6 +285,64 @@ class TestCfeSearch:
         depths = np.array([r.boundary_distance for r in cf.records])
         assert cf.size > 0
         assert np.all((depths >= 0.0) & (depths <= 0.02))
+
+
+class TestCfeCompaction:
+    """The compacted kernel equals the masked one bit for bit: same points, same iterations."""
+
+    def assert_same_search(self, model, data, rows, cost, p=None):
+        p = method_params("cfe", p)
+        points, iters = _cfe_batch(model, data, rows, cost, p, 0, None)
+        ref_points, ref_iters = masked_cfe_batch(model, data, rows, cost, p, 0, None)
+        assert np.array_equal(iters, ref_iters)
+        assert [pt is None for pt in points] == [pt is None for pt in ref_points]
+        assert all(pt is None or np.array_equal(pt, ref) for pt, ref in zip(points, ref_points))
+        return points
+
+    @pytest.mark.parametrize("norm", ["L1", "L2"])
+    @pytest.mark.parametrize("kind", ["logistic_regression", "linear_svm", "mlp"])
+    def test_matches_masked_loop(self, kind, norm, mlp1500):
+        if kind == "mlp":
+            data, model = mlp1500
+        else:
+            data = rl.synth_base(1000, 7)
+            spec = rl.ModelSpec.logistic(epochs=100) if kind == "logistic_regression" \
+                else rl.ModelSpec.svm(epochs=100)
+            model = rl.train(spec, data)
+        rows = np.flatnonzero(model.predict(data.X) == -1)[:60]
+        points = self.assert_same_search(model, data, rows, rl.CostFn(norm))
+        assert any(pt is not None for pt in points)
+
+    def test_rows_accepting_at_different_stages(self):
+        # a few rows accept at the first penalty weight, the rest only after it grows
+        data = rl.synth_base(1000, 7)
+        model = rl.train(rl.ModelSpec.logistic(epochs=100), data)
+        rows = np.flatnonzero(model.predict(data.X) == -1)[:150]
+        cost = rl.CostFn("L2")
+        points = self.assert_same_search(model, data, rows, cost, {"margin_target": 0.2})
+        first, _ = _cfe_batch(model, data, rows, cost,
+                              method_params("cfe", {"margin_target": 0.2, "lambda_steps": 0}),
+                              0, None)
+        accepted_first = sum(pt is not None for pt in first)
+        assert 0 < accepted_first < sum(pt is not None for pt in points)
+
+    def test_ordinal_and_binary_schema(self):
+        schema = rl.FeatureSchema((
+            rl.FeatureSpec("level", kind="ordinal", lower=0, upper=10),
+            rl.FeatureSpec("flag", kind="binary"),
+            rl.FeatureSpec("score", lower=-3.0, upper=3.0),
+        ))
+        rng = np.random.default_rng(5)
+        X = np.column_stack([
+            rng.integers(0, 11, 200), rng.integers(0, 2, 200), rng.uniform(-3.0, 3.0, 200),
+        ]).astype(float)
+        model = rl.linear_model([0.4, 1.0, 0.5], -3.0, schema)
+        data = rl.Dataset(schema, X, model.predict(X))
+        rows = np.flatnonzero(data.y == -1)[:40]
+        for norm in ("L1", "L2"):
+            points = self.assert_same_search(model, data, rows, rl.CostFn(norm),
+                                             {"inner_iters": 300})
+            assert any(pt is not None for pt in points)
 
 
 class TestLocalLinearSurrogate:
@@ -405,7 +550,7 @@ class TestScm:
         ))
         x = np.array([-1.0, -0.3])           # u2 = -0.3 - 0.5*(-1) = 0.2
         assert scm.abduct(x)[1] == pytest.approx(0.2)
-        out = scm.propagate(x, {0: 1.0})
+        out = propagate_one(scm, x, {0: 1.0})
         assert out[0] == 1.0
         assert out[1] == pytest.approx(0.7)  # 0.5 * 1 + 0.2
 
@@ -415,7 +560,7 @@ class TestScm:
             rl.ScmVariable("x2", parents=((0, 0.5),)),
         ))
         x = np.array([0.4, 1.0])
-        out = scm.propagate(x, {1: 5.0})
+        out = propagate_one(scm, x, {1: 5.0})
         assert out[0] == 0.4 and out[1] == 5.0
 
     def test_ancestors_never_change(self):
@@ -423,7 +568,7 @@ class TestScm:
         rng = np.random.default_rng(3)
         for _ in range(20):
             x = rng.standard_normal(3)
-            out = scm.propagate(x, {1: float(rng.standard_normal())})
+            out = propagate_one(scm, x, {1: float(rng.standard_normal())})
             assert out[0] == x[0]
 
     def test_forward_reference_rejected(self):
@@ -431,7 +576,7 @@ class TestScm:
             rl.Scm((rl.ScmVariable("a", parents=((1, 0.5),)), rl.ScmVariable("b")))
 
     def test_propagate_matches_structural_equations(self):
-        # random DAGs with up to three parents per variable; dict and row forms alike
+        # random DAGs with up to three parents per variable; one-row and batch calls alike
         rng = np.random.default_rng(31)
         for _ in range(40):
             d = int(rng.integers(2, 7))
@@ -456,7 +601,7 @@ class TestScm:
             batch = scm.propagate_rows(x, values, mask)
             for k, iv in enumerate(rows):
                 expected = reference_propagate(scm, x, iv)
-                assert np.array_equal(scm.propagate(x, iv), expected)
+                assert np.array_equal(propagate_one(scm, x, iv), expected)
                 assert np.array_equal(batch[k], expected)
 
 

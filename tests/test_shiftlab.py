@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -107,8 +109,9 @@ class TestRunPipeline:
         prepared = _prepare(cfg)
         m1 = prepared.m1
         negated = rl.linear_model(-m1.weight_vector, -m1.bias - 1e-9, m1.schema)
-        report = _evaluate_m2(prepared, negated, m2_acc=0.0)
-        assert report.invalidation_pct == 100.0
+        flags, pct = _evaluate_m2(prepared.cf1, negated)
+        assert pct == 100.0
+        assert flags.size == prepared.cf1.size and flags.all()
 
     def test_report_columns(self):
         report = rl.run_pipeline(small_config())
@@ -217,6 +220,24 @@ class TestSensitivitySweep:
         )
         assert points[0].invalidation_pct == solo.invalidation_pct
         assert points[0].cf1_size == solo.cf1_size
+
+    def test_runs_no_cross_validation(self, monkeypatch):
+        # sweep.csv prints no accuracy, so no job count may fit a CV fold
+        cfg = small_config()
+        alphas = [0.0, 0.4]
+        solo = [
+            rl.run_pipeline(replace(cfg, d2_source=rl.ShiftSpec("target_shift", a, 1200, 32)))
+            for a in alphas
+        ]
+        expected = [(a, r.invalidation_pct, r.cf1_size) for a, r in zip(alphas, solo)]
+
+        def no_cv(*args, **kwargs):
+            raise AssertionError("the sweep ran cross-validation")
+
+        monkeypatch.setattr(shiftlab, "cross_val_accuracy", no_cv)
+        for jobs in (1, 2):
+            points = rl.sensitivity_sweep("target_shift", alphas, cfg, jobs=jobs)
+            assert [(p.alpha, p.invalidation_pct, p.cf1_size) for p in points] == expected
 
 
 class TestCostInvalidationCheck:
