@@ -34,7 +34,6 @@ from .recourse import (
     ScmVariable,
     ar_search,
     batch_recourse,
-    causal_recourse,
     default_chain_scm,
     fit_local_linear,
 )
@@ -63,8 +62,7 @@ __all__ = [
     "ModelSpec", "TrainedModel", "accuracy", "cross_val_accuracy",
     "linear_model", "parallel_perturb", "train",
     "CostFn", "RecourseRecord", "RecourseSet", "Scm", "ScmVariable",
-    "ar_search", "batch_recourse", "causal_recourse",
-    "default_chain_scm", "fit_local_linear",
+    "ar_search", "batch_recourse", "default_chain_scm", "fit_local_linear",
     "CsvSource", "ExperimentConfig", "InvalidationReport", "Seeds",
     "cost_invalidation_check", "invalidation_fraction", "run_pipeline",
     "sensitivity_sweep",

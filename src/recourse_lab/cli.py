@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .dataset import Dataset, FeatureSchema, FeatureSpec, ShiftSpec, synth_base
-from .errors import ConfigError, RecourseLabError, SchemaMismatchError
+from .errors import ConfigError, DataValidationError, RecourseLabError, SchemaMismatchError
 from .models import ModelSpec, linear_model
 from .recourse import RECOURSE_METHODS, CostFn, Scm, ScmVariable, method_params
 from .shiftlab import (
@@ -84,8 +84,8 @@ def _parse_source(doc, field: str):
         schema_doc = _get(sub, f"{field}.schema", dict)
         try:
             schema = FeatureSchema.from_dict(schema_doc)
-        except Exception as exc:
-            _fail(f"{field}.schema", str(exc))
+        except DataValidationError as exc:  # its message starts with the path inside the schema
+            raise ConfigError(f"{field}.schema.{exc}") from None
         return CsvSource(path=path, schema=schema)
     _fail(field, 'source must be "synthetic" or "csv"')
 

@@ -15,6 +15,7 @@ Four search strategies produce points the model classifies +1:
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -60,14 +61,13 @@ class CostFn:
             return np.abs(diff).sum(axis=1)
         return np.linalg.norm(diff, axis=1)
 
-    def gradient(self, A, B) -> np.ndarray:
-        """Subgradient of cost(A_i, B_i) with respect to A_i, rowwise."""
-        diff = np.asarray(A, dtype=float) - np.asarray(B, dtype=float)
+    def costs_and_subgradient(self, diff):
+        """Rowwise costs of diff = A - B and their subgradients with respect to A."""
         if self.norm == "L1":
-            return np.sign(diff)
-        norms = np.linalg.norm(diff, axis=1, keepdims=True)
-        safe = np.where(norms > 1e-12, norms, 1.0)
-        return np.where(norms > 1e-12, diff / safe, 0.0)
+            return np.abs(diff).sum(axis=1), np.sign(diff)
+        norms = np.linalg.norm(diff, axis=1)
+        nonzero = norms[:, None] > 1e-12
+        return norms, np.divide(diff, norms[:, None], out=np.zeros_like(diff), where=nonzero)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,6 +172,9 @@ def _cfe_batch(model, data, rows, cost, p, seed, scm):
 
     A stage descends on contiguous copies of its live rows, in row order, and
     drops rows from them as they freeze, so no step gathers or scatters state.
+    Each step takes the costs and their subgradient from one difference to the
+    origins; the cheapest-valid bookkeeping reuses those costs. Rows only leave
+    a stage, so its live rows share one step count and one bias correction.
 
     Returns (list of recourse vectors or None, iterations array).
     """
@@ -181,6 +184,8 @@ def _cfe_batch(model, data, rows, cost, p, seed, scm):
     margin = p["margin_target"]
     lam = np.full(n, p["lambda_init"])
     z = X.copy()
+    # Adam bias corrections per step, as array powers (Python's float ** may differ in the last bit)
+    bias1, bias2 = (1.0 - b ** np.arange(1.0, p["inner_iters"] + 1.0) for b in (_B1, _B2))
 
     done = np.zeros(n, dtype=bool)
     final = [None] * n
@@ -190,12 +195,9 @@ def _cfe_batch(model, data, rows, cost, p, seed, scm):
     seen_cost = np.full(n, np.inf)
     has_seen = np.zeros(n, dtype=bool)
 
-    def remember_valid(rows, zr, f):
-        valid = f >= 0.0
-        rows, zr = rows[valid], zr[valid]
-        if rows.size:
-            c = cost.pairwise(zr, X[rows])
-            better = c < seen_cost[rows]
+    def remember_valid(rows, zr, f, c):
+        better = (f >= 0.0) & (c < seen_cost[rows])
+        if better.any():
             rows = rows[better]
             seen_cost[rows] = c[better]
             seen_z[rows] = zr[better]
@@ -212,38 +214,37 @@ def _cfe_batch(model, data, rows, cost, p, seed, scm):
         active = np.flatnonzero(~done)
         if not active.size:
             break
-        idx, zl, Xl, laml = active, z[active], X[active], lam[active, None]
+        idx, zl, Xl, laml = active, z[active], X[active], lam[active]
         m_adam, v_adam = np.zeros((idx.size, d)), np.zeros((idx.size, d))
-        t = np.zeros((idx.size, 1))  # a float column: _B1 ** t stays an elementwise array power
-        for _it in range(p["inner_iters"]):
+        for t in range(p["inner_iters"]):
             if not idx.size:
                 break
             f = model.decision_values(zl)
-            remember_valid(idx, zl, f)
+            c, sub = cost.costs_and_subgradient(zl - Xl)
+            remember_valid(idx, zl, f, c)
             gap = np.maximum(0.0, margin - f)
-            g = laml * (-2.0 * gap[:, None]) * model.input_gradient(zl) + cost.gradient(zl, Xl)
+            g = (laml * (-2.0 * gap))[:, None] * model.input_gradient(zl) + sub
             if not np.all(np.isfinite(g)):
                 raise SearchError("non-finite search gradient")
-            t += 1.0
             m_adam = _B1 * m_adam + (1 - _B1) * g
             v_adam = _B2 * v_adam + (1 - _B2) * g * g
-            mhat = m_adam / (1.0 - _B1 ** t)
-            vhat = v_adam / (1.0 - _B2 ** t)
-            step = p["step_size"] * mhat / (np.sqrt(vhat) + 1e-8)
+            step = p["step_size"] * (m_adam / bias1[t]) / (np.sqrt(v_adam / bias2[t]) + 1e-8)
             zl = zl - step
-            frozen = np.abs(step).max(axis=1) < p["tolerance"]
+            # a running max over columns: exact, and far cheaper than a row reduction
+            frozen = functools.reduce(np.maximum, np.abs(step).T) < p["tolerance"]
             if frozen.any():
                 z[idx[frozen]] = zl[frozen]
-                iters[idx[frozen]] += t[frozen, 0].astype(int)
+                iters[idx[frozen]] += t + 1
                 keep = ~frozen
-                idx, zl, Xl, laml = idx[keep], zl[keep], Xl[keep], laml[keep]
-                m_adam, v_adam, t = m_adam[keep], v_adam[keep], t[keep]
+                idx, zl, Xl, laml, m_adam, v_adam = (
+                    a[keep] for a in (idx, zl, Xl, laml, m_adam, v_adam))
         z[idx] = zl
-        iters[idx] += t[:, 0].astype(int)
-        remember_valid(active, z[active], model.decision_values(z[active]))
+        iters[idx] += p["inner_iters"]  # rows still live ran every step
+        za = z[active]
+        remember_valid(active, za, model.decision_values(za), cost.pairwise(za, X[active]))
 
         # converged iterate first, cheapest valid iterate as the fallback
-        accept(active, _snap_to_schema(schema, z[active]))
+        accept(active, _snap_to_schema(schema, za))
         rows = active[~done[active] & has_seen[active]]
         if rows.size:
             accept(rows, _snap_to_schema(schema, seen_z[rows]))
@@ -566,29 +567,6 @@ def default_chain_scm(names=("x0", "x1", "x2")) -> Scm:
     ))
 
 
-def causal_recourse(
-    scm: Scm,
-    model: TrainedModel,
-    x,
-    data: Dataset,
-    cost: CostFn,
-    grid_percentiles=DECILE_PERCENTILES,
-    max_intervened: int = 2,
-) -> RecourseRecord | None:
-    """Cheapest grid intervention whose propagated point the model accepts.
-
-    Grids hold empirical percentiles of `data`. Cost is measured between x and
-    the full post-intervention vector. Enumeration is exhaustive over
-    interventions touching at most max_intervened variables.
-    """
-    values, mask = _intervention_rows(scm, model, data, grid_percentiles, max_intervened)
-    x = np.asarray(x, dtype=float)
-    if model.predict(x) == 1:
-        return _record(model, x, x, cost, "causal", 0)
-    point, evaluated = _causal_point(scm, model, x, values, mask, cost)
-    return None if point is None else _record(model, x, point, cost, "causal", evaluated)
-
-
 def _intervention_rows(scm: Scm, model: TrainedModel, data: Dataset, percentiles, max_intervened: int):
     """Every grid intervention on 1..max_intervened variables as (values, mask)
     rows, in order of size, then variables, then grid values."""
@@ -634,8 +612,10 @@ def _causal_point(scm: Scm, model: TrainedModel, x: np.ndarray, values, mask, co
 
 
 def _causal_batch(model, data, rows, cost, p, seed, scm):
-    """causal_recourse from each origin data.X[rows], with grids and
-    intervention rows built once; the default chain stands in for a missing scm."""
+    """Cheapest grid intervention on at most max_intervened variables from each
+    origin data.X[rows], costed against the full propagated point. Grids (the
+    data's empirical percentiles) and intervention rows are built once; the
+    default chain stands in for a missing scm."""
     if scm is None:
         if data.schema.n_features != 3:
             raise ValueError("no SCM given and the default chain needs 3 features")

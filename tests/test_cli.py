@@ -196,6 +196,22 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert f"config error: {field}: unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, entry", [
+        ("d1_source.csv.schema.features[1].actionable", {"actionable": "false"}),
+        ("d1_source.csv.schema.features[1].lower", {"lower": True}),
+        ("d1_source.csv.schema.features[1].upper", {"upper": math.nan}),
+        ("d1_source.csv.schema.features[1].actionble", {"actionble": False}),
+    ], ids=["actionable-str", "lower-bool", "upper-nan", "misspelt-key"])
+    def test_bad_csv_schema_names_path(self, tmp_path, capsys, monkeypatch, field, entry):
+        def no_training(*args, **kwargs):
+            raise AssertionError("config errors must come before any training")
+
+        monkeypatch.setattr(shiftlab, "train", no_training)
+        schema_doc = {"features": [{"name": "x0"}, {"name": "x1", **entry}], "label": "label"}
+        cfg = write_config(tmp_path, d1_source={"csv": {"path": "d1.csv", "schema": schema_doc}})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {field}:" in capsys.readouterr().err
+
     def test_incompatible_source_schemas_exit_2(self, tmp_path, capsys):
         schema_doc = {"features": [{"name": "z0"}], "label": "label"}
         cfg = write_config(

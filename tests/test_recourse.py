@@ -50,6 +50,15 @@ def mlp1500():
     return data, rl.train(rl.ModelSpec.mlp(epochs=20, seed=1), data)
 
 
+@pytest.fixture(scope="module")
+def readme_m1():
+    """The README run's first training sample and its model."""
+    d1 = rl.synth_shift(rl.ShiftSpec("target_shift", 0.0, 5000, 101))
+    train, _ = rl.split(d1, 0.1, derive_seed(0, "d1-split"))
+    spec = rl.ModelSpec.logistic(learning_rate=0.5, epochs=300, l2_penalty=1e-4, seed=1)
+    return train, rl.train(spec, train)
+
+
 def count_decision_calls(monkeypatch):
     """Patch TrainedModel.decision_values to log the rows of every call; return the log."""
     calls = []
@@ -82,6 +91,17 @@ def reference_propagate(scm, x, interventions):
         else:
             out[i] = u[i] + sum(coeff * out[parent] for parent, coeff in var.parents)
     return out
+
+
+def cost_gradient(cost, A, B):
+    """Subgradient of cost(A_i, B_i) with respect to A_i, rowwise, as the
+    masked kernel computed it."""
+    diff = np.asarray(A, dtype=float) - np.asarray(B, dtype=float)
+    if cost.norm == "L1":
+        return np.sign(diff)
+    norms = np.linalg.norm(diff, axis=1, keepdims=True)
+    safe = np.where(norms > 1e-12, norms, 1.0)
+    return np.where(norms > 1e-12, diff / safe, 0.0)
 
 
 def masked_cfe_batch(model, data, rows, cost, p, seed, scm):
@@ -133,7 +153,7 @@ def masked_cfe_batch(model, data, rows, cost, p, seed, scm):
             remember_valid(np.flatnonzero(live), f)
             grad_f = model.input_gradient(zl)
             gap = np.maximum(0.0, margin - f)
-            g = lam[live, None] * (-2.0 * gap[:, None]) * grad_f + cost.gradient(zl, X[live])
+            g = lam[live, None] * (-2.0 * gap[:, None]) * grad_f + cost_gradient(cost, zl, X[live])
             if not np.all(np.isfinite(g)):
                 raise SearchError("non-finite search gradient")
             t_adam[live] += 1
@@ -252,16 +272,13 @@ class TestCfeSearch:
         ratio = cf.costs() / proj
         assert np.mean(ratio <= 1.10) >= 0.95
 
-    def test_stationary_point_on_readme_config(self):
+    def test_stationary_point_on_readme_config(self, readme_m1):
         # Wachter et al. 2017: on a linear model with L2 cost the penalized
         # objective lam * (margin - f)^2 + ||z - x|| has its optimum on the line
         # along w from x, where f = margin - 1 / (2 * lam * ||w||). The README
         # run accepts at lam = 1; the cheapest-valid-iterate fallback keeps a
         # few points off the optimum (0.0193 at most when measured).
-        d1 = rl.synth_shift(rl.ShiftSpec("target_shift", 0.0, 5000, 101))
-        train, _ = rl.split(d1, 0.1, derive_seed(0, "d1-split"))
-        m1 = rl.train(rl.ModelSpec.logistic(learning_rate=0.5, epochs=300, l2_penalty=1e-4,
-                                            seed=1), train)
+        train, m1 = readme_m1
         margin, lam = 0.2, 1.0
         cf = rl.batch_recourse(m1, train, "cfe", rl.CostFn("L2"),
                                params={"margin_target": margin}, seed=2)
@@ -325,6 +342,24 @@ class TestCfeCompaction:
                               0, None)
         accepted_first = sum(pt is not None for pt in first)
         assert 0 < accepted_first < sum(pt is not None for pt in points)
+
+    @pytest.mark.parametrize("norm", ["L1", "L2"])
+    def test_nine_feature_linear_model(self, norm):
+        # row norms over 9 columns sum in blocks, not one column at a time
+        schema = rl.FeatureSchema(tuple(rl.FeatureSpec(f"x{j}") for j in range(9)))
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((300, 9))
+        model = rl.linear_model(rng.uniform(-1.0, 1.0, 9), -1.0, schema)
+        data = rl.Dataset(schema, X, model.predict(X))
+        rows = np.flatnonzero(data.y == -1)[:60]
+        points = self.assert_same_search(model, data, rows, rl.CostFn(norm))
+        assert any(pt is not None for pt in points)
+
+    def test_readme_config(self, readme_m1):
+        train, m1 = readme_m1
+        rows = np.flatnonzero(m1.predict(train.X) == -1)[:300]
+        points = self.assert_same_search(m1, train, rows, rl.CostFn("L2"), {"margin_target": 0.2})
+        assert sum(pt is not None for pt in points) == 300
 
     def test_ordinal_and_binary_schema(self):
         schema = rl.FeatureSchema((
@@ -605,6 +640,12 @@ class TestScm:
                 assert np.array_equal(batch[k], expected)
 
 
+def causal_by_origin(model, data, scm):
+    """Causal records of batch_recourse over all of data, keyed by origin bytes."""
+    cf = rl.batch_recourse(model, data, "causal", rl.CostFn("L2"), scm=scm)
+    return {r.origin.tobytes(): r for r in cf.records}
+
+
 class TestCausalRecourse:
     def setup_case(self):
         scm = rl.Scm((
@@ -620,12 +661,13 @@ class TestCausalRecourse:
         rng = np.random.default_rng(8)
         sample = sample_scm(scm, 400, 12)
         data = rl.Dataset(schema, sample, np.where(model.predict(sample) == 1, 1, -1))
+        records = causal_by_origin(model, data, scm)
         checked = 0
         for _ in range(15):
             x = sample[rng.integers(0, 400)]
             if model.predict(x) == 1:
                 continue
-            rec = rl.causal_recourse(scm, model, x, data, rl.CostFn("L2"))
+            rec = records.get(x.tobytes())
             # oracle: enumerate every grid intervention directly
             best = np.inf
             grids = {j: _percentile_grid(data.X[:, j], DECILE_PERCENTILES) for j in (0, 1)}
@@ -648,9 +690,9 @@ class TestCausalRecourse:
     def test_downstream_effects_counted_in_cost(self):
         scm, schema, model = self.setup_case()
         x = np.array([-1.0, -0.3])
-        sample = sample_scm(scm, 400, 12)
+        sample = np.vstack([sample_scm(scm, 400, 12), x])
         data = rl.Dataset(schema, sample, model.predict(sample))
-        rec = rl.causal_recourse(scm, model, x, data, rl.CostFn("L2"))
+        rec = causal_by_origin(model, data, scm).get(x.tobytes())
         assert rec is not None
         assert rec.cost == pytest.approx(rl.CostFn("L2")(x, rec.recourse), abs=1e-9)
 
@@ -661,7 +703,7 @@ class TestCausalRecourse:
 
         data = rl.synth_base(50, 0)
         with pytest.raises(SchemaMismatchError):
-            rl.causal_recourse(scm, model, np.zeros(2), data, rl.CostFn("L2"))
+            rl.batch_recourse(model, data, "causal", rl.CostFn("L2"), scm=scm)
 
 
 class TestBatchRecourse:
