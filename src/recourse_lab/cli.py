@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .dataset import Dataset, FeatureSchema, FeatureSpec, ShiftSpec, synth_base
 from .errors import ConfigError, DataValidationError, RecourseLabError, SchemaMismatchError
-from .models import ModelSpec, linear_model
+from .models import ModelSpec, linear_model, train
 from .recourse import RECOURSE_METHODS, CostFn, Scm, ScmVariable, method_params
 from .shiftlab import (
     CsvSource,
@@ -28,6 +28,7 @@ from .shiftlab import (
     run_pipeline,
     sensitivity_sweep,
     sweep_csv_text,
+    sweep_sources,
 )
 from .theory import BoundInput, verify_bound
 from .util import atomic_write_text, canonical_json, is_number
@@ -198,9 +199,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
         _fail("d2_source.schema", str(exc))
     except ValueError as exc:
         message = str(exc)
-        field = "holdout_fraction" if "holdout_fraction" in message else (
+        field = "recourse.params.n_samples" if "n_samples" in message else (
+            "holdout_fraction" if "holdout_fraction" in message else (
             "recourse.method" if "method" in message else (
-                "cv_folds" if "cv_folds" in message else "config"))
+                "cv_folds" if "cv_folds" in message else "config")))
         _fail(field, message)
 
 
@@ -232,10 +234,16 @@ def _write_manifest(out_dir: str, doc: dict, outputs: list[str], started: float)
     return path
 
 
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ConfigError(f"--jobs: must be at least 1, got {jobs}")
+
+
 def cmd_run(args) -> int:
     started = time.monotonic()
+    _check_jobs(args.jobs)
     cfg, doc = _load_config(args.config)
-    report = run_pipeline(cfg)
+    report = run_pipeline(cfg, jobs=args.jobs)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "report.csv")
     json_path = os.path.join(args.out, "report.json")
@@ -248,15 +256,17 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     started = time.monotonic()
+    _check_jobs(args.jobs)
     cfg, doc = _load_config(args.config)
     try:
         alphas = [float(a) for a in args.alphas.split(",") if a.strip() != ""]
     except ValueError:
         raise ConfigError(f"alphas: expected comma-separated numbers, got {args.alphas!r}")
     try:
-        points = sensitivity_sweep(args.scenario, alphas, cfg, jobs=args.jobs)
+        sweep_sources(args.scenario, alphas, cfg)
     except ValueError as exc:
         raise ConfigError(f"sweep: {exc}")
+    points = sensitivity_sweep(args.scenario, alphas, cfg, jobs=args.jobs)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "sweep.csv")
     atomic_write_text(csv_path, sweep_csv_text(points))
@@ -289,8 +299,6 @@ def cmd_bounds(args) -> int:
     if args.verify:
         if args.kind == "continuous":
             data = synth_base(4000, seed=0)
-            from .models import train
-
             model = train(ModelSpec.logistic(epochs=200), data)
         else:
             model, data = _builtin_ordinal_setup(args.delta)
@@ -309,10 +317,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Measure recourse invalidation under model updates and verify its bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    cpus = len(os.sched_getaffinity(0))
+    jobs_help = "most processes doing work at once (default: usable CPUs, here %(default)s)"
 
     p_run = sub.add_parser("run", help="run the paired-model pipeline from a JSON config")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default="out")
+    p_run.add_argument("--jobs", type=int, default=cpus, help=jobs_help)
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="invalidation curve over shift magnitudes")
@@ -320,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", default="out")
     p_sweep.add_argument("--scenario", required=True, choices=("target_shift", "predictor_shift"))
     p_sweep.add_argument("--alphas", required=True, help="comma-separated shift magnitudes")
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--jobs", type=int, default=cpus, help=jobs_help)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_bounds = sub.add_parser("bounds", help="closed-form invalidation bound")

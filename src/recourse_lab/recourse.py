@@ -140,20 +140,18 @@ def _snap_to_schema(schema: FeatureSchema, Z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _boundary_distance(model: TrainedModel, x: np.ndarray) -> float | None:
-    if not model.is_linear:
-        return None
-    w = model.weight_vector
-    norm = float(np.linalg.norm(w))
-    if norm == 0.0:
-        return None
-    return float((w @ x + model.bias) / norm)
+def _weight_norm(model: TrainedModel) -> float:
+    """Norm of a linear model's weights; 0.0, meaning no boundary distance, for an MLP."""
+    return float(np.linalg.norm(model.weight_vector)) if model.is_linear else 0.0
 
 
-def _record(model: TrainedModel, x, point, cost: CostFn, method: str, iterations) -> RecourseRecord:
+def _record(model: TrainedModel, x, point, cost: CostFn, method: str, iterations,
+            w_norm: float) -> RecourseRecord:
+    """One record; `w_norm` is `_weight_norm(model)`, taken once per batch."""
+    distance = float((model.weight_vector @ point + model.bias) / w_norm) if w_norm else None
     return RecourseRecord(
         origin=x, recourse=point, cost=cost(x, point), method=method,
-        iterations=int(iterations), boundary_distance=_boundary_distance(model, point),
+        iterations=int(iterations), boundary_distance=distance,
     )
 
 
@@ -316,7 +314,7 @@ def ar_search(
     x = np.asarray(x, dtype=float)
     grids = _action_grids(model, data, grid_percentiles)
     point, popped = _ar_point(model, x, grids, cost, max_changed_features)
-    return None if point is None else _record(model, x, point, cost, "ar", popped)
+    return None if point is None else _record(model, x, point, cost, "ar", popped, _weight_norm(model))
 
 
 def _action_grids(model: TrainedModel, data: Dataset, percentiles) -> dict:
@@ -722,8 +720,9 @@ def batch_recourse(
     proposed = np.reshape([points[k] for k in found], (len(found), data.schema.n_features))
     # surrogates and snapping may propose points the true model rejects
     valid = model.predict(proposed) == 1
+    w_norm = _weight_norm(model)
     records = [
-        _record(model, data.X[rows[k]], points[k], cost, method, iters[k])
+        _record(model, data.X[rows[k]], points[k], cost, method, iters[k], w_norm)
         for k, ok in zip(found, valid) if ok
     ]
     return RecourseSet(tuple(records), model, len(points) - len(records))

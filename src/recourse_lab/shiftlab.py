@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import csv
 import io
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
-from .dataset import Dataset, FeatureSchema, ShiftSpec, load_csv, split, synth_shift
+from .dataset import Dataset, FeatureSchema, ShiftSpec, load_csv, split, synth_schema, synth_shift
 from .errors import (
     DegenerateMetricError,
     SchemaMismatchError,
@@ -64,19 +63,23 @@ class ExperimentConfig:
             )
         if self.method not in ALGORITHM_LABELS:
             raise ValueError(f"unknown recourse method {self.method!r}")
-        method_params(self.method, self.method_params)
+        params = method_params(self.method, self.method_params)
         if self.cv_folds < 2:
             raise ValueError("cv_folds must be at least 2")
         s1, s2 = _source_schema(self.d1_source), _source_schema(self.d2_source)
         if not s1.compatible_with(s2):
             raise SchemaMismatchError("d1 and d2 sources have incompatible schemas")
+        # the AR surrogate fit needs 10 samples per feature; checked here, before any training
+        if self.method == "ar" and params["n_samples"] < 10 * s1.n_features:
+            raise ValueError(
+                f"n_samples must be at least 10 * {s1.n_features} features, "
+                f"got {params['n_samples']}"
+            )
 
 
 def _source_schema(source) -> FeatureSchema:
     if isinstance(source, CsvSource):
         return source.schema
-    from .dataset import synth_schema
-
     return synth_schema()
 
 
@@ -156,13 +159,25 @@ class _Prepared:
     cf1: RecourseSet
 
 
-def _prepare(cfg: ExperimentConfig) -> _Prepared:
-    d1 = _materialize(cfg.d1_source)
+def _training_sample(cfg: ExperimentConfig, source, split_name: str) -> Dataset:
+    """The source's sample less its holdout; `split_name` keys the split seed."""
+    data = _materialize(source)
     if cfg.holdout_fraction > 0.0:
-        d1_train, _ = split(d1, cfg.holdout_fraction, derive_seed(cfg.seeds.data, "d1-split"))
-    else:
-        d1_train = d1
-    spec = replace(cfg.model_spec, seed=cfg.seeds.model)
+        data, _ = split(data, cfg.holdout_fraction, derive_seed(cfg.seeds.data, split_name))
+    return data
+
+
+def _check_compatible(d1_train: Dataset, d2_train: Dataset) -> None:
+    if not d1_train.schema.compatible_with(d2_train.schema):
+        raise SchemaMismatchError("d2 schema incompatible with d1")
+
+
+def _model_spec(cfg: ExperimentConfig) -> ModelSpec:
+    return replace(cfg.model_spec, seed=cfg.seeds.model)
+
+
+def _prepare(cfg: ExperimentConfig, d1_train: Dataset) -> _Prepared:
+    spec = _model_spec(cfg)
     m1 = train(spec, d1_train)
     cf1 = batch_recourse(
         m1, d1_train, cfg.method, cfg.cost,
@@ -179,34 +194,83 @@ def _evaluate_m2(cf1: RecourseSet, m2: TrainedModel) -> tuple[np.ndarray, float 
     return flags, 100.0 * float(np.mean(flags))
 
 
-def _run_d2(prepared: _Prepared, d2_source) -> tuple[Dataset, TrainedModel]:
-    """The d2 training sample and M2 trained on it."""
-    cfg = prepared.config
-    d2 = _materialize(d2_source)
-    if not prepared.d1_train.schema.compatible_with(d2.schema):
-        raise SchemaMismatchError("d2 schema incompatible with d1")
-    if cfg.holdout_fraction > 0.0:
-        d2_train, _ = split(d2, cfg.holdout_fraction, derive_seed(cfg.seeds.data, "d2-split"))
+def _invalidation(cfg: ExperimentConfig, d1_train: Dataset, d2_train: Dataset):
+    """M1, its recourses, M2 and the flags: (CF1, flags, percentage)."""
+    prepared = _prepare(cfg, d1_train)
+    flags, pct = _evaluate_m2(prepared.cf1, train(prepared.model_spec, d2_train))
+    return prepared.cf1, flags, pct
+
+
+def _cross_validate(state, i: int) -> float:
+    spec, samples, folds = state
+    return cross_val_accuracy(spec, samples[i], folds)
+
+
+# Set by _init_worker in each pool worker; forked workers get its argument without pickling.
+_worker_state = None
+
+
+def _init_worker(state) -> None:
+    global _worker_state
+    _worker_state = state
+
+
+def _in_worker(fn, *args):
+    return fn(_worker_state, *args)
+
+
+def _fork_pool(workers: int, state):
+    """A pool of `workers` forked processes; run a task there as `_in_worker(fn, ...)`.
+
+    The pool modules are imported here, not at module level, because only a
+    parallel `run` or `sweep` forks.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+        initargs=(state,),
+    )
+
+
+def run_pipeline(cfg: ExperimentConfig, jobs: int = 1) -> InvalidationReport:
+    """Full paired-model run; deterministic given the config (seeds included).
+
+    Both training samples are loaded and their schemas checked before any
+    training. With jobs > 1, min(jobs - 1, 2) forked workers cross-validate
+    the two samples while this process trains M1, searches recourses, trains
+    M2 and evaluates; with jobs == 1 the CV runs last, in this process. The
+    report is the same at every `jobs`, and so is the first error: this
+    process raises its own before it reads a worker's result, and reads the
+    d1 CV before the d2 CV.
+    """
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    d1_train = _training_sample(cfg, cfg.d1_source, "d1-split")
+    d2_train = _training_sample(cfg, cfg.d2_source, "d2-split")
+    _check_compatible(d1_train, d2_train)
+    samples = (d1_train, d2_train)
+    cv_state = (_model_spec(cfg), samples, cfg.cv_folds)
+    workers = min(jobs - 1, len(samples))
+    if workers == 0:
+        cf1, flags, pct = _invalidation(cfg, *samples)
+        m1_acc, m2_acc = (_cross_validate(cv_state, i) for i in range(len(samples)))
     else:
-        d2_train = d2
-    return d2_train, train(prepared.model_spec, d2_train)
-
-
-def run_pipeline(cfg: ExperimentConfig) -> InvalidationReport:
-    """Full paired-model run; deterministic given the config (seeds included)."""
-    prepared = _prepare(cfg)
-    d2_train, m2 = _run_d2(prepared, cfg.d2_source)
-    flags, pct = _evaluate_m2(prepared.cf1, m2)
+        with _fork_pool(workers, cv_state) as pool:
+            pending = [pool.submit(_in_worker, _cross_validate, i) for i in range(len(samples))]
+            cf1, flags, pct = _invalidation(cfg, *samples)
+            m1_acc, m2_acc = (future.result() for future in pending)
     return InvalidationReport(
         algorithm=ALGORITHM_LABELS[cfg.method],
         model_kind=MODEL_LABELS[cfg.model_spec.kind],
-        m1_cv_acc=cross_val_accuracy(prepared.model_spec, prepared.d1_train, cfg.cv_folds),
-        m2_cv_acc=cross_val_accuracy(prepared.model_spec, d2_train, cfg.cv_folds),
-        cf1_size=prepared.cf1.size,
+        m1_cv_acc=m1_acc,
+        m2_cv_acc=m2_acc,
+        cf1_size=cf1.size,
         invalidation_pct=pct,
-        per_record=tuple(
-            (rec.cost, bool(flag)) for rec, flag in zip(prepared.cf1.records, flags)
-        ),
+        per_record=tuple((rec.cost, bool(flag)) for rec, flag in zip(cf1.records, flags)),
     )
 
 
@@ -218,56 +282,49 @@ class SweepPoint:
 
 
 def _sweep_point(prepared: _Prepared, d2_source: ShiftSpec) -> SweepPoint:
-    _, m2 = _run_d2(prepared, d2_source)
-    _, pct = _evaluate_m2(prepared.cf1, m2)
+    d2_train = _training_sample(prepared.config, d2_source, "d2-split")
+    _check_compatible(prepared.d1_train, d2_train)
+    _, pct = _evaluate_m2(prepared.cf1, train(prepared.model_spec, d2_train))
     return SweepPoint(d2_source.alpha, pct, prepared.cf1.size)
 
 
-# Set by _init_worker in each pool worker; forked workers get its argument without pickling.
-_worker_prepared: _Prepared | None = None
+def sweep_sources(scenario: str, alphas, base: ExperimentConfig) -> list[ShiftSpec]:
+    """The shifted d2 source of each alpha; raises ValueError for a bad alpha or base.
 
-
-def _init_worker(prepared: _Prepared) -> None:
-    global _worker_prepared
-    _worker_prepared = prepared
-
-
-def _worker_sweep_point(d2_source: ShiftSpec) -> SweepPoint:
-    return _sweep_point(_worker_prepared, d2_source)
+    The alphas must be nonempty and valid for the scenario, and both of the
+    base config's sources synthetic.
+    """
+    alphas = list(alphas)
+    if not alphas:
+        raise ValueError("alphas must be nonempty")
+    if not isinstance(base.d1_source, ShiftSpec) or not isinstance(base.d2_source, ShiftSpec):
+        raise ValueError("sensitivity_sweep needs synthetic d1 and d2 sources")
+    return [
+        ShiftSpec(scenario, float(alpha), base.d2_source.n, base.d2_source.seed)
+        for alpha in alphas
+    ]
 
 
 def sensitivity_sweep(scenario: str, alphas, base: ExperimentConfig, jobs: int = 1) -> list[SweepPoint]:
     """One pipeline run per shift magnitude, with the d1 sample and model fixed.
 
-    Every alpha, and `jobs` itself, is validated before any training, so a bad
-    alpha fails the same way whatever `jobs` is. The d1 side is prepared once
-    in the calling process. When min(jobs, len(alphas)) exceeds one, that many
-    forked workers run only the d2 side. The sweep trains no CV folds: a
-    SweepPoint holds no accuracy. Invalidation and CF1 size match per-alpha
-    run_pipeline calls exactly (all stages are pure).
+    Every alpha (see sweep_sources), and `jobs` itself, is validated before
+    any training, so a bad alpha fails the same way whatever `jobs` is. The
+    d1 side is prepared once in the calling process. When min(jobs,
+    len(alphas)) exceeds one, that many forked workers run only the d2 side.
+    The sweep trains no CV folds: a SweepPoint holds no accuracy.
+    Invalidation and CF1 size match per-alpha run_pipeline calls exactly (all
+    stages are pure).
     """
-    alphas = list(alphas)
-    if not alphas:
-        raise ValueError("alphas must be nonempty")
+    specs = sweep_sources(scenario, alphas, base)
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    if not isinstance(base.d1_source, ShiftSpec) or not isinstance(base.d2_source, ShiftSpec):
-        raise ValueError("sensitivity_sweep needs synthetic d1 and d2 sources")
-    specs = [
-        ShiftSpec(scenario, float(alpha), base.d2_source.n, base.d2_source.seed)
-        for alpha in alphas
-    ]
-    prepared = _prepare(base)
+    prepared = _prepare(base, _training_sample(base, base.d1_source, "d1-split"))
     workers = min(jobs, len(specs))
     if workers <= 1:
         return [_sweep_point(prepared, spec) for spec in specs]
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_init_worker,
-        initargs=(prepared,),
-    ) as pool:
-        return list(pool.map(_worker_sweep_point, specs))
+    with _fork_pool(workers, prepared) as pool:
+        return list(pool.map(partial(_in_worker, _sweep_point), specs))
 
 
 def sweep_csv_text(points) -> str:

@@ -1,7 +1,9 @@
+import csv
 import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from recourse_lab import shiftlab, theory
@@ -26,6 +28,53 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+# the README's example config
+README_DOC = {
+    "d1_source": {"synthetic": {"scenario": "target_shift", "alpha": 0.0, "n": 5000, "seed": 101}},
+    "d2_source": {"synthetic": {"scenario": "target_shift", "alpha": 0.3, "n": 5000, "seed": 202}},
+    "model": {"kind": "logistic_regression", "learning_rate": 0.5, "epochs": 300,
+              "l2_penalty": 1e-4},
+    "recourse": {"method": "cfe", "params": {"margin_target": 0.2}},
+    "cost": {"norm": "L2"},
+    "holdout_fraction": 0.1,
+    "seeds": {"data": 0, "model": 1, "recourse": 2},
+    "cv_folds": 10,
+}
+CHAIN_SCHEMA = {"features": [{"name": f"x{i}"} for i in range(3)], "label": "label"}
+
+
+def write_chain_csv(path, n, x0_mean, seed, labels=None):
+    """Rows of the default chain SCM, labelled +1 above a curved boundary unless `labels`."""
+    rng = np.random.default_rng(seed)
+    x0 = x0_mean + rng.standard_normal(n)
+    x1 = 0.8 * x0 + rng.standard_normal(n)
+    x2 = 0.5 * x1 + rng.standard_normal(n)
+    if labels is None:
+        labels = np.where(x0 + 0.5 * x1 + 0.4 * x2 * x2 - 0.5 >= 0.0, 1, -1)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x0", "x1", "x2", "label"])
+        for row in zip(x0, x1, x2, labels):
+            writer.writerow([repr(float(v)) for v in row[:3]] + [int(row[3])])
+    return {"csv": {"path": str(path), "schema": CHAIN_SCHEMA}}
+
+
+class InProcessPool:
+    """Stands in for shiftlab._fork_pool's executor, running every task in this process."""
+
+    def __init__(self, state):
+        shiftlab._init_worker(state)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
 
 
 @pytest.fixture(autouse=True)
@@ -285,9 +334,9 @@ class TestSweepCommand:
         calls = []
         prepare = shiftlab._prepare
 
-        def counting_prepare(cfg):
+        def counting_prepare(*args):
             calls.append(os.getpid())
-            return prepare(cfg)
+            return prepare(*args)
 
         monkeypatch.setattr(shiftlab, "_prepare", counting_prepare)
         cfg = write_config(tmp_path)
@@ -299,22 +348,12 @@ class TestSweepCommand:
     def test_workers_capped_at_alpha_count(self, tmp_path, monkeypatch):
         requested = []
 
-        class FakeExecutor:
-            def __init__(self, max_workers, initializer, initargs, **kwargs):
-                requested.append(max_workers)
-                initializer(*initargs)
+        def fake_pool(workers, state):
+            requested.append(workers)
+            return InProcessPool(state)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(shiftlab, "ProcessPoolExecutor", FakeExecutor)
-        monkeypatch.setattr(shiftlab, "_worker_prepared", None)
+        monkeypatch.setattr(shiftlab, "_fork_pool", fake_pool)
+        monkeypatch.setattr(shiftlab, "_worker_state", None)
         cfg = write_config(tmp_path)
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s"),
                      "--scenario", "target_shift", "--alphas", "0,0.4",
@@ -326,7 +365,7 @@ class TestSweepCommand:
             raise AssertionError("started work before checking --jobs")
 
         monkeypatch.setattr(shiftlab, "_prepare", no_work)
-        monkeypatch.setattr(shiftlab, "ProcessPoolExecutor", no_work)
+        monkeypatch.setattr(shiftlab, "_fork_pool", no_work)
         cfg = write_config(tmp_path)
         for jobs in ("0", "-3"):
             assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s"),
@@ -337,8 +376,117 @@ class TestSweepCommand:
         cfg = write_config(tmp_path)
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
         assert main(["sweep", "--config", str(cfg), "--out", str(out1),
-                     "--scenario", "target_shift", "--alphas", "0,0.4"]) == 0
+                     "--scenario", "target_shift", "--alphas", "0,0.4",
+                     "--jobs", "1"]) == 0
         assert main(["sweep", "--config", str(cfg), "--out", str(out2),
                      "--scenario", "target_shift", "--alphas", "0,0.4",
                      "--jobs", "2"]) == 0
         assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+
+
+class TestParallelRun:
+    def run_at_jobs(self, cfg, tmp_path, capsys, jobs):
+        out = tmp_path / f"out-{jobs}"
+        code = main(["run", "--config", str(cfg), "--out", str(out), "--jobs", jobs])
+        return code, capsys.readouterr().err, out
+
+    def test_readme_reports_identical_at_every_jobs(self, tmp_path, capsys):
+        cfg = tmp_path / "readme.json"
+        cfg.write_text(json.dumps(README_DOC))
+        files = []
+        for jobs in ("1", "2"):
+            code, _, out = self.run_at_jobs(cfg, tmp_path, capsys, jobs)
+            assert code == 0
+            files.append([(out / n).read_bytes() for n in ("report.csv", "report.json")])
+        assert files[0] == files[1]
+        # the README documents this row
+        assert files[0][0].decode().splitlines()[1] == "CFE,LR,99.62,99.71,2325,40.04"
+
+    def test_csv_mlp_causal_reports_identical_at_every_jobs(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            d1_source=write_chain_csv(tmp_path / "d1.csv", 300, 0.0, 1),
+            d2_source=write_chain_csv(tmp_path / "d2.csv", 300, 0.3, 2),
+            model={"kind": "mlp", "hidden_layers": [8], "learning_rate": 0.01, "epochs": 20},
+            recourse={"method": "causal", "params": {}},
+            cv_folds=3,
+        )
+        files = []
+        for jobs in ("1", "2", "3"):
+            code, _, out = self.run_at_jobs(cfg, tmp_path, capsys, jobs)
+            assert code == 0
+            files.append([(out / n).read_bytes() for n in ("report.csv", "report.json")])
+        assert files[0] == files[1] == files[2]
+
+    @pytest.mark.parametrize("d2_labels, message", [
+        (None, "need at least k=20 rows, got 11"),  # the d1 CV's error, read before d2's
+        ([1] * 16, "training data holds a single class"),  # M2's error beats the failing CV
+    ], ids=["cv", "m2-before-cv"])
+    def test_failure_identical_at_every_jobs(self, tmp_path, capsys, d2_labels, message):
+        # 11 and 14 training rows against 20 folds: every CV fails
+        cfg = write_config(
+            tmp_path,
+            d1_source=write_chain_csv(tmp_path / "d1.csv", 12, 0.0, 1, [1, -1] * 6),
+            d2_source=write_chain_csv(tmp_path / "d2.csv", 16, 0.3, 2, d2_labels),
+            cv_folds=20,
+        )
+        results = []
+        for jobs in ("1", "2", "3"):
+            code, err, _ = self.run_at_jobs(cfg, tmp_path, capsys, jobs)
+            results.append((code, err))
+        assert results[0] == results[1] == results[2]
+        assert results[0][0] == 1 and message in results[0][1]
+
+    def test_nonpositive_jobs_exit_2_before_loading(self, tmp_path, capsys, monkeypatch):
+        def no_loading(*args, **kwargs):
+            raise AssertionError("loaded a sample before checking --jobs")
+
+        monkeypatch.setattr(shiftlab, "_materialize", no_loading)
+        cfg = write_config(tmp_path)
+        for jobs in ("0", "-2"):
+            code, err, _ = self.run_at_jobs(cfg, tmp_path, capsys, jobs)
+            assert code == 2 and "config error: --jobs:" in err
+
+    def test_missing_d2_csv_fails_before_training(self, tmp_path, capsys, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before loading d2")
+
+        monkeypatch.setattr(shiftlab, "train", no_training)
+        cfg = write_config(
+            tmp_path,
+            d1_source=write_chain_csv(tmp_path / "d1.csv", 50, 0.0, 1),
+            d2_source={"csv": {"path": str(tmp_path / "absent.csv"), "schema": CHAIN_SCHEMA}},
+        )
+        for jobs in ("1", "2"):
+            code, err, _ = self.run_at_jobs(cfg, tmp_path, capsys, jobs)
+            assert code == 1 and "absent.csv" in err
+
+
+class TestExitCodesAgree:
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_too_few_surrogate_samples_exit_2_before_training(
+            self, tmp_path, capsys, monkeypatch, command):
+        def no_training(*args, **kwargs):
+            raise AssertionError("config errors must come before any training")
+
+        monkeypatch.setattr(shiftlab, "train", no_training)
+        cfg = write_config(tmp_path, model={"kind": "mlp", "hidden_layers": [4]},
+                           recourse={"method": "ar", "params": {"n_samples": 5}})
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+        if command == "sweep":
+            argv += ["--scenario", "target_shift", "--alphas", "0,0.4"]
+        assert main(argv) == 2
+        assert "config error: recourse.params.n_samples:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_runtime_value_error_exits_1(self, tmp_path, capsys, monkeypatch, command):
+        def failing_search(*args, **kwargs):
+            raise ValueError("search failed")
+
+        monkeypatch.setattr(shiftlab, "batch_recourse", failing_search)
+        cfg = write_config(tmp_path)
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o"), "--jobs", "1"]
+        if command == "sweep":
+            argv += ["--scenario", "target_shift", "--alphas", "0,0.4"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: search failed\n"

@@ -15,6 +15,7 @@ from recourse_lab.shiftlab import (
     _evaluate_m2,
     _prepare,
     _spearman,
+    _training_sample,
     sweep_csv_text,
 )
 
@@ -32,6 +33,10 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return rl.ExperimentConfig(**base)
+
+
+def prepare(cfg):
+    return _prepare(cfg, _training_sample(cfg, cfg.d1_source, "d1-split"))
 
 
 class TestConfig:
@@ -106,7 +111,7 @@ class TestRunPipeline:
 
     def test_negated_model_invalidates_everything(self):
         cfg = small_config()
-        prepared = _prepare(cfg)
+        prepared = prepare(cfg)
         m1 = prepared.m1
         negated = rl.linear_model(-m1.weight_vector, -m1.bias - 1e-9, m1.schema)
         flags, pct = _evaluate_m2(prepared.cf1, negated)
@@ -132,7 +137,7 @@ class TestRunPipeline:
 
     def test_accounting(self):
         cfg = small_config()
-        prepared = _prepare(cfg)
+        prepared = prepare(cfg)
         negatives = int(np.sum(prepared.m1.predict(prepared.d1_train.X) == -1))
         assert prepared.cf1.size + prepared.cf1.not_found == negatives
 
