@@ -43,7 +43,6 @@ from .shiftlab import (
     InvalidationReport,
     Seeds,
     cost_invalidation_check,
-    invalidation_fraction,
     run_pipeline,
     sensitivity_sweep,
 )
@@ -64,7 +63,7 @@ __all__ = [
     "CostFn", "RecourseRecord", "RecourseSet", "Scm", "ScmVariable",
     "ar_search", "batch_recourse", "default_chain_scm", "fit_local_linear",
     "CsvSource", "ExperimentConfig", "InvalidationReport", "Seeds",
-    "cost_invalidation_check", "invalidation_fraction", "run_pipeline",
+    "cost_invalidation_check", "run_pipeline",
     "sensitivity_sweep",
     "BoundCheck", "BoundInput", "bound_continuous", "bound_ordinal",
     "fit_rho", "verify_bound",

@@ -16,10 +16,10 @@ import time
 
 import numpy as np
 
-from . import __version__
+from . import __version__, models
 from .dataset import Dataset, FeatureSchema, FeatureSpec, ShiftSpec, synth_base
 from .errors import ConfigError, DataValidationError, RecourseLabError, SchemaMismatchError
-from .models import ModelSpec, linear_model, train
+from .models import ModelSpec, linear_model
 from .recourse import RECOURSE_METHODS, CostFn, Scm, ScmVariable, method_params
 from .shiftlab import (
     CsvSource,
@@ -137,6 +137,16 @@ _TOP_LEVEL_KEYS = ("d1_source", "d2_source", "model", "recourse", "cost",
                    "holdout_fraction", "seeds", "cv_folds", "scm")
 
 
+# (text in an ExperimentConfig error, config field it names), first match wins
+_CONFIG_ERROR_FIELDS = (
+    ("no scm", "scm"),
+    ("n_samples", "recourse.params.n_samples"),
+    ("holdout_fraction", "holdout_fraction"),
+    ("method", "recourse.method"),
+    ("cv_folds", "cv_folds"),
+)
+
+
 def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config: top level must be a JSON object")
@@ -199,10 +209,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         _fail("d2_source.schema", str(exc))
     except ValueError as exc:
         message = str(exc)
-        field = "recourse.params.n_samples" if "n_samples" in message else (
-            "holdout_fraction" if "holdout_fraction" in message else (
-            "recourse.method" if "method" in message else (
-                "cv_folds" if "cv_folds" in message else "config")))
+        field = next((name for key, name in _CONFIG_ERROR_FIELDS if key in message), "config")
         _fail(field, message)
 
 
@@ -299,7 +306,7 @@ def cmd_bounds(args) -> int:
     if args.verify:
         if args.kind == "continuous":
             data = synth_base(4000, seed=0)
-            model = train(ModelSpec.logistic(epochs=200), data)
+            model = models.train(ModelSpec.logistic(epochs=200), data)
         else:
             model, data = _builtin_ordinal_setup(args.delta)
         check = verify_bound(model, data, args.rho, args.delta, n_trials=2000, seed=0)

@@ -37,10 +37,6 @@ class SurrogateFitError(RecourseLabError):
     """Local linear surrogate could not be fit (degenerate design)."""
 
 
-class UndefinedMetricError(RecourseLabError):
-    """Metric requested on an empty input (e.g. invalidation of zero recourses)."""
-
-
 class DegenerateMetricError(RecourseLabError):
     """Metric requested on an input with no variation (e.g. identical costs)."""
 

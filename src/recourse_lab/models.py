@@ -7,6 +7,7 @@ linear kinds, an exact parallel translation of the decision boundary.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -124,13 +125,28 @@ class TrainedModel:
             )
         return Z
 
+    def _hidden(self, X, masks=None) -> np.ndarray:
+        """The last hidden layer's activations (the input, for the linear kinds).
+
+        A one-row batch runs as two copies of its row, because a one-row
+        matrix product takes another BLAS path that sums in another order, and
+        a row's bits must not depend on its batch. Callers keep the first
+        len(X) rows. Each hidden layer's ReLU mask is appended to `masks`.
+        """
+        Z = self._batch(X)
+        if len(Z) == 1:
+            Z = np.concatenate((Z, Z))
+        for W, b in self.layers[:-1]:
+            A = Z @ W + b
+            if masks is not None:
+                masks.append(A > 0.0)
+            Z = np.maximum(A, 0.0)
+        return Z
+
     def decision_values(self, X) -> np.ndarray:
         """Signed scores for a batch; pre-sigmoid logit for the MLP."""
-        Z = self._batch(X)
-        for W, b in self.layers[:-1]:
-            Z = np.maximum(Z @ W + b, 0.0)
         W, b = self.layers[-1]
-        return (Z @ W + b)[:, 0]
+        return (self._hidden(X) @ W + b)[:len(X), 0]
 
     def input_gradient(self, X) -> np.ndarray:
         """Exact gradient of the decision value with respect to each row of X.
@@ -139,16 +155,12 @@ class TrainedModel:
         kinds give w on every row, and the MLP backpropagates through the ReLU
         masks of one forward pass, taking ReLU'(0) = 0.
         """
-        Z = self._batch(X)
         masks = []
-        for W, b in self.layers[:-1]:
-            A = Z @ W + b
-            masks.append(A > 0.0)
-            Z = np.maximum(A, 0.0)
-        G = self.layers[-1][0].T.repeat(len(Z), axis=0)
+        rows = len(self._hidden(X, masks))
+        G = self.layers[-1][0].T.repeat(rows, axis=0)
         for (W, _), mask in zip(reversed(self.layers[:-1]), reversed(masks)):
             G = (G * mask) @ W.T
-        return G
+        return G[:len(X)]
 
     def decision_value(self, x) -> float:
         x = np.asarray(x, dtype=float)
@@ -214,13 +226,15 @@ def _train_linear(spec: ModelSpec, data: Dataset, hinge: bool) -> TrainedModel:
 
 
 def _layer_views(flat: np.ndarray, dims: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(W, b) per layer, each a view into one flat vector, in layer order."""
+    """(W, b) per layer as (k, fan_in, fan_out) and (k, 1, fan_out) views into
+    the rows of one (k, size) array, in layer order."""
+    k = flat.shape[0]
     views = []
     start = 0
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        W = flat[start:start + fan_in * fan_out].reshape(fan_in, fan_out)
+        W = flat[:, start:start + fan_in * fan_out].reshape(k, fan_in, fan_out)
         start += fan_in * fan_out
-        views.append((W, flat[start:start + fan_out]))
+        views.append((W, flat[:, start:start + fan_out].reshape(k, 1, fan_out)))
         start += fan_out
     return views
 
@@ -232,57 +246,87 @@ def _mlp_forward(params, X):
         Z = np.maximum(Z @ W + b, 0.0)
         acts.append(Z)
     W, b = params[-1]
-    return acts, (Z @ W + b)[:, 0]
+    return acts, (Z @ W + b)[..., 0]
 
 
-def _train_mlp(spec: ModelSpec, data: Dataset) -> TrainedModel:
-    X = data.X
-    y = data.y.astype(float)
-    n = X.shape[0]
-    dims = [X.shape[1], *spec.hidden_layers, 1]
+def _train_mlp(spec: ModelSpec, sets: list[Dataset]) -> list[TrainedModel]:
+    """One MLP per dataset, fitted as one stacked model; the datasets share a row count.
+
+    Every fit gets the initial weights and batch order of a lone fit, since
+    both depend only on spec.seed and the row count, and each stacked matmul
+    makes per fit the BLAS call of the lone fit's 2-D product, so the weights
+    equal those of separate fits bit for bit. A fit whose loss turns
+    non-finite raises DivergenceError once no earlier fit can: the first
+    diverging fit in order, with its own epoch.
+    """
+    X = np.stack([data.X for data in sets])
+    y = np.stack([data.y for data in sets]).astype(float)
+    k, n, d = X.shape
+    dims = [d, *spec.hidden_layers, 1]
     size = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
-    # Weights and gradients are views into two flat vectors, so one Adam
-    # update covers every tensor.
-    theta = np.zeros(size)
-    grad = np.empty(size)
+    # Weights and gradients are views into two (k, size) arrays, so one Adam
+    # update covers every tensor of every fit.
+    theta = np.zeros((k, size))
+    grad = np.empty((k, size))
     params = _layer_views(theta, dims)
     grads = _layer_views(grad, dims)
     init_rng = np.random.default_rng(spec.seed)
     for W, _ in params:
-        limit = np.sqrt(6.0 / (W.shape[0] + W.shape[1]))
-        W[...] = init_rng.uniform(-limit, limit, size=W.shape)
-    m_state = np.zeros(size)
-    v_state = np.zeros(size)
+        limit = np.sqrt(6.0 / (W.shape[1] + W.shape[2]))
+        W[...] = init_rng.uniform(-limit, limit, size=W.shape[1:])
+    m_state = np.zeros((k, size))
+    v_state = np.zeros((k, size))
+    work = np.empty((k, size))
+    update = np.empty((k, size))
     decay = 2.0 * spec.l2_penalty
     rng = np.random.default_rng(derive_seed(spec.seed, "mlp-batches"))
+    diverged = {}  # fit -> first epoch with a non-finite loss
     step = 0
     for epoch in range(spec.epochs):
         order = rng.permutation(n)
+        X_epoch, y_epoch = X[:, order], y[:, order]
         for start in range(0, n, _MLP_BATCH):
-            idx = order[start:start + _MLP_BATCH]
-            xb, yb = X[idx], y[idx]
+            xb = X_epoch[:, start:start + _MLP_BATCH]
+            yb = y_epoch[:, start:start + _MLP_BATCH]
             acts, logits = _mlp_forward(params, xb)
             # d/dlogit of mean softplus(-y * logit)
-            delta = ((-yb * sigmoid(-yb * logits)) / len(idx))[:, None]
+            delta = ((-yb * sigmoid(-yb * logits)) / yb.shape[1])[..., None]
             for li in range(len(params) - 1, -1, -1):
                 W, _ = params[li]
                 gW, gb = grads[li]
-                np.add(acts[li].T @ delta, decay * W, out=gW)
-                delta.sum(axis=0, out=gb)
+                np.add(acts[li].transpose(0, 2, 1) @ delta, decay * W, out=gW)
+                delta.sum(axis=1, keepdims=True, out=gb)
                 if li > 0:
-                    delta = (delta @ W.T) * (acts[li] > 0.0)
+                    delta = (delta @ W.transpose(0, 2, 1)) * (acts[li] > 0.0)
             step += 1
             c1 = 1.0 - _ADAM_BETA1 ** step
             c2 = 1.0 - _ADAM_BETA2 ** step
-            m_state = _ADAM_BETA1 * m_state + (1 - _ADAM_BETA1) * grad
-            v_state = _ADAM_BETA2 * v_state + (1 - _ADAM_BETA2) * grad * grad
-            theta -= spec.learning_rate * ((m_state / c1) / (np.sqrt(v_state / c2) + _ADAM_EPS))
+            # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g g, in place
+            m_state *= _ADAM_BETA1
+            m_state += np.multiply(grad, 1 - _ADAM_BETA1, out=work)
+            v_state *= _ADAM_BETA2
+            np.multiply(grad, 1 - _ADAM_BETA2, out=work)
+            v_state += np.multiply(work, grad, out=work)
+            # theta -= lr * ((m / c1) / (sqrt(v / c2) + eps))
+            np.divide(v_state, c2, out=work)
+            np.sqrt(work, out=work)
+            work += _ADAM_EPS
+            np.divide(m_state, c1, out=update)
+            update /= work
+            update *= spec.learning_rate
+            theta -= update
         _, logits = _mlp_forward(params, X)
-        loss = np.mean(np.logaddexp(0.0, -y * logits))
-        if not np.isfinite(loss):
-            raise DivergenceError(f"non-finite loss at epoch {epoch}")
-    layers = tuple((W.copy(), b.copy()) for W, b in params)
-    return TrainedModel(spec, data.schema, layers)
+        loss = np.mean(np.logaddexp(0.0, -y * logits), axis=1)
+        for fit in np.flatnonzero(~np.isfinite(loss)):
+            diverged.setdefault(int(fit), epoch)
+        if 0 in diverged:
+            break
+    if diverged:
+        raise DivergenceError(f"non-finite loss at epoch {diverged[min(diverged)]}")
+    return [
+        TrainedModel(spec, data.schema, tuple((W[i].copy(), b[i, 0].copy()) for W, b in params))
+        for i, data in enumerate(sets)
+    ]
 
 
 def train(spec: ModelSpec, data: Dataset) -> TrainedModel:
@@ -292,7 +336,7 @@ def train(spec: ModelSpec, data: Dataset) -> TrainedModel:
         return _train_linear(spec, data, hinge=False)
     if spec.kind == "linear_svm":
         return _train_linear(spec, data, hinge=True)
-    return _train_mlp(spec, data)
+    return _train_mlp(spec, [data])[0]
 
 
 def parallel_perturb(model: TrainedModel, delta_m: float) -> TrainedModel:
@@ -318,6 +362,28 @@ def accuracy(model: TrainedModel, data: Dataset) -> float:
     return 100.0 * float(np.mean(model.predict(data.X) == data.y))
 
 
+def _train_mlp_folds(spec: ModelSpec, sets: list[Dataset]) -> list[TrainedModel]:
+    """What a loop of `train` calls, one per set, gives: the MLPs, or its first error.
+
+    Consecutive sets of one size train as one stacked model. The sets before
+    the first untrainable one train before its TrainingError is raised, so an
+    earlier divergence wins, as it does in the loop.
+    """
+    usable, fault = sets, None
+    for i, data in enumerate(sets):
+        try:
+            _check_trainable(data)
+        except TrainingError as exc:
+            usable, fault = sets[:i], exc
+            break
+    models = []
+    for _, group in itertools.groupby(usable, key=lambda data: data.n):
+        models += _train_mlp(spec, list(group))
+    if fault is not None:
+        raise fault
+    return models
+
+
 def cross_val_accuracy(spec: ModelSpec, data: Dataset, k: int) -> float:
     """Mean held-out accuracy over k seeded, disjoint, near-equal folds, in [0, 100]."""
     if k < 2:
@@ -326,10 +392,15 @@ def cross_val_accuracy(spec: ModelSpec, data: Dataset, k: int) -> float:
         raise ValueError(f"need at least k={k} rows, got {data.n}")
     rng = np.random.default_rng(derive_seed(spec.seed, "cv-folds", data.n, k))
     folds = np.array_split(rng.permutation(data.n), k)
-    scores = []
+    sets = []
     for fold in folds:
         mask = np.ones(data.n, dtype=bool)
         mask[fold] = False
-        model = train(spec, data.subset(np.flatnonzero(mask)))
-        scores.append(accuracy(model, data.subset(fold)))
-    return float(np.mean(scores))
+        sets.append(data.subset(np.flatnonzero(mask)))
+    if spec.kind == "mlp":
+        # array_split gives at most two fold sizes, so at most two stacked fits
+        models = _train_mlp_folds(spec, sets)
+    else:
+        # stacked linear fits were slower than this loop
+        models = [train(spec, fold_data) for fold_data in sets]
+    return float(np.mean([accuracy(m, data.subset(fold)) for m, fold in zip(models, folds)]))

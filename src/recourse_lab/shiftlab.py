@@ -18,7 +18,6 @@ from .dataset import Dataset, FeatureSchema, ShiftSpec, load_csv, split, synth_s
 from .errors import (
     DegenerateMetricError,
     SchemaMismatchError,
-    UndefinedMetricError,
 )
 from .models import ModelSpec, TrainedModel, cross_val_accuracy, train
 from .recourse import CostFn, RecourseSet, Scm, batch_recourse, method_params
@@ -69,6 +68,10 @@ class ExperimentConfig:
         s1, s2 = _source_schema(self.d1_source), _source_schema(self.d2_source)
         if not s1.compatible_with(s2):
             raise SchemaMismatchError("d1 and d2 sources have incompatible schemas")
+        if self.method == "causal" and self.scm is None and s1.n_features != 3:
+            raise ValueError(
+                f"no scm given and the default causal chain needs 3 features, got {s1.n_features}"
+            )
         # the AR surrogate fit needs 10 samples per feature; checked here, before any training
         if self.method == "ar" and params["n_samples"] < 10 * s1.n_features:
             raise ValueError(
@@ -138,14 +141,6 @@ class InvalidationReport:
                 {"cost": cost, "invalidated": bool(flag)} for cost, flag in self.per_record
             ],
         }
-
-
-def invalidation_fraction(cf1: RecourseSet, m2: TrainedModel) -> float:
-    """Fraction of recourses the updated model classifies -1."""
-    if cf1.size == 0:
-        raise UndefinedMetricError("invalidation of an empty recourse set is undefined")
-    preds = m2.predict(cf1.recourse_matrix())
-    return float(np.mean(preds == -1))
 
 
 @dataclass(frozen=True, eq=False)

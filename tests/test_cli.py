@@ -2,11 +2,12 @@ import csv
 import json
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from recourse_lab import shiftlab, theory
+from recourse_lab import cli, models, shiftlab, theory
 from recourse_lab.cli import SEED_OVERRIDE_ENV, main
 
 
@@ -110,6 +111,17 @@ class TestBoundsCommand:
         assert lines[0] == "0.39347"
         gap = float(lines[1].split("abs_gap=")[1].split()[0])
         assert gap <= 0.05
+
+    @pytest.mark.parametrize("kind, fits", [("continuous", 1), ("ordinal", 0)])
+    def test_verify_trains_through_models_module(self, capsys, monkeypatch, kind, fits):
+        # a wrapper installed on recourse_lab.models.train must see every fit
+        calls = []
+        real_train = models.train
+        monkeypatch.setattr(models, "train", lambda *args: calls.append(args) or real_train(*args))
+        monkeypatch.setattr(cli, "verify_bound", lambda *args, **kwargs: SimpleNamespace(
+            empirical_q=0.5, theoretical_q=0.5, abs_gap=0.0, n=2000))
+        assert main(["bounds", "--rho", "0.5", "--delta", "2", "--kind", kind, "--verify"]) == 0
+        assert len(calls) == fits
 
     def test_missing_flag_exits_2(self):
         assert main(["bounds", "--rho", "1.0"]) == 2
@@ -477,6 +489,23 @@ class TestExitCodesAgree:
             argv += ["--scenario", "target_shift", "--alphas", "0,0.4"]
         assert main(argv) == 2
         assert "config error: recourse.params.n_samples:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_causal_without_scm_exits_2_before_training(
+            self, tmp_path, capsys, monkeypatch, command):
+        def no_training(*args, **kwargs):
+            raise AssertionError("config errors must come before any training")
+
+        monkeypatch.setattr(shiftlab, "train", no_training)
+        monkeypatch.setattr(models, "train", no_training)
+        # the synthetic samples have 2 features; the default chain needs 3
+        cfg = write_config(tmp_path, recourse={"method": "causal", "params": {}})
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+        if command == "sweep":
+            argv += ["--scenario", "target_shift", "--alphas", "0,0.4"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error: scm: no scm given" in err and "needs 3 features, got 2" in err
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_runtime_value_error_exits_1(self, tmp_path, capsys, monkeypatch, command):

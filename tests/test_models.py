@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import recourse_lab as rl
+from recourse_lab.models import _train_mlp_folds
 from recourse_lab.errors import (
     DivergenceError,
     SchemaMismatchError,
@@ -315,10 +316,10 @@ class TestNumericGradient:
 
     def test_batch_matches_single_rows(self, mlp3000):
         pts = np.random.default_rng(1).standard_normal((40, 2)) * 2
-        batch = mlp3000.input_gradient(pts)
-        for x, g in zip(pts, batch):
-            # a batched matrix product may sum in another order than a one-row one
-            assert np.allclose(g, mlp3000.input_gradient(x[None, :])[0], rtol=1e-12, atol=0.0)
+        for method in (mlp3000.input_gradient, mlp3000.decision_values):
+            batch = method(pts)
+            for x, want in zip(pts, batch):
+                assert np.array_equal(method(x[None, :])[0], want)
 
     def test_matches_central_difference_away_from_kinks(self, mlp3000):
         h = 1e-4
@@ -406,3 +407,78 @@ class TestCrossVal:
         data = rl.synth_base(300, 2)
         acc = rl.cross_val_accuracy(rl.ModelSpec.logistic(epochs=50), data, 3)
         assert 0.0 <= acc <= 100.0
+
+
+def cv_training_sets(data, k, seed):
+    """The k training sets of cross_val_accuracy's folds, in fold order."""
+    rng = np.random.default_rng(derive_seed(seed, "cv-folds", data.n, k))
+    folds = np.array_split(rng.permutation(data.n), k)
+    return folds, [data.subset(np.setdiff1d(np.arange(data.n), fold)) for fold in folds]
+
+
+def reference_cross_val(spec, data, k):
+    """A loop of `train` calls, one per fold: the mean held-out accuracy, or the
+    first failing fold with its exception type and message."""
+    folds, sets = cv_training_sets(data, k, spec.seed)
+    scores = []
+    for i, (fold, fold_data) in enumerate(zip(folds, sets)):
+        try:
+            model = rl.train(spec, fold_data)
+        except TrainingError as exc:
+            return i, type(exc), str(exc)
+        scores.append(rl.accuracy(model, data.subset(fold)))
+    return float(np.mean(scores))
+
+
+def cross_val_outcome(spec, data, k):
+    try:
+        return rl.cross_val_accuracy(spec, data, k)
+    except TrainingError as exc:
+        return type(exc), str(exc)
+
+
+class TestStackedFolds:
+    """MLP folds of one size train as one stacked model, equal to separate fits."""
+
+    @pytest.mark.parametrize("spec", [
+        rl.ModelSpec.mlp(epochs=6, seed=2),
+        rl.ModelSpec.mlp(hidden_layers=(10, 10, 5), learning_rate=1e-2, epochs=4,
+                         l2_penalty=1e-2, seed=7),
+    ], ids=["16-16", "10-10-5"])
+    @pytest.mark.parametrize("n, k", [(1000, 5), (1003, 5)], ids=["one-size", "two-sizes"])
+    def test_weights_equal_separate_fits(self, spec, n, k):
+        _, sets = cv_training_sets(rl.synth_base(n, 3), k, spec.seed)
+        assert len({fold_data.n for fold_data in sets}) == (1 if n % k == 0 else 2)
+        stacked = _train_mlp_folds(spec, sets)
+        for model, fold_data in zip(stacked, sets, strict=True):
+            for want in (rl.train(spec, fold_data).layers, reference_train_mlp(spec, fold_data)):
+                for (W, b), (W0, b0) in zip(model.layers, want, strict=True):
+                    assert np.array_equal(W, W0) and np.array_equal(b, b0)
+
+    @pytest.mark.parametrize("spec", [
+        rl.ModelSpec.mlp(hidden_layers=(8,), learning_rate=1e-2, epochs=5, seed=4),
+        rl.ModelSpec.logistic(epochs=40, seed=4),
+    ], ids=["mlp", "logistic"])
+    @pytest.mark.parametrize("n, k", [(600, 4), (601, 7)], ids=["one-size", "two-sizes"])
+    def test_cross_val_equals_fold_loop(self, spec, n, k):
+        data = rl.synth_base(n, 5)
+        assert rl.cross_val_accuracy(spec, data, k) == reference_cross_val(spec, data, k)
+
+    # diverging fits overflow on the way to a non-finite loss
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_first_failing_fold_raises_as_in_fold_loop(self):
+        base = rl.synth_base(300, 1)
+        # one -1 row: the training set of the fold that holds it has a single class
+        lone = rl.Dataset(base.schema, base.X, np.where(np.arange(300) == 17, -1, 1))
+        failing = {TrainingError: set(), DivergenceError: set()}
+        for data in (base, lone):
+            for lr in (1e-2, *np.geomspace(1e101, 1e103, 9)):
+                for seed, k in ((2, 4), (3, 7)):
+                    spec = rl.ModelSpec.mlp(learning_rate=lr, epochs=2, seed=seed)
+                    want = reference_cross_val(spec, data, k)
+                    if isinstance(want, tuple):
+                        failing[want[1]].add(want[0])
+                        want = want[1:]
+                    assert cross_val_outcome(spec, data, k) == want, (lr, seed, k)
+        # both kinds of failure, at the first fold and at a later one
+        assert all(min(folds) == 0 and max(folds) > 0 for folds in failing.values()), failing

@@ -8,7 +8,6 @@ from recourse_lab import shiftlab
 from recourse_lab.errors import (
     DegenerateMetricError,
     SchemaMismatchError,
-    UndefinedMetricError,
 )
 from recourse_lab.shiftlab import (
     REPORT_COLUMNS,
@@ -73,7 +72,7 @@ class TestConfig:
             small_config(d2_source=rl.CsvSource("nowhere.csv", other))
 
 
-class TestInvalidationFraction:
+class TestEvaluateM2:
     def make_cf(self):
         data = rl.synth_base(400, 3)
         model = rl.train(rl.ModelSpec.logistic(epochs=150), data)
@@ -88,18 +87,14 @@ class TestInvalidationFraction:
             def predict(self, X):
                 return fake_preds[: len(X)]
 
-        assert rl.invalidation_fraction(sub, Stub()) == pytest.approx(0.25)
+        flags, pct = _evaluate_m2(sub, Stub())
+        assert flags.tolist() == [False, False, True, False]
+        assert pct == pytest.approx(25.0)
 
-    def test_all_invalid(self):
-        cf, model = self.make_cf()
-        negated = rl.linear_model(-model.weight_vector, -model.bias - 1e-9, model.schema)
-        assert rl.invalidation_fraction(cf, negated) == 1.0
-
-    def test_empty_set_undefined(self):
+    def test_empty_set_has_no_percentage(self):
         _, model = self.make_cf()
-        empty = rl.RecourseSet((), model, 0)
-        with pytest.raises(UndefinedMetricError):
-            rl.invalidation_fraction(empty, model)
+        flags, pct = _evaluate_m2(rl.RecourseSet((), model, 0), model)
+        assert flags.size == 0 and pct is None
 
 
 class TestRunPipeline:
