@@ -1,7 +1,8 @@
 """Config-driven command line: `run`, `sweep`, and `bounds` subcommands.
 
-All randomness flows from the seeds named in the config; the environment
-variable RECOURSE_LAB_SEED_OVERRIDE (an integer) replaces every config seed
+This module alone knows the config JSON format (see parse_config). All
+randomness flows from the seeds named in the config; the environment variable
+RECOURSE_LAB_SEED_OVERRIDE (a nonnegative integer) replaces every config seed
 for smoke tests. Output files are written atomically.
 """
 
@@ -20,7 +21,7 @@ from . import __version__, models
 from .dataset import Dataset, FeatureSchema, FeatureSpec, ShiftSpec, synth_base
 from .errors import ConfigError, DataValidationError, RecourseLabError, SchemaMismatchError
 from .models import ModelSpec, linear_model
-from .recourse import RECOURSE_METHODS, CostFn, Scm, ScmVariable, method_params
+from .recourse import CostFn, Scm, ScmVariable
 from .shiftlab import (
     CsvSource,
     ExperimentConfig,
@@ -36,93 +37,105 @@ from .util import atomic_write_text, canonical_json, is_number
 SEED_OVERRIDE_ENV = "RECOURSE_LAB_SEED_OVERRIDE"
 
 
-def _fail(field: str, message: str):
-    raise ConfigError(f"{field}: {message}")
+def _fail(path: str, message: str):
+    raise ConfigError(f"{path}: {message}")
 
 
-def _get(doc: dict, field: str, expected=None, default=...):
-    if field.split(".")[-1] not in doc:
-        if default is not ...:
-            return default
-        _fail(field, "missing required field")
-    value = doc[field.split(".")[-1]]
-    if expected in (int, (int, float)):
-        if not (is_number(value, int) if expected is int else is_number(value)):
-            what = "an integer" if expected is int else "a finite number"
-            _fail(field, f"expected {what}, got {json.dumps(value)}")
-    elif expected is not None and not isinstance(value, expected):
-        _fail(field, f"expected {expected.__name__}, got {type(value).__name__}")
-    return value
+# kinds of config value: (test, what the error says was expected)
+_TEXT = (lambda v: isinstance(v, str), "a string")
+_BOOL = (lambda v: isinstance(v, bool), "a boolean")
+_INT = (lambda v: is_number(v, int), "an integer")
+_NUMBER = (is_number, "a finite number")
+_BOUND = (lambda v: is_number(v) or v in (-np.inf, np.inf), "a non-NaN number")
+_OBJECT = (lambda v: isinstance(v, dict), "an object")
+_LIST = (lambda v: isinstance(v, list), "a list")
+_WIDTHS = (lambda v: isinstance(v, list) and all(is_number(w, int) for w in v), "a list of integers")
+_PARENTS = (lambda v: isinstance(v, dict) and all(k.isdecimal() and is_number(c) for k, c in v.items()),
+            "an object of parent index: coefficient")
+_VARIABLES = (lambda v: v is None or (isinstance(v, list) and len(v) > 0), "a nonempty list of variables")
 
 
-def _known_keys(doc: dict, field: str, keys) -> dict:
-    """doc itself; a key outside `keys` exits 2 and names its full path."""
+def _read(doc, path: str, fields: dict) -> dict:
+    """doc's value, or the default, for each key of `fields`, which maps a key
+    to (default, kind); the default ... marks a required key. An unknown,
+    missing or mistyped key exits 2 and names its full path."""
+    if not isinstance(doc, dict):
+        _fail(path or "config", f"expected an object, got {json.dumps(doc)}")
+    at = f"{path}." if path else ""
     for key in doc:
-        if key not in keys:
-            _fail(f"{field}.{key}" if field else key, "unknown key")
-    return doc
+        if key not in fields:
+            _fail(at + key, "unknown key")
+    out = {}
+    for key, (default, (test, expected)) in fields.items():
+        if key not in doc:
+            if default is ...:
+                _fail(at + key, "missing required field")
+            out[key] = default
+        elif not test(doc[key]):
+            _fail(at + key, f"expected {expected}, got {json.dumps(doc[key])}")
+        else:
+            out[key] = doc[key]
+    return out
 
 
-def _parse_source(doc, field: str):
-    if not isinstance(doc, dict) or len(doc) != 1:
-        _fail(field, 'expected exactly one of {"synthetic": {...}} or {"csv": {...}}')
-    if "synthetic" in doc:
-        field = f"{field}.synthetic"
-        sub = _known_keys(_get(doc, field, dict), field, ("scenario", "alpha", "n", "seed"))
-        try:
-            return ShiftSpec(
-                scenario=_get(sub, f"{field}.scenario", str),
-                alpha=float(_get(sub, f"{field}.alpha", (int, float))),
-                n=int(_get(sub, f"{field}.n", int)),
-                seed=int(_get(sub, f"{field}.seed", int)),
-            )
-        except ValueError as exc:
-            _fail(field, str(exc))
-    if "csv" in doc:
-        field = f"{field}.csv"
-        sub = _known_keys(_get(doc, field, dict), field, ("path", "schema"))
-        path = _get(sub, f"{field}.path", str)
-        schema_doc = _get(sub, f"{field}.schema", dict)
-        try:
-            schema = FeatureSchema.from_dict(schema_doc)
-        except DataValidationError as exc:  # its message starts with the path inside the schema
-            raise ConfigError(f"{field}.schema.{exc}") from None
-        return CsvSource(path=path, schema=schema)
-    _fail(field, 'source must be "synthetic" or "csv"')
-
-
-def _parse_scm(doc, field: str) -> Scm:
-    if not isinstance(doc, list) or not doc:
-        _fail(field, "expected a nonempty list of variables")
-    variables = []
-    for i, var in enumerate(doc):
-        if not isinstance(var, dict):
-            _fail(f"{field}[{i}]", f"expected an object, got {type(var).__name__}")
-        _known_keys(var, f"{field}[{i}]", ("name", "parents", "intervenable"))
-        parents = _get(var, f"{field}[{i}].parents", dict, {})
-        for idx, coeff in parents.items():
-            if not (idx.isdecimal() and is_number(coeff)):
-                _fail(f"{field}[{i}].parents",
-                      f"expected parent index: coefficient, got {idx!r}: {coeff!r}")
-        variables.append(ScmVariable(
-            name=_get(var, f"{field}[{i}].name", str),
-            parents=tuple((int(idx), float(coeff)) for idx, coeff in parents.items()),
-            intervenable=bool(_get(var, f"{field}[{i}].intervenable", bool, True)),
-        ))
+def _made(prefix: str, make, **fields):
+    """make(**fields), exiting 2 on a ValueError, DataValidationError or
+    SchemaMismatchError it raises, with `prefix` put before the message. The
+    prefix ends in "." when make's messages start with the field they
+    concern, and in ": " when they do not."""
     try:
-        return Scm(tuple(variables))
-    except ValueError as exc:
-        _fail(field, str(exc))
+        return make(**fields)
+    except (ValueError, DataValidationError, SchemaMismatchError) as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
+
+
+def _parse_schema(doc, path: str) -> FeatureSchema:
+    top = _read(doc, path, {"features": (..., _LIST), "label": ("label", _TEXT)})
+    features = []
+    for i, entry in enumerate(top["features"]):
+        at = f"{path}.features[{i}]"
+        spec = _read(entry, at, {
+            "name": (..., _TEXT), "kind": ("continuous", _TEXT), "actionable": (True, _BOOL),
+            "lower": (-np.inf, _BOUND), "upper": (np.inf, _BOUND),
+        })
+        features.append(_made(f"{at}: ", FeatureSpec, **{
+            **spec, "lower": float(spec["lower"]), "upper": float(spec["upper"])}))
+    return _made(f"{path}.features: ", FeatureSchema,
+                 features=tuple(features), label_name=top["label"])
+
+
+def _parse_source(doc, path: str):
+    source = _read(doc, path, {"synthetic": (None, _OBJECT), "csv": (None, _OBJECT)})
+    if (source["synthetic"] is None) == (source["csv"] is None):
+        _fail(path, 'expected exactly one of {"synthetic": {...}} or {"csv": {...}}')
+    if source["synthetic"] is not None:
+        at = f"{path}.synthetic"
+        spec = _read(source["synthetic"], at, {
+            "scenario": (..., _TEXT), "alpha": (..., _NUMBER), "n": (..., _INT), "seed": (..., _INT),
+        })
+        return _made(f"{at}.", ShiftSpec, **{**spec, "alpha": float(spec["alpha"])})
+    at = f"{path}.csv"
+    spec = _read(source["csv"], at, {"path": (..., _TEXT), "schema": (..., _OBJECT)})
+    return CsvSource(path=spec["path"], schema=_parse_schema(spec["schema"], f"{at}.schema"))
+
+
+def _parse_scm(doc: list, path: str) -> Scm:
+    variables = []
+    for i, entry in enumerate(doc):
+        var = _read(entry, f"{path}[{i}]", {
+            "name": (..., _TEXT), "parents": ({}, _PARENTS), "intervenable": (True, _BOOL),
+        })
+        variables.append(ScmVariable(**{**var, "parents": tuple(var["parents"].items())}))
+    return _made(f"{path}: ", Scm, variables=tuple(variables))
 
 
 def _apply_seed_override(doc: dict) -> dict:
     raw = os.environ.get(SEED_OVERRIDE_ENV)
     if raw is None:
         return doc
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"{SEED_OVERRIDE_ENV}: expected an integer, got {raw!r}")
+    if not raw.strip().isdecimal():
+        raise ConfigError(f"{SEED_OVERRIDE_ENV}: expected a nonnegative integer, got {raw!r}")
+    value = int(raw)
     doc = json.loads(json.dumps(doc))  # deep copy
     doc["seeds"] = {"data": value, "model": value, "recourse": value}
     # keep the two samples distinct so the override still exercises a real update
@@ -133,84 +146,42 @@ def _apply_seed_override(doc: dict) -> dict:
     return doc
 
 
-_TOP_LEVEL_KEYS = ("d1_source", "d2_source", "model", "recourse", "cost",
-                   "holdout_fraction", "seeds", "cv_folds", "scm")
-
-
-# (text in an ExperimentConfig error, config field it names), first match wins
-_CONFIG_ERROR_FIELDS = (
-    ("no scm", "scm"),
-    ("n_samples", "recourse.params.n_samples"),
-    ("holdout_fraction", "holdout_fraction"),
-    ("method", "recourse.method"),
-    ("cv_folds", "cv_folds"),
-)
-
-
-def parse_config(doc: dict) -> ExperimentConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config: top level must be a JSON object")
-    _known_keys(doc, "", _TOP_LEVEL_KEYS)
-    seeds_doc = _known_keys(_get(doc, "seeds", dict), "seeds", ("data", "model", "recourse"))
-    seeds = Seeds(
-        data=int(_get(seeds_doc, "seeds.data", int)),
-        model=int(_get(seeds_doc, "seeds.model", int)),
-        recourse=int(_get(seeds_doc, "seeds.recourse", int)),
+def parse_config(doc) -> ExperimentConfig:
+    """The experiment a config JSON document describes. Every section is read
+    by `_read`, and every error exits 2 with a message that starts with the
+    path of the field it concerns."""
+    top = _read(doc, "", {
+        "d1_source": (..., _OBJECT), "d2_source": (..., _OBJECT),
+        "model": (..., _OBJECT), "recourse": (..., _OBJECT), "cost": ({}, _OBJECT),
+        "holdout_fraction": (0.1, _NUMBER), "seeds": (..., _OBJECT), "cv_folds": (10, _INT),
+        "scm": (None, _VARIABLES),
+    })
+    seeds = _made("seeds.", Seeds, **_read(top["seeds"], "seeds", {
+        "data": (..., _INT), "model": (..., _INT), "recourse": (..., _INT),
+    }))
+    model = _read(top["model"], "model", {
+        "kind": (..., _TEXT), "hidden_layers": ([], _WIDTHS), "learning_rate": (0.5, _NUMBER),
+        "epochs": (300, _INT), "l2_penalty": (1e-4, _NUMBER),
+    })
+    spec = _made("model.", ModelSpec, **{
+        **model, "hidden_layers": tuple(model["hidden_layers"]),
+        "learning_rate": float(model["learning_rate"]), "l2_penalty": float(model["l2_penalty"]),
+    }, seed=seeds.model)
+    recourse = _read(top["recourse"], "recourse", {"method": (..., _TEXT), "params": ({}, _OBJECT)})
+    cost = _read(top["cost"], "cost", {"norm": ("L2", _TEXT)})
+    return _made(
+        "", ExperimentConfig,
+        d1_source=_parse_source(top["d1_source"], "d1_source"),
+        d2_source=_parse_source(top["d2_source"], "d2_source"),
+        model_spec=spec,
+        method=recourse["method"],
+        cost=_made("cost.", CostFn, **cost),
+        method_params=dict(recourse["params"]),
+        holdout_fraction=float(top["holdout_fraction"]),
+        seeds=seeds,
+        cv_folds=top["cv_folds"],
+        scm=None if top["scm"] is None else _parse_scm(top["scm"], "scm"),
     )
-    model_doc = _known_keys(_get(doc, "model", dict), "model",
-                            ("kind", "hidden_layers", "learning_rate", "epochs", "l2_penalty"))
-    hidden = _get(model_doc, "model.hidden_layers", list, [])
-    if not all(is_number(width, int) for width in hidden):
-        _fail("model.hidden_layers", f"expected a list of integers, got {hidden!r}")
-    try:
-        spec = ModelSpec(
-            kind=_get(model_doc, "model.kind", str),
-            hidden_layers=tuple(hidden),
-            learning_rate=float(_get(model_doc, "model.learning_rate", (int, float), 0.5)),
-            epochs=int(_get(model_doc, "model.epochs", int, 300)),
-            l2_penalty=float(_get(model_doc, "model.l2_penalty", (int, float), 1e-4)),
-            seed=seeds.model,
-        )
-    except ValueError as exc:
-        _fail("model", str(exc))
-    recourse_doc = _known_keys(_get(doc, "recourse", dict), "recourse", ("method", "params"))
-    method = _get(recourse_doc, "recourse.method", str)
-    params = _get(recourse_doc, "recourse.params", dict, {})
-    if method in RECOURSE_METHODS:  # ExperimentConfig names an unknown method
-        for name, value in params.items():
-            try:
-                method_params(method, {name: value})
-            except ValueError as exc:
-                _fail(f"recourse.params.{name}", str(exc))
-    cost_doc = _known_keys(_get(doc, "cost", dict, {"norm": "L2"}), "cost", ("norm",))
-    try:
-        cost = CostFn(_get(cost_doc, "cost.norm", str, "L2"))
-    except ValueError as exc:
-        _fail("cost.norm", str(exc))
-    holdout = float(_get(doc, "holdout_fraction", (int, float), 0.1))
-    cv_folds = int(_get(doc, "cv_folds", int, 10))
-    scm = None
-    if doc.get("scm") is not None:
-        scm = _parse_scm(doc["scm"], "scm")
-    try:
-        return ExperimentConfig(
-            d1_source=_parse_source(_get(doc, "d1_source", dict), "d1_source"),
-            d2_source=_parse_source(_get(doc, "d2_source", dict), "d2_source"),
-            model_spec=spec,
-            method=method,
-            cost=cost,
-            method_params=dict(params),
-            holdout_fraction=holdout,
-            seeds=seeds,
-            cv_folds=cv_folds,
-            scm=scm,
-        )
-    except SchemaMismatchError as exc:
-        _fail("d2_source.schema", str(exc))
-    except ValueError as exc:
-        message = str(exc)
-        field = next((name for key, name in _CONFIG_ERROR_FIELDS if key in message), "config")
-        _fail(field, message)
 
 
 def _load_config(path: str) -> tuple[ExperimentConfig, dict]:
@@ -324,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Measure recourse invalidation under model updates and verify its bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    cpus = len(os.sched_getaffinity(0))
+    # os.sched_getaffinity is missing on some platforms, macOS and Windows among them
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     jobs_help = "most processes doing work at once (default: usable CPUs, here %(default)s)"
 
     p_run = sub.add_parser("run", help="run the paired-model pipeline from a JSON config")

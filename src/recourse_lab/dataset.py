@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CsvParseError, DataValidationError, SchemaMismatchError
-from .util import is_number
 
 FEATURE_KINDS = ("continuous", "ordinal", "binary")
 SHIFT_SCENARIOS = ("target_shift", "predictor_shift")
@@ -116,50 +115,6 @@ class FeatureSchema:
                     f"feature {f.name!r}: value {col[i]} at row {i} outside bounds [{low}, {up}]"
                 )
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "FeatureSchema":
-        """Schema from its JSON form, every key and type checked. A bad entry
-        raises DataValidationError whose message starts with its path, as in
-        `features[1].actionable: expected a boolean, got 'false'`."""
-        text = (lambda v: isinstance(v, str), "a string")
-        bound = (lambda v: is_number(v) or v in (-math.inf, math.inf), "a non-NaN number")
-        top = _read_keys(doc, "", {"features": (..., lambda v: isinstance(v, list), "a list"),
-                                   "label": ("label", *text)})
-        feats = []
-        for i, f in enumerate(top["features"]):
-            spec = _read_keys(f, f"features[{i}]", {
-                "name": (..., *text), "kind": ("continuous", *text),
-                "actionable": (True, lambda v: isinstance(v, bool), "a boolean"),
-                "lower": (-math.inf, *bound), "upper": (math.inf, *bound),
-            })
-            try:
-                feats.append(FeatureSpec(**{**spec, "lower": float(spec["lower"]),
-                                            "upper": float(spec["upper"])}))
-            except DataValidationError as exc:
-                raise DataValidationError(f"features[{i}]: {exc}") from None
-        try:
-            return cls(tuple(feats), top["label"])
-        except DataValidationError as exc:
-            raise DataValidationError(f"features: {exc}") from None
-
-
-def _read_keys(doc, at: str, fields: dict) -> dict:
-    """doc's value (or the default) for each name -> (default, test, expected);
-    an unknown, missing (default ...) or failing key raises, naming its path."""
-    if not isinstance(doc, dict):
-        raise DataValidationError(f"{at or 'schema'}: expected an object, got {doc!r}")
-    prefix = f"{at}." if at else ""
-    for key in doc:
-        if key not in fields:
-            raise DataValidationError(f"{prefix}{key}: unknown key")
-    out = {key: doc.get(key, default) for key, (default, _, _) in fields.items()}
-    for key, (_, test, expected) in fields.items():
-        if out[key] is ...:
-            raise DataValidationError(f"{prefix}{key}: missing required field")
-        if not test(out[key]):
-            raise DataValidationError(f"{prefix}{key}: expected {expected}, got {out[key]!r}")
-    return out
-
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
@@ -217,13 +172,17 @@ class ShiftSpec:
 
     def __post_init__(self):
         if self.scenario not in SHIFT_SCENARIOS:
-            raise ValueError(f"unknown scenario {self.scenario!r}; expected one of {SHIFT_SCENARIOS}")
+            raise ValueError(
+                f"scenario: unknown scenario {self.scenario!r}; expected one of {SHIFT_SCENARIOS}"
+            )
         if not math.isfinite(self.alpha):
-            raise ValueError("alpha must be finite")
+            raise ValueError("alpha: must be finite")
         if self.scenario == "target_shift" and not -0.6 <= self.alpha <= 0.6:
-            raise ValueError(f"target_shift alpha must lie in [-0.6, 0.6], got {self.alpha}")
+            raise ValueError(f"alpha: must lie in [-0.6, 0.6] for target_shift, got {self.alpha}")
         if self.n < 1:
-            raise ValueError("n must be at least 1")
+            raise ValueError("n: must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed: must be a nonnegative integer, got {self.seed}")
 
 
 def load_csv(path, schema: FeatureSchema) -> Dataset:

@@ -43,20 +43,22 @@ class ModelSpec:
     def __post_init__(self):
         object.__setattr__(self, "hidden_layers", tuple(self.hidden_layers))
         if self.kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}")
+            raise ValueError(f"kind: unknown model kind {self.kind!r}")
         if self.kind == "mlp":
             if not self.hidden_layers:
-                raise ValueError("mlp needs at least one hidden layer")
+                raise ValueError("hidden_layers: mlp needs at least one hidden layer")
         elif self.hidden_layers:
-            raise ValueError(f"{self.kind} takes no hidden layers")
+            raise ValueError(f"hidden_layers: {self.kind} takes no hidden layers")
         if any(w < 1 for w in self.hidden_layers):
-            raise ValueError("hidden layer widths must be positive")
+            raise ValueError("hidden_layers: widths must be positive")
         if not 0 < self.learning_rate < math.inf:
-            raise ValueError("learning_rate must be positive and finite")
+            raise ValueError("learning_rate: must be positive and finite")
         if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
+            raise ValueError("epochs: must be at least 1")
         if not 0 <= self.l2_penalty < math.inf:
-            raise ValueError("l2_penalty must be nonnegative and finite")
+            raise ValueError("l2_penalty: must be nonnegative and finite")
+        if self.seed < 0:
+            raise ValueError(f"seed: must be a nonnegative integer, got {self.seed}")
 
     @classmethod
     def logistic(cls, learning_rate=0.5, epochs=300, l2_penalty=1e-4, seed=0):

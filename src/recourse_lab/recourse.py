@@ -47,7 +47,7 @@ class CostFn:
 
     def __post_init__(self):
         if self.norm not in COST_NORMS:
-            raise ValueError(f"norm must be one of {COST_NORMS}, got {self.norm!r}")
+            raise ValueError(f"norm: must be one of {COST_NORMS}, got {self.norm!r}")
 
     def __call__(self, a, b) -> float:
         diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
@@ -565,17 +565,31 @@ def default_chain_scm(names=("x0", "x1", "x2")) -> Scm:
     ))
 
 
+def _causal_scm(scm: Scm | None, schema: FeatureSchema) -> Scm:
+    """The SCM a causal search over `schema` uses: `scm`, or the default chain
+    when it is None. Raises, naming `scm`, unless it has one variable per
+    feature and at least one of them intervenable."""
+    if scm is None:
+        if schema.n_features != 3:
+            raise ValueError(
+                f"scm: no scm given and the default causal chain needs 3 features, "
+                f"got {schema.n_features}"
+            )
+        return default_chain_scm(schema.names)
+    if scm.n_variables != schema.n_features:
+        raise SchemaMismatchError(
+            f"scm: has {scm.n_variables} variables but the schema has "
+            f"{schema.n_features} features"
+        )
+    if not scm.intervenable_indices():
+        raise ValueError("scm: has no intervenable variables")
+    return scm
+
+
 def _intervention_rows(scm: Scm, model: TrainedModel, data: Dataset, percentiles, max_intervened: int):
     """Every grid intervention on 1..max_intervened variables as (values, mask)
     rows, in order of size, then variables, then grid values."""
-    if scm.n_variables != model.schema.n_features:
-        raise SchemaMismatchError(
-            f"SCM has {scm.n_variables} variables but the schema has "
-            f"{model.schema.n_features} features"
-        )
     targets = scm.intervenable_indices()
-    if not targets:
-        raise ValueError("SCM has no intervenable variables")
     grids = {j: _percentile_grid(data.X[:, j], percentiles) for j in targets}
     actions = [
         (list(combo), chosen)
@@ -614,10 +628,7 @@ def _causal_batch(model, data, rows, cost, p, seed, scm):
     origin data.X[rows], costed against the full propagated point. Grids (the
     data's empirical percentiles) and intervention rows are built once; the
     default chain stands in for a missing scm."""
-    if scm is None:
-        if data.schema.n_features != 3:
-            raise ValueError("no SCM given and the default chain needs 3 features")
-        scm = default_chain_scm(data.schema.names)
+    scm = _causal_scm(scm, model.schema)
     values, mask = _intervention_rows(scm, model, data, p["grid_percentiles"], p["max_intervened"])
     points, iters = [], np.zeros(len(rows), dtype=int)
     for k, x in enumerate(data.X[rows]):
@@ -667,15 +678,16 @@ def method_params(method: str, params: dict | None = None) -> dict:
     float), or a nonempty list of percentiles in [0, 100] (returned as a
     tuple). Numbers must be finite, integers at least 1 and other numbers
     positive; lambda_steps and margin_target may also be 0. Unknown names
-    and bad values raise ValueError.
+    and bad values raise ValueError whose message starts with the argument
+    it concerns: `method: ` or `params.<name>: `.
     """
     if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {RECOURSE_METHODS}")
+        raise ValueError(f"method: unknown method {method!r}; expected one of {RECOURSE_METHODS}")
     defaults = _METHODS[method][0]
     merged = dict(defaults)
     for name, value in (params or {}).items():
         if name not in defaults:
-            raise ValueError(f"unknown parameter {name!r} for {method}")
+            raise ValueError(f"params.{name}: unknown parameter for {method}")
         merged[name] = _checked_param(name, value, defaults[name])
     return merged
 
@@ -686,12 +698,14 @@ def _checked_param(name: str, value, default):
             is_number(v) and 0 <= v <= 100 for v in value
         ):
             return tuple(value)
-        raise ValueError(f"{name} must be a nonempty list of numbers in [0, 100], got {value!r}")
+        raise ValueError(f"params.{name}: must be a nonempty list of numbers in [0, 100], got {value!r}")
     kind = numbers.Integral if isinstance(default, int) else numbers.Real
     if is_number(value, kind) and (value > 0 or (value == 0 and name in _MAY_BE_ZERO)):
         return type(default)(value)
     what = "an integer" if kind is numbers.Integral else "a number"
-    raise ValueError(f"{name} must be {what} {'>= 0' if name in _MAY_BE_ZERO else '> 0'}, got {value!r}")
+    raise ValueError(
+        f"params.{name}: must be {what} {'>= 0' if name in _MAY_BE_ZERO else '> 0'}, got {value!r}"
+    )
 
 
 def batch_recourse(

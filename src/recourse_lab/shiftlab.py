@@ -20,7 +20,7 @@ from .errors import (
     SchemaMismatchError,
 )
 from .models import ModelSpec, TrainedModel, cross_val_accuracy, train
-from .recourse import CostFn, RecourseSet, Scm, batch_recourse, method_params
+from .recourse import CostFn, RecourseSet, Scm, _causal_scm, batch_recourse, method_params
 from .util import derive_seed
 
 ALGORITHM_LABELS = {"cfe": "CFE", "ar": "AR", "causal": "Causal", "markov": "Markov"}
@@ -35,6 +35,11 @@ class Seeds:
     model: int
     recourse: int
 
+    def __post_init__(self):
+        for name in ("data", "model", "recourse"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name}: must be a nonnegative integer, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class CsvSource:
@@ -44,6 +49,10 @@ class CsvSource:
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
+    """One paired-model experiment. Construction checks the fields together;
+    each error's message starts with the path of the config field it
+    concerns, such as `recourse.params.n_samples: `."""
+
     d1_source: ShiftSpec | CsvSource
     d2_source: ShiftSpec | CsvSource
     model_spec: ModelSpec
@@ -58,24 +67,23 @@ class ExperimentConfig:
     def __post_init__(self):
         if not 0.0 <= self.holdout_fraction <= 0.5:
             raise ValueError(
-                f"holdout_fraction must lie in [0, 0.5], got {self.holdout_fraction}"
+                f"holdout_fraction: must lie in [0, 0.5], got {self.holdout_fraction}"
             )
-        if self.method not in ALGORITHM_LABELS:
-            raise ValueError(f"unknown recourse method {self.method!r}")
-        params = method_params(self.method, self.method_params)
+        try:
+            params = method_params(self.method, self.method_params)
+        except ValueError as exc:  # its message starts with `method: ` or `params.<name>: `
+            raise ValueError(f"recourse.{exc}") from None
         if self.cv_folds < 2:
-            raise ValueError("cv_folds must be at least 2")
+            raise ValueError(f"cv_folds: must be at least 2, got {self.cv_folds}")
         s1, s2 = _source_schema(self.d1_source), _source_schema(self.d2_source)
         if not s1.compatible_with(s2):
-            raise SchemaMismatchError("d1 and d2 sources have incompatible schemas")
-        if self.method == "causal" and self.scm is None and s1.n_features != 3:
-            raise ValueError(
-                f"no scm given and the default causal chain needs 3 features, got {s1.n_features}"
-            )
+            raise SchemaMismatchError("d2_source.schema: incompatible with the d1 source's schema")
+        if self.method == "causal":
+            _causal_scm(self.scm, s1)
         # the AR surrogate fit needs 10 samples per feature; checked here, before any training
         if self.method == "ar" and params["n_samples"] < 10 * s1.n_features:
             raise ValueError(
-                f"n_samples must be at least 10 * {s1.n_features} features, "
+                f"recourse.params.n_samples: must be at least 10 * {s1.n_features} features, "
                 f"got {params['n_samples']}"
             )
 

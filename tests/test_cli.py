@@ -2,11 +2,13 @@ import csv
 import json
 import math
 import os
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import recourse_lab as rl
 from recourse_lab import cli, models, shiftlab, theory
 from recourse_lab.cli import SEED_OVERRIDE_ENV, main
 
@@ -224,8 +226,26 @@ class TestRunCommand:
         ("model.epochs", {"model": {"kind": "logistic_regression", "epochs": True}}),
         ("model.l2_penalty", {"model": {"kind": "logistic_regression", "l2_penalty": math.nan}}),
         ("model.l2_penalty", {"model": {"kind": "logistic_regression", "l2_penalty": math.inf}}),
+        ("recourse.method", {"recourse": {"method": "holdout_fraction"}}),
+        ("recourse.method", {"recourse": {"method": "n_samples"}}),
+        ("cv_folds", {"cv_folds": 1}),
+        ("holdout_fraction", {"holdout_fraction": 0.9}),
+        ("d1_source.synthetic.seed", {"d1_source": {"synthetic": {
+            "scenario": "target_shift", "alpha": 0.0, "n": 1200, "seed": -1}}}),
+        ("seeds.model", {"model": {"kind": "mlp", "hidden_layers": [4]},
+                         "seeds": {"data": 0, "model": -1, "recourse": 2}}),
+        ("seeds.data", {"seeds": {"data": -1, "model": 1, "recourse": 2}}),
+        ("seeds.recourse", {"seeds": {"data": 0, "model": 1, "recourse": -1}}),
+        ("scm", {"recourse": {"method": "causal"},
+                 "scm": [{"name": "x0"}, {"name": "x1"}, {"name": "x2"}]}),
+        ("scm", {"recourse": {"method": "causal"},
+                 "scm": [{"name": "x0", "intervenable": False},
+                         {"name": "x1", "intervenable": False}]}),
     ], ids=["step-str", "inner-iters-negative", "percentile-200", "hidden-float", "hidden-str",
-            "scm-entry-int", "scm-parent-key", "rate-bool", "epochs-bool", "l2-nan", "l2-inf"])
+            "scm-entry-int", "scm-parent-key", "rate-bool", "epochs-bool", "l2-nan", "l2-inf",
+            "method-holdout-fraction", "method-n-samples", "cv-folds-1", "holdout-0.9",
+            "synthetic-seed-negative", "model-seed-negative", "data-seed-negative",
+            "recourse-seed-negative", "scm-3-variables", "scm-none-intervenable"])
     def test_bad_value_names_field(self, tmp_path, capsys, monkeypatch, field, overrides):
         def no_training(*args, **kwargs):
             raise AssertionError("config errors must come before any training")
@@ -272,6 +292,58 @@ class TestRunCommand:
         cfg = write_config(tmp_path, d1_source={"csv": {"path": "d1.csv", "schema": schema_doc}})
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert f"config error: {field}:" in capsys.readouterr().err
+
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("config errors must come before any training")
+
+        monkeypatch.setattr(shiftlab, "train", no_training)
+        monkeypatch.setattr(models, "train", no_training)
+        monkeypatch.setenv(SEED_OVERRIDE_ENV, "-1")
+        cfg = write_config(tmp_path, model={"kind": "mlp", "hidden_layers": [4]})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {SEED_OVERRIDE_ENV}:")
+
+    def test_parse_config_reads_every_schema_field(self, tmp_path):
+        schema = rl.FeatureSchema(
+            (rl.FeatureSpec("a", kind="ordinal", lower=0, upper=5, actionable=False),
+             rl.FeatureSpec("b", kind="binary")),
+            "target",
+        )
+        schema_doc = {
+            "features": [
+                {"name": "a", "kind": "ordinal", "actionable": False, "lower": 0, "upper": 5},
+                {"name": "b", "kind": "binary"},
+            ],
+            "label": "target",
+        }
+        source = {"csv": {"path": "d.csv", "schema": schema_doc}}
+        doc = json.loads(write_config(tmp_path, d1_source=source, d2_source=source).read_text())
+        cfg = cli.parse_config(doc)
+        assert cfg.d1_source.schema == schema and cfg.d2_source.schema == schema
+
+    def test_parse_config_checks_method_params_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = shiftlab.method_params
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module in (cli, shiftlab):  # every binding a config check could call
+            monkeypatch.setattr(module, "method_params", counting, raising=False)
+        doc = json.loads(write_config(tmp_path, recourse={
+            "method": "cfe", "params": {"margin_target": 0.2, "inner_iters": 50}}).read_text())
+        cli.parse_config(doc)
+        assert len(calls) == 1
+
+    def test_readme_example_config_is_pinned(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n### `run`\n", 1)[1].split("\n### ", 1)[0]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        doc = json.loads(block)
+        assert doc == README_DOC
+        assert isinstance(cli.parse_config(doc), shiftlab.ExperimentConfig)
 
     def test_incompatible_source_schemas_exit_2(self, tmp_path, capsys):
         schema_doc = {"features": [{"name": "z0"}], "label": "label"}
@@ -397,6 +469,13 @@ class TestSweepCommand:
 
 
 class TestParallelRun:
+    def test_jobs_default_without_sched_getaffinity(self, tmp_path, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        args = cli.build_parser().parse_args(["run", "--config", "c.json"])
+        assert args.jobs == (os.cpu_count() or 1)
+        cfg = write_config(tmp_path)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), "--jobs", "1"]) == 0
+
     def run_at_jobs(self, cfg, tmp_path, capsys, jobs):
         out = tmp_path / f"out-{jobs}"
         code = main(["run", "--config", str(cfg), "--out", str(out), "--jobs", jobs])

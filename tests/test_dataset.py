@@ -38,21 +38,6 @@ class TestSchema:
         with pytest.raises(DataValidationError):
             rl.FeatureSchema((rl.FeatureSpec("y"),), label_name="y")
 
-    def test_from_dict_reads_every_field(self):
-        schema = rl.FeatureSchema(
-            (rl.FeatureSpec("a", kind="ordinal", lower=0, upper=5, actionable=False),
-             rl.FeatureSpec("b", kind="binary")),
-            "target",
-        )
-        doc = {
-            "features": [
-                {"name": "a", "kind": "ordinal", "actionable": False, "lower": 0, "upper": 5},
-                {"name": "b", "kind": "binary"},
-            ],
-            "label": "target",
-        }
-        assert rl.FeatureSchema.from_dict(doc) == schema
-
 
 class TestDatasetValidation:
     def test_label_values(self):

@@ -66,6 +66,15 @@ class TestConfig:
             rl.run_pipeline(small_config(method_params={"inner_iters": -1}))
         assert calls == []
 
+    @pytest.mark.parametrize("make", [
+        lambda: rl.Seeds(0, -1, 2),
+        lambda: rl.ShiftSpec("target_shift", 0.0, 100, -1),
+        lambda: rl.ModelSpec.logistic(seed=-1),
+    ], ids=["seeds", "shift-spec", "model-spec"])
+    def test_negative_seed_rejected(self, make):
+        with pytest.raises(ValueError, match="must be a nonnegative integer, got -1"):
+            make()
+
     def test_schema_compatibility_enforced(self):
         other = rl.FeatureSchema((rl.FeatureSpec("z"),))
         with pytest.raises(SchemaMismatchError):
