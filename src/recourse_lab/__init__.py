@@ -32,7 +32,6 @@ from .recourse import (
     RecourseSet,
     Scm,
     ScmVariable,
-    ar_search,
     batch_recourse,
     default_chain_scm,
     fit_local_linear,
@@ -48,10 +47,10 @@ from .shiftlab import (
 )
 from .theory import (
     BoundCheck,
-    BoundInput,
     bound_continuous,
     bound_ordinal,
     fit_rho,
+    invalidation_bound,
     verify_bound,
 )
 
@@ -61,10 +60,10 @@ __all__ = [
     "ModelSpec", "TrainedModel", "accuracy", "cross_val_accuracy",
     "linear_model", "parallel_perturb", "train",
     "CostFn", "RecourseRecord", "RecourseSet", "Scm", "ScmVariable",
-    "ar_search", "batch_recourse", "default_chain_scm", "fit_local_linear",
+    "batch_recourse", "default_chain_scm", "fit_local_linear",
     "CsvSource", "ExperimentConfig", "InvalidationReport", "Seeds",
     "cost_invalidation_check", "run_pipeline",
     "sensitivity_sweep",
-    "BoundCheck", "BoundInput", "bound_continuous", "bound_ordinal",
-    "fit_rho", "verify_bound",
+    "BoundCheck", "bound_continuous", "bound_ordinal",
+    "fit_rho", "invalidation_bound", "verify_bound",
 ]

@@ -31,7 +31,7 @@ from .shiftlab import (
     sweep_csv_text,
     sweep_sources,
 )
-from .theory import BoundInput, verify_bound
+from .theory import invalidation_bound, verify_bound
 from .util import atomic_write_text, canonical_json, is_number
 
 SEED_OVERRIDE_ENV = "RECOURSE_LAB_SEED_OVERRIDE"
@@ -215,6 +215,8 @@ def _write_manifest(out_dir: str, doc: dict, outputs: list[str], started: float)
 def _check_jobs(jobs: int) -> None:
     if jobs < 1:
         raise ConfigError(f"--jobs: must be at least 1, got {jobs}")
+    if jobs > 1 and not hasattr(os, "fork"):
+        raise ConfigError(f"--jobs: must be 1 where processes cannot fork, got {jobs}")
 
 
 def cmd_run(args) -> int:
@@ -270,10 +272,10 @@ def _builtin_ordinal_setup(delta: float) -> tuple:
 
 def cmd_bounds(args) -> int:
     try:
-        bound = BoundInput(rho=args.rho, delta_m=args.delta, kind=args.kind)
+        bound = invalidation_bound(args.kind, args.rho, args.delta)
     except ValueError as exc:
         raise ConfigError(f"bounds: {exc}")
-    print(f"{bound.value():.5f}")
+    print(f"{bound:.5f}")
     if args.verify:
         if args.kind == "continuous":
             data = synth_base(4000, seed=0)
@@ -295,9 +297,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Measure recourse invalidation under model updates and verify its bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # os.sched_getaffinity is missing on some platforms, macOS and Windows among them
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    jobs_help = "most processes doing work at once (default: usable CPUs, here %(default)s)"
+    # more than one job forks, and os.fork is missing on Windows; os.sched_getaffinity
+    # is missing on some platforms, macOS and Windows among them
+    if not hasattr(os, "fork"):
+        cpus = 1
+    elif hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    jobs_help = ("most processes doing work at once "
+                 "(default: usable CPUs, or 1 where processes cannot fork; here %(default)s)")
 
     p_run = sub.add_parser("run", help="run the paired-model pipeline from a JSON config")
     p_run.add_argument("--config", required=True)

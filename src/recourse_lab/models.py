@@ -72,6 +72,19 @@ class ModelSpec:
     def mlp(cls, hidden_layers=(16, 16), learning_rate=1e-3, epochs=60, l2_penalty=1e-4, seed=0):
         return cls("mlp", tuple(hidden_layers), learning_rate, epochs, l2_penalty, seed)
 
+
+def _mlp_forward(params, X):
+    """(each layer's input, decision values) of (W, b) layers on a batch X,
+    or on k stacked batches when every W and b carries a leading k axis."""
+    acts = [X]
+    Z = X
+    for W, b in params[:-1]:
+        Z = np.maximum(Z @ W + b, 0.0)
+        acts.append(Z)
+    W, b = params[-1]
+    return acts, (Z @ W + b)[..., 0]
+
+
 @dataclass(frozen=True, eq=False)
 class TrainedModel:
     """Layered weights; a single (d, 1) layer for the linear kinds."""
@@ -119,36 +132,24 @@ class TrainedModel:
             raise UnsupportedModelError("bias is defined for linear kinds only")
         return float(self.layers[0][1][0])
 
-    def _batch(self, X) -> np.ndarray:
+    def _forward(self, X):
+        """One forward pass over a batch: (each layer's input, decision values).
+
+        A one-row batch runs as two copies of its row, because a one-row
+        matrix product takes another BLAS path that sums in another order, and
+        a row's bits must not depend on its batch. Callers keep the first
+        len(X) rows.
+        """
         Z = np.asarray(X, dtype=float)
         if Z.ndim != 2 or Z.shape[1] != self.schema.n_features:
             raise SchemaMismatchError(
                 f"expected shape (n, {self.schema.n_features}), got {Z.shape}"
             )
-        return Z
-
-    def _hidden(self, X, masks=None) -> np.ndarray:
-        """The last hidden layer's activations (the input, for the linear kinds).
-
-        A one-row batch runs as two copies of its row, because a one-row
-        matrix product takes another BLAS path that sums in another order, and
-        a row's bits must not depend on its batch. Callers keep the first
-        len(X) rows. Each hidden layer's ReLU mask is appended to `masks`.
-        """
-        Z = self._batch(X)
-        if len(Z) == 1:
-            Z = np.concatenate((Z, Z))
-        for W, b in self.layers[:-1]:
-            A = Z @ W + b
-            if masks is not None:
-                masks.append(A > 0.0)
-            Z = np.maximum(A, 0.0)
-        return Z
+        return _mlp_forward(self.layers, np.concatenate((Z, Z)) if len(Z) == 1 else Z)
 
     def decision_values(self, X) -> np.ndarray:
         """Signed scores for a batch; pre-sigmoid logit for the MLP."""
-        W, b = self.layers[-1]
-        return (self._hidden(X) @ W + b)[:len(X), 0]
+        return self._forward(X)[1][:len(X)]
 
     def input_gradient(self, X) -> np.ndarray:
         """Exact gradient of the decision value with respect to each row of X.
@@ -157,28 +158,20 @@ class TrainedModel:
         kinds give w on every row, and the MLP backpropagates through the ReLU
         masks of one forward pass, taking ReLU'(0) = 0.
         """
-        masks = []
-        rows = len(self._hidden(X, masks))
-        G = self.layers[-1][0].T.repeat(rows, axis=0)
-        for (W, _), mask in zip(reversed(self.layers[:-1]), reversed(masks)):
-            G = (G * mask) @ W.T
+        acts, _ = self._forward(X)
+        G = self.layers[-1][0].T.repeat(len(acts[0]), axis=0)
+        for (W, _), act in zip(reversed(self.layers[:-1]), reversed(acts[1:])):
+            G = (G * (act > 0.0)) @ W.T
         return G[:len(X)]
-
-    def decision_value(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1 or x.shape[0] != self.schema.n_features:
-            raise SchemaMismatchError(
-                f"expected a length-{self.schema.n_features} vector, got shape {x.shape}"
-            )
-        if not np.all(np.isfinite(x)):
-            raise ValueError("input vector must be finite")
-        return float(self.decision_values(x[None, :])[0])
 
     def predict(self, x):
         """+1 iff the decision value is >= 0; handles single vectors and batches."""
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
-            return 1 if self.decision_value(x) >= 0.0 else -1
+            f = self.decision_values(x[None])  # raises SchemaMismatchError first
+            if not np.all(np.isfinite(x)):
+                raise ValueError("input vector must be finite")
+            return 1 if f[0] >= 0.0 else -1
         return np.where(self.decision_values(x) >= 0.0, 1, -1)
 
 
@@ -239,16 +232,6 @@ def _layer_views(flat: np.ndarray, dims: list[int]) -> list[tuple[np.ndarray, np
         views.append((W, flat[:, start:start + fan_out].reshape(k, 1, fan_out)))
         start += fan_out
     return views
-
-
-def _mlp_forward(params, X):
-    acts = [X]
-    Z = X
-    for W, b in params[:-1]:
-        Z = np.maximum(Z @ W + b, 0.0)
-        acts.append(Z)
-    W, b = params[-1]
-    return acts, (Z @ W + b)[..., 0]
 
 
 def _train_mlp(spec: ModelSpec, sets: list[Dataset]) -> list[TrainedModel]:

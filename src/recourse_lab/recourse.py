@@ -293,30 +293,6 @@ def _percentile_grid(column: np.ndarray, percentiles) -> np.ndarray:
     return np.unique(vals)
 
 
-def ar_search(
-    model: TrainedModel,
-    x,
-    data: Dataset,
-    cost: CostFn,
-    grid_percentiles=DECILE_PERCENTILES,
-    max_changed_features: int = 3,
-) -> RecourseRecord | None:
-    """Minimum-cost combination of percentile actions over actionable features.
-
-    Best-first over partial assignments ordered by a cost lower bound, which is
-    exact for both norms (monotone keys), so the first valid point popped is the
-    grid optimum. Validity is judged by the supplied linear model.
-    """
-    if not model.is_linear:
-        raise ValueError("ar_search requires a linear model (fit a surrogate first)")
-    if max_changed_features < 1:
-        raise ValueError("max_changed_features must be at least 1")
-    x = np.asarray(x, dtype=float)
-    grids = _action_grids(model, data, grid_percentiles)
-    point, popped = _ar_point(model, x, grids, cost, max_changed_features)
-    return None if point is None else _record(model, x, point, cost, "ar", popped, _weight_norm(model))
-
-
 def _action_grids(model: TrainedModel, data: Dataset, percentiles) -> dict:
     actionable = model.schema.actionable_indices()
     if not actionable:
@@ -325,7 +301,13 @@ def _action_grids(model: TrainedModel, data: Dataset, percentiles) -> dict:
 
 
 def _ar_point(model: TrainedModel, x: np.ndarray, grids: dict, cost: CostFn, max_changed: int):
-    """Best-first grid search for one origin; (point or None, nodes popped)."""
+    """Minimum-cost combination of grid actions on at most max_changed
+    features, valid under the linear `model`; (point or None, nodes popped).
+
+    Best-first over partial assignments ordered by a cost lower bound, which is
+    exact for both norms (monotone keys), so the first valid point popped is the
+    grid optimum.
+    """
 
     def key(delta: float) -> float:
         return abs(delta) if cost.norm == "L1" else delta * delta
@@ -340,7 +322,7 @@ def _ar_point(model: TrainedModel, x: np.ndarray, grids: dict, cost: CostFn, max
         point = x.copy()
         for j, v in changes:
             point[j] = v
-        if model.decision_value(point) >= 0.0:
+        if model.decision_values(point[None])[0] >= 0.0:
             return point, popped
         if len(changes) >= max_changed:
             continue
@@ -358,7 +340,7 @@ def _ar_point(model: TrainedModel, x: np.ndarray, grids: dict, cost: CostFn, max
 
 
 def _ar_batch(model, data, rows, cost, p, seed, scm):
-    """ar_search from each origin data.X[rows], against a local linear surrogate
+    """_ar_point from each origin data.X[rows], against a local linear surrogate
     (seeded per row) when the model is nonlinear; a failed fit finds nothing."""
     grids = _action_grids(model, data, p["grid_percentiles"])
     points, iters = [], np.zeros(len(rows), dtype=int)
@@ -586,7 +568,7 @@ def _causal_scm(scm: Scm | None, schema: FeatureSchema) -> Scm:
     return scm
 
 
-def _intervention_rows(scm: Scm, model: TrainedModel, data: Dataset, percentiles, max_intervened: int):
+def _intervention_rows(scm: Scm, data: Dataset, percentiles, max_intervened: int):
     """Every grid intervention on 1..max_intervened variables as (values, mask)
     rows, in order of size, then variables, then grid values."""
     targets = scm.intervenable_indices()
@@ -629,7 +611,7 @@ def _causal_batch(model, data, rows, cost, p, seed, scm):
     data's empirical percentiles) and intervention rows are built once; the
     default chain stands in for a missing scm."""
     scm = _causal_scm(scm, model.schema)
-    values, mask = _intervention_rows(scm, model, data, p["grid_percentiles"], p["max_intervened"])
+    values, mask = _intervention_rows(scm, data, p["grid_percentiles"], p["max_intervened"])
     points, iters = [], np.zeros(len(rows), dtype=int)
     for k, x in enumerate(data.X[rows]):
         point, iters[k] = _causal_point(scm, model, x, values, mask, cost)

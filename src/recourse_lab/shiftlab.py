@@ -7,6 +7,7 @@ measures how many of those recourses the second model rejects.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 from dataclasses import dataclass, field, replace
@@ -15,10 +16,7 @@ from functools import partial
 import numpy as np
 
 from .dataset import Dataset, FeatureSchema, ShiftSpec, load_csv, split, synth_schema, synth_shift
-from .errors import (
-    DegenerateMetricError,
-    SchemaMismatchError,
-)
+from .errors import DegenerateMetricError, SchemaMismatchError
 from .models import ModelSpec, TrainedModel, cross_val_accuracy, train
 from .recourse import CostFn, RecourseSet, Scm, _causal_scm, batch_recourse, method_params
 from .util import derive_seed
@@ -151,17 +149,6 @@ class InvalidationReport:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class _Prepared:
-    """First half of a run: everything that does not depend on the d2 sample."""
-
-    config: ExperimentConfig
-    model_spec: ModelSpec
-    d1_train: Dataset
-    m1: TrainedModel
-    cf1: RecourseSet
-
-
 def _training_sample(cfg: ExperimentConfig, source, split_name: str) -> Dataset:
     """The source's sample less its holdout; `split_name` keys the split seed."""
     data = _materialize(source)
@@ -170,60 +157,36 @@ def _training_sample(cfg: ExperimentConfig, source, split_name: str) -> Dataset:
     return data
 
 
-def _check_compatible(d1_train: Dataset, d2_train: Dataset) -> None:
-    if not d1_train.schema.compatible_with(d2_train.schema):
-        raise SchemaMismatchError("d2 schema incompatible with d1")
-
-
 def _model_spec(cfg: ExperimentConfig) -> ModelSpec:
     return replace(cfg.model_spec, seed=cfg.seeds.model)
 
 
-def _prepare(cfg: ExperimentConfig, d1_train: Dataset) -> _Prepared:
-    spec = _model_spec(cfg)
-    m1 = train(spec, d1_train)
-    cf1 = batch_recourse(
+def _prepare(cfg: ExperimentConfig, d1_train: Dataset) -> RecourseSet:
+    """The recourses against M1, the model trained on d1_train; M1 is the set's model."""
+    m1 = train(_model_spec(cfg), d1_train)
+    return batch_recourse(
         m1, d1_train, cfg.method, cfg.cost,
         params=cfg.method_params, seed=cfg.seeds.recourse, scm=cfg.scm,
     )
-    return _Prepared(cfg, spec, d1_train, m1, cf1)
 
 
-def _evaluate_m2(cf1: RecourseSet, m2: TrainedModel) -> tuple[np.ndarray, float | None]:
-    """Per-recourse invalidation flags under M2, and their percentage (None for an empty CF1)."""
-    if not cf1.size:
+def _evaluate_m2(points: np.ndarray, m2: TrainedModel) -> tuple[np.ndarray, float | None]:
+    """Invalidation flags under M2 of the recourse points, one per row, and
+    their percentage (None when there are no points)."""
+    if not len(points):
         return np.zeros(0, dtype=bool), None
-    flags = m2.predict(cf1.recourse_matrix()) == -1
+    flags = m2.predict(points) == -1
     return flags, 100.0 * float(np.mean(flags))
 
 
-def _invalidation(cfg: ExperimentConfig, d1_train: Dataset, d2_train: Dataset):
-    """M1, its recourses, M2 and the flags: (CF1, flags, percentage)."""
-    prepared = _prepare(cfg, d1_train)
-    flags, pct = _evaluate_m2(prepared.cf1, train(prepared.model_spec, d2_train))
-    return prepared.cf1, flags, pct
+def _cross_validate(spec: ModelSpec, data: Dataset, folds: int) -> float:
+    # a pool task; it looks cross_val_accuracy up when called, so a worker
+    # runs whatever this module binds to that name
+    return cross_val_accuracy(spec, data, folds)
 
 
-def _cross_validate(state, i: int) -> float:
-    spec, samples, folds = state
-    return cross_val_accuracy(spec, samples[i], folds)
-
-
-# Set by _init_worker in each pool worker; forked workers get its argument without pickling.
-_worker_state = None
-
-
-def _init_worker(state) -> None:
-    global _worker_state
-    _worker_state = state
-
-
-def _in_worker(fn, *args):
-    return fn(_worker_state, *args)
-
-
-def _fork_pool(workers: int, state):
-    """A pool of `workers` forked processes; run a task there as `_in_worker(fn, ...)`.
+def _fork_pool(workers: int):
+    """A pool of `workers` forked processes.
 
     The pool modules are imported here, not at module level, because only a
     parallel `run` or `sweep` forks.
@@ -231,41 +194,35 @@ def _fork_pool(workers: int, state):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    return ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_init_worker,
-        initargs=(state,),
-    )
+    return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
 
 
 def run_pipeline(cfg: ExperimentConfig, jobs: int = 1) -> InvalidationReport:
     """Full paired-model run; deterministic given the config (seeds included).
 
-    Both training samples are loaded and their schemas checked before any
-    training. With jobs > 1, min(jobs - 1, 2) forked workers cross-validate
-    the two samples while this process trains M1, searches recourses, trains
-    M2 and evaluates; with jobs == 1 the CV runs last, in this process. The
-    report is the same at every `jobs`, and so is the first error: this
-    process raises its own before it reads a worker's result, and reads the
-    d1 CV before the d2 CV.
+    Both training samples are loaded before any training. With jobs > 1,
+    min(jobs - 1, 2) forked workers cross-validate the two samples while
+    this process trains M1, searches recourses, trains M2 and evaluates;
+    with jobs == 1 the CV runs last, in this process. The report is the
+    same at every `jobs`, and so is the first error: this process raises
+    its own before it reads a worker's result, and reads the d1 CV before
+    the d2 CV.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     d1_train = _training_sample(cfg, cfg.d1_source, "d1-split")
     d2_train = _training_sample(cfg, cfg.d2_source, "d2-split")
-    _check_compatible(d1_train, d2_train)
     samples = (d1_train, d2_train)
-    cv_state = (_model_spec(cfg), samples, cfg.cv_folds)
+    spec = _model_spec(cfg)
     workers = min(jobs - 1, len(samples))
-    if workers == 0:
-        cf1, flags, pct = _invalidation(cfg, *samples)
-        m1_acc, m2_acc = (_cross_validate(cv_state, i) for i in range(len(samples)))
-    else:
-        with _fork_pool(workers, cv_state) as pool:
-            pending = [pool.submit(_in_worker, _cross_validate, i) for i in range(len(samples))]
-            cf1, flags, pct = _invalidation(cfg, *samples)
-            m1_acc, m2_acc = (future.result() for future in pending)
+    with _fork_pool(workers) if workers else contextlib.nullcontext() as pool:
+        if pool is None:
+            cv = [partial(cross_val_accuracy, spec, data, cfg.cv_folds) for data in samples]
+        else:
+            cv = [pool.submit(_cross_validate, spec, data, cfg.cv_folds).result for data in samples]
+        cf1 = _prepare(cfg, d1_train)
+        flags, pct = _evaluate_m2(cf1.recourse_matrix(), train(spec, d2_train))
+        m1_acc, m2_acc = (read() for read in cv)
     return InvalidationReport(
         algorithm=ALGORITHM_LABELS[cfg.method],
         model_kind=MODEL_LABELS[cfg.model_spec.kind],
@@ -284,11 +241,11 @@ class SweepPoint:
     cf1_size: int
 
 
-def _sweep_point(prepared: _Prepared, d2_source: ShiftSpec) -> SweepPoint:
-    d2_train = _training_sample(prepared.config, d2_source, "d2-split")
-    _check_compatible(prepared.d1_train, d2_train)
-    _, pct = _evaluate_m2(prepared.cf1, train(prepared.model_spec, d2_train))
-    return SweepPoint(d2_source.alpha, pct, prepared.cf1.size)
+def _sweep_point(cfg: ExperimentConfig, d2_source: ShiftSpec, points: np.ndarray) -> SweepPoint:
+    """M2 trained on d2_source's sample, and how many of the recourse points it rejects."""
+    d2_train = _training_sample(cfg, d2_source, "d2-split")
+    _, pct = _evaluate_m2(points, train(_model_spec(cfg), d2_train))
+    return SweepPoint(d2_source.alpha, pct, len(points))
 
 
 def sweep_sources(scenario: str, alphas, base: ExperimentConfig) -> list[ShiftSpec]:
@@ -322,12 +279,13 @@ def sensitivity_sweep(scenario: str, alphas, base: ExperimentConfig, jobs: int =
     specs = sweep_sources(scenario, alphas, base)
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    prepared = _prepare(base, _training_sample(base, base.d1_source, "d1-split"))
+    # a task gets the recourse points, not their RecourseSet, which pickles ten times larger
+    points = _prepare(base, _training_sample(base, base.d1_source, "d1-split")).recourse_matrix()
     workers = min(jobs, len(specs))
     if workers <= 1:
-        return [_sweep_point(prepared, spec) for spec in specs]
-    with _fork_pool(workers, prepared) as pool:
-        return list(pool.map(partial(_in_worker, _sweep_point), specs))
+        return [_sweep_point(base, spec, points) for spec in specs]
+    with _fork_pool(workers) as pool:
+        return list(pool.map(partial(_sweep_point, base, points=points), specs))
 
 
 def sweep_csv_text(points) -> str:

@@ -49,24 +49,13 @@ def _as_step_count(delta_m) -> int:
     return steps
 
 
-@dataclass(frozen=True)
-class BoundInput:
-    """Validated (rho, delta_m, kind) triple for the closed forms."""
-
-    rho: float
-    delta_m: float
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in BOUND_KINDS:
-            raise ValueError(f"kind must be one of {BOUND_KINDS}, got {self.kind!r}")
-        # evaluation performs the kind-specific range checks
-        self.value()
-
-    def value(self) -> float:
-        if self.kind == "continuous":
-            return bound_continuous(self.rho, self.delta_m)
-        return bound_ordinal(self.rho, self.delta_m)
+def invalidation_bound(kind: str, rho: float, delta_m) -> float:
+    """The closed form of `kind` ("continuous" or "ordinal"), its arguments checked."""
+    if kind not in BOUND_KINDS:
+        raise ValueError(f"kind must be one of {BOUND_KINDS}, got {kind!r}")
+    if kind == "continuous":
+        return bound_continuous(rho, delta_m)
+    return bound_ordinal(rho, delta_m)
 
 
 def fit_rho(values, kind: str) -> float:
@@ -148,10 +137,7 @@ def verify_bound(
     are checked before any walk.
     """
     kind = _data_kind(data)
-    if m1.is_linear and kind == "ordinal":
-        theoretical = bound_ordinal(rho, delta_m)
-    else:
-        theoretical = bound_continuous(rho, delta_m)
+    theoretical = invalidation_bound(kind if m1.is_linear else "continuous", rho, delta_m)
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
     neg = np.flatnonzero(m1.predict(data.X) == -1)

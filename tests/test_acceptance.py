@@ -217,13 +217,18 @@ def test_criterion_09_ar_oracle_equivalence():
         b = rng.standard_normal() - 0.5
         model = rl.linear_model(w, b, schema)
         X = rng.standard_normal((120, 4))
-        data = rl.Dataset(schema, X, np.where(X @ w + b >= 0, 1, -1))
         x = rng.standard_normal(4)
         if model.predict(x) == 1:
             continue
         models_checked += 1
-        rec = rl.ar_search(model, x, data, cost, max_changed_features=3)
-        grids = {j: _percentile_grid(data.X[:, j], DECILE_PERCENTILES) for j in range(4)}
+        # AR's grids come from the searched data's columns: x and the rows the
+        # model accepts, which leaves x the only origin
+        grid_X = np.vstack([x, X[model.predict(X) == 1]])
+        cf = rl.batch_recourse(model, rl.Dataset(schema, grid_X, model.predict(grid_X)), "ar",
+                               cost, params={"max_changed_features": 3})
+        assert cf.size + cf.not_found == 1
+        rec = cf.records[0] if cf.records else None
+        grids = {j: _percentile_grid(grid_X[:, j], DECILE_PERCENTILES) for j in range(4)}
         best = np.inf
         for r in range(1, 4):
             for combo in itertools.combinations(range(4), r):
@@ -231,7 +236,7 @@ def test_criterion_09_ar_oracle_equivalence():
                     point = x.copy()
                     for j, v in zip(combo, values):
                         point[j] = v
-                    if model.decision_value(point) >= 0.0:
+                    if model.predict(point) == 1:
                         best = min(best, cost(x, point))
         if best < np.inf:
             solvable += 1

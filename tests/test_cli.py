@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 import math
 import os
@@ -66,9 +67,6 @@ def write_chain_csv(path, n, x0_mean, seed, labels=None):
 
 class InProcessPool:
     """Stands in for shiftlab._fork_pool's executor, running every task in this process."""
-
-    def __init__(self, state):
-        shiftlab._init_worker(state)
 
     def __enter__(self):
         return self
@@ -432,12 +430,11 @@ class TestSweepCommand:
     def test_workers_capped_at_alpha_count(self, tmp_path, monkeypatch):
         requested = []
 
-        def fake_pool(workers, state):
+        def fake_pool(workers):
             requested.append(workers)
-            return InProcessPool(state)
+            return InProcessPool()
 
         monkeypatch.setattr(shiftlab, "_fork_pool", fake_pool)
-        monkeypatch.setattr(shiftlab, "_worker_state", None)
         cfg = write_config(tmp_path)
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s"),
                      "--scenario", "target_shift", "--alphas", "0,0.4",
@@ -475,6 +472,50 @@ class TestParallelRun:
         assert args.jobs == (os.cpu_count() or 1)
         cfg = write_config(tmp_path)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), "--jobs", "1"]) == 0
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_one_job_without_fork(self, tmp_path, capsys, monkeypatch, command):
+        def no_loading(*args, **kwargs):
+            raise AssertionError("loaded a sample before checking --jobs")
+
+        monkeypatch.delattr(os, "fork")
+        argv = [command, "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "o")]
+        if command == "sweep":
+            argv += ["--scenario", "target_shift", "--alphas", "0,0.4"]
+        assert cli.build_parser().parse_args(argv).jobs == 1
+        monkeypatch.setattr(shiftlab, "_materialize", no_loading)
+        assert main(argv + ["--jobs", "2"]) == 2
+        assert "config error: --jobs: must be 1 where processes cannot fork" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, jobs, name", [
+        ("run", "3", "cross_val_accuracy"), ("sweep", "2", "train"),
+    ])
+    def test_workers_call_module_bindings(self, tmp_path, monkeypatch, command, jobs, name):
+        # wrapped as a tracer wraps them; a task that pickled such a wrapper by
+        # reference would fail to submit
+        def recording(fn, log):
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                with open(log, "a", encoding="utf-8") as fh:
+                    fh.write(f"{os.getpid()}\n")
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for wrapped in ("cross_val_accuracy", "train"):
+            log = tmp_path / f"{wrapped}.pids"
+            monkeypatch.setattr(shiftlab, wrapped, recording(getattr(shiftlab, wrapped), log))
+        cfg = write_config(tmp_path)
+        files = []
+        for j in ("1", jobs):
+            out = tmp_path / f"out-{j}"
+            argv = [command, "--config", str(cfg), "--out", str(out), "--jobs", j]
+            if command == "sweep":
+                argv += ["--scenario", "target_shift", "--alphas", "0,0.4"]
+            assert main(argv) == 0
+            files.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"})
+        assert files[0] == files[1]
+        pids = set((tmp_path / f"{name}.pids").read_text().split())
+        assert pids - {str(os.getpid())}
 
     def run_at_jobs(self, cfg, tmp_path, capsys, jobs):
         out = tmp_path / f"out-{jobs}"

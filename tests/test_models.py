@@ -261,11 +261,11 @@ class TestTraining:
 class TestDecisionGeometry:
     def test_linear_closed_form(self):
         m = rl.linear_model([2.0, 0.0], -1.0, schema2())
-        assert m.decision_value(np.array([1.0, 1.0])) == pytest.approx(1.0)
+        assert m.decision_values(np.array([[1.0, 1.0]]))[0] == pytest.approx(1.0)
 
     def test_boundary_point(self):
         m = rl.linear_model([1.0, 1.0], 0.0, schema2())
-        assert m.decision_value(np.array([0.0, 0.0])) == 0.0
+        assert m.decision_values(np.array([[0.0, 0.0]]))[0] == 0.0
         assert m.predict(np.array([0.0, 0.0])) == 1  # ties go positive
 
     def test_zero_mlp_scores_zero(self):
@@ -289,7 +289,14 @@ class TestDecisionGeometry:
     def test_wrong_dimension(self):
         m = rl.linear_model([1.0, 1.0], 0.0, schema2())
         with pytest.raises(SchemaMismatchError):
-            m.decision_value(np.array([1.0]))
+            m.predict(np.array([1.0]))
+        with pytest.raises(SchemaMismatchError):
+            m.decision_values(np.array([1.0, 1.0]))
+
+    def test_non_finite_vector(self):
+        m = rl.linear_model([1.0, 1.0], 0.0, schema2())
+        with pytest.raises(ValueError, match="finite"):
+            m.predict(np.array([np.nan, 1.0]))
 
 
 @pytest.fixture(scope="module")

@@ -12,6 +12,14 @@ def test_exports_resolve_once():
     assert missing == []
 
 
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == code.count("print(")
+
+
 def modules_after_cli_import() -> list[str]:
     """Names in sys.modules of a fresh interpreter that has imported recourse_lab.cli."""
     src = str(Path(rl.__file__).resolve().parents[1])

@@ -25,9 +25,14 @@ def schema2():
     return rl.synth_base(2, 0).schema
 
 
-def search_one(model, x, method, params=None, seed=0, cost=rl.CostFn("L2")):
-    """batch_recourse on a one-row dataset: the record for x, or None."""
-    data = rl.Dataset(model.schema, np.asarray(x, dtype=float)[None, :], np.array([-1]))
+def search_one(model, x, method, params=None, seed=0, cost=rl.CostFn("L2"), grid_rows=()):
+    """batch_recourse from x alone: the record for x, or None.
+
+    AR takes its grids from the columns of the data, here x and `grid_rows`;
+    those must be rows the model accepts, so that x is the only origin.
+    """
+    X = np.vstack([np.asarray(x, dtype=float), np.reshape(grid_rows, (-1, len(x)))])
+    data = rl.Dataset(model.schema, X, model.predict(X))
     cf = rl.batch_recourse(model, data, method, cost, params=params, seed=seed)
     assert cf.size + cf.not_found == 1
     return cf.records[0] if cf.records else None
@@ -179,10 +184,11 @@ def masked_cfe_batch(model, data, rows, cost, p, seed, scm):
     return final, iters
 
 
-def brute_force_ar(model, x, data, cost, percentiles, max_changed):
-    """Exhaustive enumeration over the same action grid (independent oracle)."""
+def brute_force_ar(model, X, cost, percentiles, max_changed):
+    """Exhaustive enumeration from x = X[0] over the grids of X's columns (independent oracle)."""
+    x = X[0]
     actionable = model.schema.actionable_indices()
-    grids = {j: _percentile_grid(data.X[:, j], percentiles) for j in actionable}
+    grids = {j: _percentile_grid(X[:, j], percentiles) for j in actionable}
     best_cost, best_point = np.inf, None
     for r in range(0, max_changed + 1):
         for combo in itertools.combinations(actionable, r):
@@ -190,7 +196,7 @@ def brute_force_ar(model, x, data, cost, percentiles, max_changed):
                 point = x.copy()
                 for j, v in zip(combo, values):
                     point[j] = v
-                if model.decision_value(point) >= 0.0:
+                if model.predict(point) == 1:
                     c = cost(x, point)
                     if c < best_cost:
                         best_cost, best_point = c, point
@@ -418,46 +424,32 @@ class TestLocalLinearSurrogate:
 
 class TestArSearch:
     def test_fixed_grid_example(self):
-        # grid {-1, 0.25, 0.75, 1.5} for feature 0: cheapest valid action is 0.75
+        # grid {-1, 0, 0.25, 0.75, 1.5} for feature a; a = 0.25 is cheaper but
+        # rejected, so the cheapest valid action is a = 0.75 (a = 0 is no action)
         schema = rl.FeatureSchema(
             (rl.FeatureSpec("a"), rl.FeatureSpec("b", actionable=False)),
         )
-        m = rl.linear_model([1.0, 0.0], -0.5, schema)
-        col = np.array([-1.0, 0.25, 0.75, 1.5])
-        data = rl.Dataset(schema, np.column_stack([col, np.zeros(4)]),
-                          np.array([-1, -1, 1, 1]))
-        rec = rl.ar_search(m, np.zeros(2), data, rl.CostFn("L1"),
-                           grid_percentiles=(0, 25, 75, 100))
+        m = rl.linear_model([1.0, 1.0], -0.5, schema)
+        rows = np.column_stack([[-1.0, 0.25, 0.75, 1.5], np.full(4, 10.0)])
+        rec = search_one(m, np.zeros(2), "ar", {"grid_percentiles": [0, 25, 50, 75, 100]},
+                         cost=rl.CostFn("L1"), grid_rows=rows)
         assert rec is not None
         assert rec.cost == pytest.approx(0.75)
         assert rec.recourse[0] == 0.75 and rec.recourse[1] == 0.0
-
-    def test_identity_when_valid(self):
-        m = rl.linear_model([1.0, 0.0], 0.5, schema2())
-        data = rl.synth_base(100, 0)
-        rec = rl.ar_search(m, np.zeros(2), data, rl.CostFn("L1"))
-        assert rec.cost == 0.0 and np.array_equal(rec.recourse, np.zeros(2))
 
     def test_no_actionable_features_rejected(self):
         schema = rl.FeatureSchema(
             (rl.FeatureSpec("a", actionable=False), rl.FeatureSpec("b", actionable=False)),
         )
         m = rl.linear_model([1.0, 1.0], -5.0, schema)
-        data = rl.Dataset(schema, np.zeros((5, 2)), np.array([-1, -1, -1, -1, -1]))
         with pytest.raises(ValueError):
-            rl.ar_search(m, np.zeros(2), data, rl.CostFn("L1"))
+            search_one(m, np.zeros(2), "ar", cost=rl.CostFn("L1"))
 
     def test_not_found_when_grid_insufficient(self):
-        schema = schema2()
-        m = rl.linear_model([1.0, 1.0], -100.0, schema)
+        m = rl.linear_model([1.0, 1.0], -100.0, schema2())
         data = rl.synth_base(200, 1)
-        assert rl.ar_search(m, np.zeros(2), data, rl.CostFn("L1")) is None
-
-    def test_nonlinear_model_rejected(self):
-        data = rl.synth_base(300, 0)
-        m = rl.train(rl.ModelSpec.mlp(hidden_layers=(4,), epochs=2), data)
-        with pytest.raises(ValueError):
-            rl.ar_search(m, np.zeros(2), data, rl.CostFn("L1"))
+        cf = rl.batch_recourse(m, data, "ar", rl.CostFn("L1"))
+        assert cf.size == 0 and cf.not_found == data.n
 
     @pytest.mark.parametrize("norm", ["L1", "L2"])
     def test_matches_exhaustive_oracle(self, norm):
@@ -470,12 +462,12 @@ class TestArSearch:
             b = rng.standard_normal() - 0.5
             m = rl.linear_model(w, b, schema)
             X = rng.standard_normal((150, 4))
-            data = rl.Dataset(schema, X, np.where(X @ w + b >= 0, 1, -1))
             x = rng.standard_normal(4)
             if m.predict(x) == 1:
                 continue
-            rec = rl.ar_search(m, x, data, cost, max_changed_features=3)
-            oracle_cost, _ = brute_force_ar(m, x, data, cost, DECILE_PERCENTILES, 3)
+            rows = X[m.predict(X) == 1]
+            rec = search_one(m, x, "ar", {"max_changed_features": 3}, cost=cost, grid_rows=rows)
+            oracle_cost, _ = brute_force_ar(m, np.vstack([x, rows]), cost, DECILE_PERCENTILES, 3)
             if rec is None:
                 assert oracle_cost == np.inf
             else:

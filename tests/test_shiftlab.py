@@ -35,7 +35,9 @@ def small_config(**overrides):
 
 
 def prepare(cfg):
-    return _prepare(cfg, _training_sample(cfg, cfg.d1_source, "d1-split"))
+    """The d1 training sample and the recourses against M1, the set's model."""
+    d1_train = _training_sample(cfg, cfg.d1_source, "d1-split")
+    return d1_train, _prepare(cfg, d1_train)
 
 
 class TestConfig:
@@ -96,13 +98,13 @@ class TestEvaluateM2:
             def predict(self, X):
                 return fake_preds[: len(X)]
 
-        flags, pct = _evaluate_m2(sub, Stub())
+        flags, pct = _evaluate_m2(sub.recourse_matrix(), Stub())
         assert flags.tolist() == [False, False, True, False]
         assert pct == pytest.approx(25.0)
 
     def test_empty_set_has_no_percentage(self):
         _, model = self.make_cf()
-        flags, pct = _evaluate_m2(rl.RecourseSet((), model, 0), model)
+        flags, pct = _evaluate_m2(rl.RecourseSet((), model, 0).recourse_matrix(), model)
         assert flags.size == 0 and pct is None
 
 
@@ -115,12 +117,12 @@ class TestRunPipeline:
 
     def test_negated_model_invalidates_everything(self):
         cfg = small_config()
-        prepared = prepare(cfg)
-        m1 = prepared.m1
+        _, cf1 = prepare(cfg)
+        m1 = cf1.model
         negated = rl.linear_model(-m1.weight_vector, -m1.bias - 1e-9, m1.schema)
-        flags, pct = _evaluate_m2(prepared.cf1, negated)
+        flags, pct = _evaluate_m2(cf1.recourse_matrix(), negated)
         assert pct == 100.0
-        assert flags.size == prepared.cf1.size and flags.all()
+        assert flags.size == cf1.size and flags.all()
 
     def test_report_columns(self):
         report = rl.run_pipeline(small_config())
@@ -141,9 +143,9 @@ class TestRunPipeline:
 
     def test_accounting(self):
         cfg = small_config()
-        prepared = prepare(cfg)
-        negatives = int(np.sum(prepared.m1.predict(prepared.d1_train.X) == -1))
-        assert prepared.cf1.size + prepared.cf1.not_found == negatives
+        d1_train, cf1 = prepare(cfg)
+        negatives = int(np.sum(cf1.model.predict(d1_train.X) == -1))
+        assert cf1.size + cf1.not_found == negatives
 
     def test_nan_representation(self):
         report = rl.InvalidationReport(

@@ -65,21 +65,23 @@ class TestClosedForms:
 
 
 class TestBoundInput:
+    """invalidation_bound's checks of its inputs, and its dispatch on kind."""
+
     def test_ordinal_requires_unit_interval_rate(self):
         with pytest.raises(ValueError):
-            rl.BoundInput(rho=2.0, delta_m=1, kind="ordinal")
+            rl.invalidation_bound("ordinal", 2.0, 1)
 
     def test_ordinal_requires_integer_steps(self):
         with pytest.raises(ValueError):
-            rl.BoundInput(rho=0.5, delta_m=1.5, kind="ordinal")
+            rl.invalidation_bound("ordinal", 0.5, 1.5)
 
     def test_value_dispatch(self):
-        assert rl.BoundInput(2.0, 0.25, "continuous").value() == pytest.approx(0.39347, abs=1e-5)
-        assert rl.BoundInput(0.5, 2, "ordinal").value() == pytest.approx(0.75)
+        assert rl.invalidation_bound("continuous", 2.0, 0.25) == pytest.approx(0.39347, abs=1e-5)
+        assert rl.invalidation_bound("ordinal", 0.5, 2) == pytest.approx(0.75)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            rl.BoundInput(0.5, 1, "categorical")
+            rl.invalidation_bound("categorical", 0.5, 1)
 
 
 class TestFitRho:
