@@ -15,6 +15,13 @@ import os
 import sys
 import time
 
+# No matrix here is wider than about ten columns, so a second BLAS thread only
+# spins; every CLI process and every worker it forks runs one. An explicit
+# setting wins. BLAS reads these when NumPy loads, so this precedes every
+# import that can load it, the package's own included.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 
 from . import __version__, models

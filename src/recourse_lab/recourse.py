@@ -306,36 +306,38 @@ def _ar_point(model: TrainedModel, x: np.ndarray, grids: dict, cost: CostFn, max
 
     Best-first over partial assignments ordered by a cost lower bound, which is
     exact for both norms (monotone keys), so the first valid point popped is the
-    grid optimum.
+    grid optimum. An expanded node's children are scored in one call when they
+    are pushed; a linear model scores a row the same in any batch.
     """
+    # every grid action that changes x, by ascending feature; a node whose last
+    # action is i takes its next actions from after[i], where i's feature ends
+    moves = [(j, grid[grid != x[j]]) for j, grid in grids.items()]
+    counts = [len(values) for _, values in moves]
+    feature = np.repeat([j for j, _ in moves], counts)
+    value = np.concatenate([values for _, values in moves])
+    delta = value - x[feature]
+    step = np.abs(delta) if cost.norm == "L1" else delta * delta
+    after = np.repeat(np.cumsum(counts), counts).tolist()
+    n = len(value)
 
-    def key(delta: float) -> float:
-        return abs(delta) if cost.norm == "L1" else delta * delta
-
-    # heap entries: (cost key, tiebreak, changes as ((feature, value), ...))
+    # heap entries: (cost key, tiebreak, decision value, changes, first next
+    # action, the batch holding the point, its row there)
     counter = itertools.count()
-    heap = [(0.0, next(counter), ())]
+    root = x[None]
+    heap = [(0.0, next(counter), model.decision_values(root)[0], 0, 0, root, 0)]
     popped = 0
     while heap:
-        k, _, changes = heapq.heappop(heap)
+        k, _, score, changed, start, rows, r = heapq.heappop(heap)
         popped += 1
-        point = x.copy()
-        for j, v in changes:
-            point[j] = v
-        if model.decision_values(point[None])[0] >= 0.0:
-            return point, popped
-        if len(changes) >= max_changed:
+        if score >= 0.0:
+            return rows[r].copy(), popped
+        if changed >= max_changed or start == n:
             continue
-        last = changes[-1][0] if changes else -1
-        for j, grid in grids.items():
-            if j <= last:
-                continue
-            for v in grid:
-                if v == x[j]:
-                    continue
-                heapq.heappush(
-                    heap, (k + key(v - x[j]), next(counter), changes + ((j, float(v)),))
-                )
+        children = np.repeat(rows[r:r + 1], n - start, axis=0)
+        children[np.arange(n - start), feature[start:]] = value[start:]
+        keys = (k + step[start:]).tolist()
+        for c, s in enumerate(model.decision_values(children).tolist()):
+            heapq.heappush(heap, (keys[c], next(counter), s, changed + 1, after[start + c], children, c))
     return None, popped
 
 

@@ -1,7 +1,22 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import recourse_lab as rl
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.fixture
+def fresh_env():
+    """Environment for a fresh interpreter that finds this package and sets no
+    BLAS thread count, which importing recourse_lab.cli in the test process does."""
+    src = str(Path(rl.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return env
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,8 @@ import functools
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -592,6 +594,21 @@ class TestParallelRun:
         for jobs in ("1", "2"):
             code, err, _ = self.run_at_jobs(cfg, tmp_path, capsys, jobs)
             assert code == 1 and "absent.csv" in err
+
+    def test_blas_thread_count_moves_no_output_byte(self, tmp_path, fresh_env):
+        cfg = write_config(tmp_path)
+        commands = (["run", "--config", str(cfg), "--out", "out", "--jobs", "2"],
+                    ["bounds", "--rho", "0.5", "--delta", "2", "--kind", "ordinal", "--verify"])
+        outputs = []
+        for threads in (None, "2"):
+            cwd = tmp_path / f"threads-{threads}"
+            cwd.mkdir()
+            env = fresh_env if threads is None else {**fresh_env, "OPENBLAS_NUM_THREADS": threads}
+            stdout = [subprocess.run([sys.executable, "-m", "recourse_lab.cli", *argv], cwd=cwd,
+                                     env=env, capture_output=True, check=True, timeout=300).stdout
+                      for argv in commands]
+            outputs.append(stdout + [(cwd / "out" / n).read_bytes() for n in ("report.csv", "report.json")])
+        assert outputs[0] == outputs[1]
 
 
 class TestExitCodesAgree:

@@ -1,9 +1,9 @@
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import recourse_lab as rl
+from conftest import BLAS_THREAD_VARS
 
 
 def test_exports_resolve_once():
@@ -20,23 +20,52 @@ def test_readme_library_example_runs(capsys):
     assert len(capsys.readouterr().out.splitlines()) == code.count("print(")
 
 
-def modules_after_cli_import() -> list[str]:
-    """Names in sys.modules of a fresh interpreter that has imported recourse_lab.cli."""
-    src = str(Path(rl.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    code = "import sys, recourse_lab.cli; print('\\n'.join(sys.modules))"
+def fresh_run(env: dict, code: str) -> list[str]:
+    """Lines that `code` prints in a fresh interpreter with environment `env`."""
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
-    return proc.stdout.split()
+    return proc.stdout.splitlines()
 
 
-def test_cli_import_loads_no_scipy():
-    assert [m for m in modules_after_cli_import() if m.split(".")[0] == "scipy"] == []
+def modules_after_cli_import(env: dict) -> list[str]:
+    return fresh_run(env, "import sys, recourse_lab.cli; print('\\n'.join(sys.modules))")
 
 
-def test_cli_import_loads_no_process_pool():
+def test_cli_import_loads_no_scipy(fresh_env):
+    assert [m for m in modules_after_cli_import(fresh_env) if m.split(".")[0] == "scipy"] == []
+
+
+def test_cli_import_loads_no_process_pool(fresh_env):
     # only a parallel run or sweep forks; bounds and --help never pay for the pool modules
-    loaded = modules_after_cli_import()
+    loaded = modules_after_cli_import(fresh_env)
     assert "recourse_lab.shiftlab" in loaded
     assert [m for m in loaded if m.split(".")[0] in ("concurrent", "multiprocessing")] == []
+
+
+def test_package_import_loads_no_numpy(fresh_env):
+    assert fresh_run(fresh_env, "import sys, recourse_lab; print('numpy' in sys.modules)") == ["False"]
+
+
+def blas_threads_after_cli_import(env: dict) -> list[str]:
+    return fresh_run(env, f"import os, recourse_lab.cli; print(*map(os.environ.get, {BLAS_THREAD_VARS}))")
+
+
+def test_cli_runs_one_blas_thread(fresh_env):
+    assert blas_threads_after_cli_import(fresh_env) == ["1 1 1"]
+
+
+def test_explicit_blas_thread_count_wins(fresh_env):
+    assert blas_threads_after_cli_import({**fresh_env, "OPENBLAS_NUM_THREADS": "3"}) == ["3 1 1"]
+
+
+def test_star_import_binds_every_export(fresh_env):
+    code = ("import recourse_lab\nprint(set(recourse_lab.__all__) <= set(dir(recourse_lab)))\n"
+            "from recourse_lab import *\n"
+            "print(all(globals()[n] is getattr(recourse_lab, n) for n in recourse_lab.__all__))")
+    assert fresh_run(fresh_env, code) == ["True", "True"]
+
+
+def test_unknown_attribute_names_itself(fresh_env):
+    code = ("import recourse_lab\ntry:\n    recourse_lab.no_such_name\n"
+            "except AttributeError as exc:\n    print(exc)")
+    assert fresh_run(fresh_env, code) == ["module 'recourse_lab' has no attribute 'no_such_name'"]

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ from scipy.stats import ks_2samp
 
 import recourse_lab as rl
 from recourse_lab.errors import DataValidationError, SearchError
+from recourse_lab.models import TrainedModel
 from recourse_lab.recourse import (
     _B1,
     _B2,
     DECILE_PERCENTILES,
+    _ar_point,
     _cfe_batch,
     _markov_batch,
     _percentile_grid,
@@ -184,23 +187,18 @@ def masked_cfe_batch(model, data, rows, cost, p, seed, scm):
     return final, iters
 
 
-def brute_force_ar(model, X, cost, percentiles, max_changed):
-    """Exhaustive enumeration from x = X[0] over the grids of X's columns (independent oracle)."""
-    x = X[0]
-    actionable = model.schema.actionable_indices()
-    grids = {j: _percentile_grid(X[:, j], percentiles) for j in actionable}
-    best_cost, best_point = np.inf, None
-    for r in range(0, max_changed + 1):
-        for combo in itertools.combinations(actionable, r):
+def brute_force_ar(model, x, grids, cost, max_changed):
+    """Least cost over every combination of grid actions from x on at most
+    max_changed features, or inf when none is valid (independent oracle)."""
+    points = []
+    for r in range(max_changed + 1):
+        for combo in itertools.combinations(grids, r):
             for values in itertools.product(*(grids[j] for j in combo)):
                 point = x.copy()
-                for j, v in zip(combo, values):
-                    point[j] = v
-                if model.predict(point) == 1:
-                    c = cost(x, point)
-                    if c < best_cost:
-                        best_cost, best_point = c, point
-    return best_cost, best_point
+                point[list(combo)] = values
+                points.append(point)
+    P = np.array(points)
+    return min(cost.pairwise(P[model.predict(P) == 1], x), default=np.inf)
 
 
 class TestCostFn:
@@ -452,28 +450,41 @@ class TestArSearch:
         assert cf.size == 0 and cf.not_found == data.n
 
     @pytest.mark.parametrize("norm", ["L1", "L2"])
-    def test_matches_exhaustive_oracle(self, norm):
+    def test_matches_exhaustive_oracle(self, norm, monkeypatch):
+        calls = []
+        score = TrainedModel.decision_values
+        monkeypatch.setattr(TrainedModel, "decision_values",
+                            lambda model, X: calls.append(len(X)) or score(model, X))
         rng = np.random.default_rng(17)
-        schema = rl.FeatureSchema(tuple(rl.FeatureSpec(f"f{j}") for j in range(4)))
         cost = rl.CostFn(norm)
         solvable = 0
-        for trial in range(20):
-            w = rng.standard_normal(4)
-            b = rng.standard_normal() - 0.5
-            m = rl.linear_model(w, b, schema)
-            X = rng.standard_normal((150, 4))
-            x = rng.standard_normal(4)
-            if m.predict(x) == 1:
-                continue
-            rows = X[m.predict(X) == 1]
-            rec = search_one(m, x, "ar", {"max_changed_features": 3}, cost=cost, grid_rows=rows)
-            oracle_cost, _ = brute_force_ar(m, np.vstack([x, rows]), cost, DECILE_PERCENTILES, 3)
-            if rec is None:
-                assert oracle_cost == np.inf
-            else:
+        for d, max_changed in itertools.product((2, 3, 4), (1, 2, 3)):
+            schema = rl.FeatureSchema(tuple(rl.FeatureSpec(f"f{j}") for j in range(d)))
+            m = rl.linear_model(rng.standard_normal(d), rng.standard_normal() - 0.5, schema)
+            X = rng.standard_normal((60, d))
+            data = rl.Dataset(schema, X, m.predict(X))
+            cf = rl.batch_recourse(m, data, "ar", cost, params={"max_changed_features": max_changed})
+            records = {r.origin.tobytes(): r for r in cf.records}
+            grids = {j: _percentile_grid(X[:, j], DECILE_PERCENTILES) for j in range(d)}
+            for x in X[m.predict(X) == -1]:
+                best = brute_force_ar(m, x, grids, cost, max_changed)
+                rec = records.pop(x.tobytes(), None)
+                if best == np.inf:
+                    assert rec is None
+                    continue
                 solvable += 1
-                assert rec.cost == pytest.approx(oracle_cost, abs=1e-9)
-        assert solvable >= 5
+                assert abs(rec.cost - best) <= 1e-12
+                # past the root's, each call scores the children of one expanded
+                # node: popped, invalid, and with fewer than max_changed changes
+                actions = [int(np.sum(grids[j] != x[j])) for j in range(d)]
+                shallow = sum(math.prod(combo) for r in range(max_changed)
+                              for combo in itertools.combinations(actions, r))
+                calls.clear()
+                point, popped = _ar_point(m, x, grids, cost, max_changed)
+                assert np.array_equal(point, rec.recourse) and popped == rec.iterations
+                assert len(calls) <= 1 + min(popped - 1, shallow)
+            assert records == {}
+        assert solvable >= 100
 
 
 class TestMarkovSearch:
