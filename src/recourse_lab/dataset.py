@@ -230,13 +230,18 @@ def load_csv(path, schema: FeatureSchema) -> Dataset:
     return Dataset(schema, X, y)
 
 
+def holdout_size(n: int, holdout_fraction: float) -> int:
+    """Rows `split` holds out of n: round-half-up(fraction * n)."""
+    return int(math.floor(holdout_fraction * n + 0.5))
+
+
 def split(data: Dataset, holdout_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Disjoint (train, holdout) partition; holdout size = round-half-up(fraction * n)."""
+    """Disjoint (train, holdout) partition of holdout_size(n, fraction) held-out rows."""
     if not 0.0 < holdout_fraction < 1.0:
         raise ValueError(f"holdout_fraction must lie in (0, 1), got {holdout_fraction}")
     if data.n < 2:
         raise ValueError("need at least 2 rows to split")
-    h = int(math.floor(holdout_fraction * data.n + 0.5))
+    h = holdout_size(data.n, holdout_fraction)
     perm = np.random.default_rng(seed).permutation(data.n)
     return data.subset(perm[h:]), data.subset(perm[:h])
 

@@ -29,6 +29,8 @@ _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
 _MLP_BATCH = 128
+# a forward pass runs on a multiple of this many rows (see TrainedModel._forward)
+_ROW_BLOCK = 4
 
 
 @dataclass(frozen=True)
@@ -132,20 +134,29 @@ class TrainedModel:
             raise UnsupportedModelError("bias is defined for linear kinds only")
         return float(self.layers[0][1][0])
 
-    def _forward(self, X):
-        """One forward pass over a batch: (each layer's input, decision values).
-
-        A one-row batch runs as two copies of its row, because a one-row
-        matrix product takes another BLAS path that sums in another order, and
-        a row's bits must not depend on its batch. Callers keep the first
-        len(X) rows.
-        """
+    def _checked(self, X) -> np.ndarray:
+        """X as a float batch, or SchemaMismatchError unless it is (n, n_features)."""
         Z = np.asarray(X, dtype=float)
         if Z.ndim != 2 or Z.shape[1] != self.schema.n_features:
             raise SchemaMismatchError(
                 f"expected shape (n, {self.schema.n_features}), got {Z.shape}"
             )
-        return _mlp_forward(self.layers, np.concatenate((Z, Z)) if len(Z) == 1 else Z)
+        return Z
+
+    def _forward(self, X):
+        """One forward pass over a batch: (each layer's input, decision values).
+
+        The batch is padded with zero rows to a multiple of _ROW_BLOCK rows,
+        and callers keep the first len(X) rows, because a row's bits must not
+        depend on its batch: BLAS sums a one-row matrix product in another
+        order than a longer one, and OpenBLAS's matrix-vector kernel sums the
+        rows past the last full block of four in yet another.
+        """
+        Z = self._checked(X)
+        pad = -len(Z) % _ROW_BLOCK
+        if pad:
+            Z = np.concatenate((Z, np.zeros((pad, Z.shape[1]))))
+        return _mlp_forward(self.layers, Z)
 
     def decision_values(self, X) -> np.ndarray:
         """Signed scores for a batch; pre-sigmoid logit for the MLP."""
@@ -155,9 +166,12 @@ class TrainedModel:
         """Exact gradient of the decision value with respect to each row of X.
 
         Every kind is piecewise linear, so no step size is involved: the linear
-        kinds give w on every row, and the MLP backpropagates through the ReLU
-        masks of one forward pass, taking ReLU'(0) = 0.
+        kinds give w on every row, with no forward pass, and the MLP
+        backpropagates through the ReLU masks of one forward pass, taking
+        ReLU'(0) = 0.
         """
+        if self.is_linear:
+            return self.layers[0][0].T.repeat(len(self._checked(X)), axis=0)
         acts, _ = self._forward(X)
         G = self.layers[-1][0].T.repeat(len(acts[0]), axis=0)
         for (W, _), act in zip(reversed(self.layers[:-1]), reversed(acts[1:])):
@@ -193,6 +207,15 @@ def _check_trainable(data: Dataset) -> None:
 
 
 def _train_linear(spec: ModelSpec, data: Dataset, hinge: bool) -> TrainedModel:
+    """Full-batch gradient descent on the mean hinge (SVM) or softplus (LR)
+    loss plus the L2 penalty, raising DivergenceError at the first epoch
+    whose loss is not finite.
+
+    Each epoch writes its row-sized arrays into buffers made once, and takes
+    |margin| once for both the divergence check and the logistic term, whose
+    y * sigmoid(-margin) it computes from that |margin| with util.sigmoid's
+    arithmetic; the weights equal those of the plain expressions bit for bit.
+    """
     X = data.X
     y = data.y.astype(float)
     n, d = X.shape
@@ -203,18 +226,34 @@ def _train_linear(spec: ModelSpec, data: Dataset, hinge: bool) -> TrainedModel:
     # |margin| and the penalty stay within this limit the loss is finite and
     # the divergence check need not compute it.
     limit = sys.float_info.max / (2.0 * (n + 1))
+    margin, abs_margin, coeff = np.empty(n), np.empty(n), np.empty(n)
+    mask = np.empty(n, dtype=bool)
     for epoch in range(spec.epochs):
         # overflow to inf is exactly what the divergence check looks for
         with np.errstate(over="ignore", invalid="ignore"):
-            margin = y * (X @ w + b)
+            # margin = y * (X @ w + b)
+            np.matmul(X, w, out=margin)
+            margin += b
+            margin *= y
             penalty = spec.l2_penalty * (w @ w)
-            if not (np.abs(margin).max() <= limit and penalty <= limit):
+            np.abs(margin, out=abs_margin)
+            if not (abs_margin.max() <= limit and penalty <= limit):
                 terms = np.maximum(0.0, 1.0 - margin) if hinge else np.logaddexp(0.0, -margin)
                 if not np.isfinite(np.mean(terms) + penalty):
                     raise DivergenceError(f"non-finite loss at epoch {epoch}")
-            coeff = y * ((1.0 - margin) > 0.0) if hinge else y * sigmoid(-margin)
+            if hinge:
+                # coeff = y * ((1 - margin) > 0); 1 - margin > 0 exactly when margin < 1
+                np.multiply(y, np.less(margin, 1.0, out=mask), out=coeff)
+            else:
+                # coeff = y * sigmoid(-margin): e = exp(-|margin|), then 1 / (1 + e)
+                # where -margin >= 0 and e / (1 + e) elsewhere
+                np.exp(np.negative(abs_margin, out=coeff), out=coeff)
+                denominator = np.add(coeff, 1.0, out=abs_margin)
+                np.copyto(coeff, 1.0, where=np.less_equal(margin, 0.0, out=mask))
+                coeff /= denominator
+                coeff *= y
         gw = -(X.T @ coeff) / n + 2.0 * spec.l2_penalty * w
-        gb = -coeff.mean()
+        gb = -(coeff.sum() / n)
         w = w - lr * gw
         b = b - lr * gb
     return TrainedModel(spec, data.schema, ((w[:, None], np.array([b])),))

@@ -39,6 +39,12 @@ COST_NORMS = ("L1", "L2")
 DECILE_PERCENTILES = tuple(range(10, 100, 10))
 
 
+def _row_norms(diff: np.ndarray) -> np.ndarray:
+    """L2 norm of each row: np.linalg.norm(diff, axis=1)'s own arithmetic,
+    without its wrapper."""
+    return np.sqrt(np.add.reduce(diff * diff, axis=1))
+
+
 @dataclass(frozen=True)
 class CostFn:
     """L1 or L2 distance between an origin and its recourse."""
@@ -59,13 +65,13 @@ class CostFn:
         diff = np.asarray(A, dtype=float) - np.asarray(B, dtype=float)
         if self.norm == "L1":
             return np.abs(diff).sum(axis=1)
-        return np.linalg.norm(diff, axis=1)
+        return _row_norms(diff)
 
     def costs_and_subgradient(self, diff):
         """Rowwise costs of diff = A - B and their subgradients with respect to A."""
         if self.norm == "L1":
             return np.abs(diff).sum(axis=1), np.sign(diff)
-        norms = np.linalg.norm(diff, axis=1)
+        norms = _row_norms(diff)
         nonzero = norms[:, None] > 1e-12
         return norms, np.divide(diff, norms[:, None], out=np.zeros_like(diff), where=nonzero)
 
@@ -169,10 +175,15 @@ def _cfe_batch(model, data, rows, cost, p, seed, scm):
     their penalty weight grown and continue from where they stopped.
 
     A stage descends on contiguous copies of its live rows, in row order, and
-    drops rows from them as they freeze, so no step gathers or scatters state.
-    Each step takes the costs and their subgradient from one difference to the
-    origins; the cheapest-valid bookkeeping reuses those costs. Rows only leave
-    a stage, so its live rows share one step count and one bias correction.
+    drops rows from them as they freeze, with one index and a take per array,
+    so no step gathers or scatters state. The live rows' best valid cost so
+    far is one of those copies. Each step makes one decision_values call and
+    takes the costs and their subgradient from one difference to the origins;
+    the Adam moments and the step are updated in place, in the order of their
+    textbook expressions, so every bit is theirs. Rows only leave a stage, so
+    its live rows share one step count and one bias correction.
+
+    A gradient that overflows raises SearchError, with no NumPy warning.
 
     Returns (list of recourse vectors or None, iterations array).
     """
@@ -180,6 +191,7 @@ def _cfe_batch(model, data, rows, cost, p, seed, scm):
     n, d = X.shape
     schema = model.schema
     margin = p["margin_target"]
+    step_size = p["step_size"]
     lam = np.full(n, p["lambda_init"])
     z = X.copy()
     # Adam bias corrections per step, as array powers (Python's float ** may differ in the last bit)
@@ -193,13 +205,10 @@ def _cfe_batch(model, data, rows, cost, p, seed, scm):
     seen_cost = np.full(n, np.inf)
     has_seen = np.zeros(n, dtype=bool)
 
-    def remember_valid(rows, zr, f, c):
-        better = (f >= 0.0) & (c < seen_cost[rows])
-        if better.any():
-            rows = rows[better]
-            seen_cost[rows] = c[better]
-            seen_z[rows] = zr[better]
-            has_seen[rows] = True
+    def remember(rows, zr, c):
+        seen_cost[rows] = c
+        seen_z[rows] = zr
+        has_seen[rows] = True
 
     def accept(rows, points):
         ok = model.decision_values(points) >= 0.0
@@ -212,34 +221,54 @@ def _cfe_batch(model, data, rows, cost, p, seed, scm):
         active = np.flatnonzero(~done)
         if not active.size:
             break
-        idx, zl, Xl, laml = active, z[active], X[active], lam[active]
+        idx, zl, Xl, laml, seenl = active, z[active], X[active], lam[active], seen_cost[active]
         m_adam, v_adam = np.zeros((idx.size, d)), np.zeros((idx.size, d))
+        step, work = np.empty((idx.size, d)), np.empty((idx.size, d))
         for t in range(p["inner_iters"]):
             if not idx.size:
                 break
             f = model.decision_values(zl)
-            c, sub = cost.costs_and_subgradient(zl - Xl)
-            remember_valid(idx, zl, f, c)
+            c, sub = cost.costs_and_subgradient(np.subtract(zl, Xl, out=work))
+            better = (f >= 0.0) & (c < seenl)
+            if better.any():
+                seenl[better] = c[better]
+                remember(idx[better], zl[better], c[better])
             gap = np.maximum(0.0, margin - f)
-            g = (laml * (-2.0 * gap))[:, None] * model.input_gradient(zl) + sub
-            if not np.all(np.isfinite(g)):
-                raise SearchError("non-finite search gradient")
-            m_adam = _B1 * m_adam + (1 - _B1) * g
-            v_adam = _B2 * v_adam + (1 - _B2) * g * g
-            step = p["step_size"] * (m_adam / bias1[t]) / (np.sqrt(v_adam / bias2[t]) + 1e-8)
-            zl = zl - step
+            grad = model.input_gradient(zl)
+            # an overflow here is what the finiteness check reports
+            with np.errstate(over="ignore", invalid="ignore"):
+                g = (laml * (-2.0 * gap))[:, None] * grad
+                g += sub
+                if not np.all(np.isfinite(g)):
+                    raise SearchError("non-finite search gradient")
+            # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g g
+            m_adam *= _B1
+            m_adam += np.multiply(g, 1 - _B1, out=work)
+            v_adam *= _B2
+            np.multiply(g, 1 - _B2, out=work)
+            v_adam += np.multiply(work, g, out=work)
+            # step = step_size * (m / bias1) / (sqrt(v / bias2) + 1e-8)
+            np.sqrt(np.divide(v_adam, bias2[t], out=work), out=work)
+            work += 1e-8
+            np.divide(m_adam, bias1[t], out=step)
+            step *= step_size
+            step /= work
+            zl -= step
             # a running max over columns: exact, and far cheaper than a row reduction
-            frozen = functools.reduce(np.maximum, np.abs(step).T) < p["tolerance"]
+            frozen = functools.reduce(np.maximum, np.abs(step, out=work).T) < p["tolerance"]
             if frozen.any():
                 z[idx[frozen]] = zl[frozen]
                 iters[idx[frozen]] += t + 1
-                keep = ~frozen
-                idx, zl, Xl, laml, m_adam, v_adam = (
-                    a[keep] for a in (idx, zl, Xl, laml, m_adam, v_adam))
+                keep = np.flatnonzero(~frozen)
+                idx, zl, Xl, laml, seenl, m_adam, v_adam = (
+                    a.take(keep, axis=0) for a in (idx, zl, Xl, laml, seenl, m_adam, v_adam))
+                step, work = np.empty_like(zl), np.empty_like(zl)
         z[idx] = zl
         iters[idx] += p["inner_iters"]  # rows still live ran every step
         za = z[active]
-        remember_valid(active, za, model.decision_values(za), cost.pairwise(za, X[active]))
+        f, c = model.decision_values(za), cost.pairwise(za, X[active])
+        better = (f >= 0.0) & (c < seen_cost[active])
+        remember(active[better], za[better], c[better])
 
         # converged iterate first, cheapest valid iterate as the fallback
         accept(active, _snap_to_schema(schema, za))

@@ -15,8 +15,17 @@ from functools import partial
 
 import numpy as np
 
-from .dataset import Dataset, FeatureSchema, ShiftSpec, load_csv, split, synth_schema, synth_shift
-from .errors import DegenerateMetricError, SchemaMismatchError
+from .dataset import (
+    Dataset,
+    FeatureSchema,
+    ShiftSpec,
+    holdout_size,
+    load_csv,
+    split,
+    synth_schema,
+    synth_shift,
+)
+from .errors import ConfigError, DegenerateMetricError, SchemaMismatchError
 from .models import ModelSpec, TrainedModel, cross_val_accuracy, train
 from .recourse import CostFn, RecourseSet, Scm, _causal_scm, batch_recourse, method_params
 from .util import derive_seed
@@ -149,12 +158,16 @@ class InvalidationReport:
         }
 
 
-def _training_sample(cfg: ExperimentConfig, source, split_name: str) -> Dataset:
-    """The source's sample less its holdout; `split_name` keys the split seed."""
-    data = _materialize(source)
+def _less_holdout(cfg: ExperimentConfig, data: Dataset, split_name: str) -> Dataset:
+    """data less its holdout; `split_name` keys the split seed."""
     if cfg.holdout_fraction > 0.0:
         data, _ = split(data, cfg.holdout_fraction, derive_seed(cfg.seeds.data, split_name))
     return data
+
+
+def _training_sample(cfg: ExperimentConfig, source, split_name: str) -> Dataset:
+    """The source's sample less its holdout; `split_name` keys the split seed."""
+    return _less_holdout(cfg, _materialize(source), split_name)
 
 
 def _model_spec(cfg: ExperimentConfig) -> ModelSpec:
@@ -200,19 +213,27 @@ def _fork_pool(workers: int):
 def run_pipeline(cfg: ExperimentConfig, jobs: int = 1) -> InvalidationReport:
     """Full paired-model run; deterministic given the config (seeds included).
 
-    Both training samples are loaded before any training. With jobs > 1,
-    min(jobs - 1, 2) forked workers cross-validate the two samples while
-    this process trains M1, searches recourses, trains M2 and evaluates;
-    with jobs == 1 the CV runs last, in this process. The report is the
-    same at every `jobs`, and so is the first error: this process raises
-    its own before it reads a worker's result, and reads the d1 CV before
-    the d2 CV.
+    Both training samples are loaded before any training, and each must
+    hold at least cv_folds rows, or ConfigError names its source's `n` or
+    `path`. With jobs > 1, min(jobs - 1, 2) forked workers cross-validate
+    the two samples while this process trains M1, searches recourses, trains
+    M2 and evaluates; with jobs == 1 the CV runs last, in this process. The
+    report is the same at every `jobs`, and so is the first error: this
+    process raises its own before it reads a worker's result, and reads the
+    d1 CV before the d2 CV.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    d1_train = _training_sample(cfg, cfg.d1_source, "d1-split")
-    d2_train = _training_sample(cfg, cfg.d2_source, "d2-split")
-    samples = (d1_train, d2_train)
+    sources = {"d1_source": cfg.d1_source, "d2_source": cfg.d2_source}
+    loaded = [_materialize(source) for source in sources.values()]
+    for (name, source), data in zip(sources.items(), loaded):
+        rows = data.n - holdout_size(data.n, cfg.holdout_fraction)
+        if rows < cfg.cv_folds:
+            field = "synthetic.n" if isinstance(source, ShiftSpec) else "csv.path"
+            raise ConfigError(f"{name}.{field}: leaves {rows} training rows after the holdout, "
+                              f"fewer than cv_folds ({cfg.cv_folds})")
+    d1_train, d2_train = samples = (_less_holdout(cfg, loaded[0], "d1-split"),
+                                    _less_holdout(cfg, loaded[1], "d2-split"))
     spec = _model_spec(cfg)
     workers = min(jobs - 1, len(samples))
     with _fork_pool(workers) if workers else contextlib.nullcontext() as pool:

@@ -1,10 +1,12 @@
 import csv
 import functools
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -49,6 +51,14 @@ README_DOC = {
     "cv_folds": 10,
 }
 CHAIN_SCHEMA = {"features": [{"name": f"x{i}"} for i in range(3)], "label": "label"}
+README_ALPHAS = "0,0.1,0.2,0.3,0.4,0.5,0.6"
+# sha256 of the README run's report files and of its sweep over README_ALPHAS;
+# every per-record cost in report.json is pinned to the last bit
+README_DIGESTS = {
+    "report.csv": "2939cd7e55ff4d0cd68dc36693e6faf6f831c11c6c8c0d2ebb28576061a9e993",
+    "report.json": "2a99225b3e24484f7160ddb29376d678cd1c3a8bc3a8043dd47751eb49542497",
+    "sweep.csv": "36b5c7f07425996eec36b282611b0c6fa502aa6e9fc61f8933bca29714afea51",
+}
 
 
 def write_chain_csv(path, n, x0_mean, seed, labels=None):
@@ -455,6 +465,15 @@ class TestSweepCommand:
                          "--scenario", "target_shift", "--alphas", "0,0.4",
                          "--jobs", jobs]) == 2
 
+    def test_readme_sweep_bytes_pinned(self, tmp_path):
+        cfg = tmp_path / "readme.json"
+        cfg.write_text(json.dumps(README_DOC))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--scenario", "target_shift", "--alphas", README_ALPHAS, "--jobs", "2"]) == 0
+        digest = hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest()
+        assert digest == README_DIGESTS["sweep.csv"]
+
     def test_parallel_jobs_match_serial(self, tmp_path):
         cfg = write_config(tmp_path)
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
@@ -535,6 +554,8 @@ class TestParallelRun:
         assert files[0] == files[1]
         # the README documents this row
         assert files[0][0].decode().splitlines()[1] == "CFE,LR,99.62,99.71,2325,40.04"
+        for name, content in zip(("report.csv", "report.json"), files[0]):
+            assert hashlib.sha256(content).hexdigest() == README_DIGESTS[name], name
 
     def test_csv_mlp_causal_reports_identical_at_every_jobs(self, tmp_path, capsys):
         cfg = write_config(
@@ -553,15 +574,19 @@ class TestParallelRun:
         assert files[0] == files[1] == files[2]
 
     @pytest.mark.parametrize("d2_labels, message", [
-        (None, "need at least k=20 rows, got 11"),  # the d1 CV's error, read before d2's
-        ([1] * 16, "training data holds a single class"),  # M2's error beats the failing CV
+        # the d1 CV's error, read before d2's
+        ([-1] * 22 + [1], "training data holds a single class (+1)"),
+        # M2's error beats the failing CV
+        ([-1] * 23, "training data holds a single class (-1)"),
     ], ids=["cv", "m2-before-cv"])
     def test_failure_identical_at_every_jobs(self, tmp_path, capsys, d2_labels, message):
-        # 11 and 14 training rows against 20 folds: every CV fails
+        # 21 training rows of each sample against 20 folds; the last row, the
+        # only one of its class and kept by both splits, leaves the fold that
+        # holds it out with a single class, so every CV fails
         cfg = write_config(
             tmp_path,
-            d1_source=write_chain_csv(tmp_path / "d1.csv", 12, 0.0, 1, [1, -1] * 6),
-            d2_source=write_chain_csv(tmp_path / "d2.csv", 16, 0.3, 2, d2_labels),
+            d1_source=write_chain_csv(tmp_path / "d1.csv", 23, 0.0, 1, [1] * 22 + [-1]),
+            d2_source=write_chain_csv(tmp_path / "d2.csv", 23, 0.3, 2, d2_labels),
             cv_folds=20,
         )
         results = []
@@ -656,3 +681,79 @@ class TestExitCodesAgree:
             argv += ["--scenario", "target_shift", "--alphas", "0,0.4"]
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: search failed\n"
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_huge_margin_target_prints_one_error_line(self, tmp_path, capsys, command):
+        # the CFE gradient overflows; its SearchError is the only thing on stderr
+        cfg = write_config(tmp_path, recourse={"method": "cfe", "params": {"margin_target": 1e308}})
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o"), "--jobs", "1"]
+        if command == "sweep":
+            argv += ["--scenario", "target_shift", "--alphas", "0,0.4"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 1
+        assert capsys.readouterr().err == "error: non-finite search gradient\n"
+        assert not caught
+
+
+def count_train_calls(monkeypatch):
+    """Log the model kind of every train call made through models or shiftlab."""
+    calls = []
+    real_train = models.train
+
+    def counting(spec, data):
+        calls.append(spec.kind)
+        return real_train(spec, data)
+
+    monkeypatch.setattr(models, "train", counting)
+    monkeypatch.setattr(shiftlab, "train", counting)
+    return calls
+
+
+class TestTrainingRows:
+    """`run` needs cv_folds training rows in each sample, and says so before any training."""
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("source, n", [
+        ("d1_source", 1), ("d1_source", 2), ("d1_source", 10), ("d2_source", 1), ("d2_source", 10),
+    ])
+    def test_small_synthetic_sample_exits_2_before_training(
+            self, tmp_path, capsys, monkeypatch, source, n, jobs):
+        # 10 rows less a 0.1 holdout leave 9 against 10 folds
+        calls = count_train_calls(monkeypatch)
+        doc = {"scenario": "target_shift", "alpha": 0.0, "n": n, "seed": 31}
+        cfg = write_config(tmp_path, cv_folds=10, **{source: {"synthetic": doc}})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), "--jobs", jobs]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {source}.synthetic.n: ") and "cv_folds (10)" in err
+        assert err.count("\n") == 1 and calls == []
+
+    # 12 rows less a 0.1 holdout leave 11 against 20 folds; one row is too few to split
+    @pytest.mark.parametrize("source, n, left", [
+        ("d1_source", 12, 11), ("d2_source", 12, 11), ("d1_source", 1, 1),
+    ])
+    def test_small_csv_sample_exits_2_before_training(
+            self, tmp_path, capsys, monkeypatch, source, n, left):
+        calls = count_train_calls(monkeypatch)
+        sources = {
+            "d1_source": write_chain_csv(tmp_path / "d1.csv", 300, 0.0, 1),
+            "d2_source": write_chain_csv(tmp_path / "d2.csv", 300, 0.3, 2),
+        }
+        sources[source] = write_chain_csv(tmp_path / "small.csv", n, 0.0, 3)
+        cfg = write_config(tmp_path, cv_folds=20, **sources)
+        for jobs in ("1", "2"):
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                         "--jobs", jobs]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {source}.csv.path: leaves {left} training rows")
+        assert calls == []
+
+    def test_sweep_trains_small_samples(self, tmp_path, monkeypatch):
+        # the sweep trains no CV folds, so cv_folds does not bound its samples
+        calls = count_train_calls(monkeypatch)
+        doc = {"scenario": "target_shift", "alpha": 0.0, "n": 10, "seed": 31}
+        cfg = write_config(tmp_path, cv_folds=10, d1_source={"synthetic": doc},
+                           d2_source={"synthetic": {**doc, "seed": 32}})
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--scenario", "target_shift", "--alphas", "0,0.4", "--jobs", "1"]) == 0
+        assert len(calls) == 3

@@ -172,6 +172,17 @@ class TestTrainingOracles:
         got = np.r_[model.weight_vector, model.bias]
         np.testing.assert_allclose(got, reference_train_linear(spec, data), rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("spec, want", [
+        (rl.ModelSpec.logistic(),
+         ["0x1.1ab3e94c158d9p+2", "0x1.165a33b50e713p+2", "0x1.028a5dec4b19dp-6"]),
+        (rl.ModelSpec.svm(),
+         ["0x1.21584a09d20d6p+1", "0x1.1b585a135ef38p+1", "0x1.3e36b450a54bfp-7"]),
+    ], ids=["logistic", "svm"])
+    def test_linear_weights_pinned(self, spec, want):
+        # w0, w1 and b to the last bit
+        model = rl.train(spec, rl.synth_base(4500, 1))
+        assert [float(v).hex() for v in np.r_[model.weight_vector, model.bias]] == want
+
     def test_divergence_epoch_matches(self):
         data = rl.synth_base(300, 1)
         epochs = set()

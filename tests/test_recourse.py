@@ -13,6 +13,7 @@ from recourse_lab.models import TrainedModel
 from recourse_lab.recourse import (
     _B1,
     _B2,
+    _METHODS,
     DECILE_PERCENTILES,
     _ar_point,
     _cfe_batch,
@@ -707,6 +708,44 @@ class TestCausalRecourse:
         data = rl.synth_base(50, 0)
         with pytest.raises(SchemaMismatchError):
             rl.batch_recourse(model, data, "causal", rl.CostFn("L2"), scm=scm)
+
+
+@pytest.fixture(scope="module")
+def chain_models():
+    """A sample of the default chain SCM under a curved label rule, and LR,
+    SVM and MLP fits to it."""
+    scm = rl.default_chain_scm()
+    schema = rl.FeatureSchema(tuple(rl.FeatureSpec(n) for n in ("x0", "x1", "x2")))
+    X = sample_scm(scm, 600, 9)
+    y = np.where(X[:, 0] + 0.5 * X[:, 1] + 0.4 * X[:, 2] ** 2 - 0.5 >= 0.0, 1, -1)
+    data = rl.Dataset(schema, X, y)
+    specs = (rl.ModelSpec.logistic(epochs=100), rl.ModelSpec.svm(epochs=100),
+             rl.ModelSpec.mlp(hidden_layers=(8,), epochs=20, seed=1))
+    return data, {spec.kind: rl.train(spec, data) for spec in specs}
+
+
+class TestBatchInvariance:
+    """A kernel gives an origin the same point and iteration count, bit for bit,
+    whatever other origins share its batch and in whatever order. markov is
+    left out: its stop draws come from one stream per batch, so a walk's
+    depth still depends on its batch."""
+
+    @pytest.mark.parametrize("kind", ["logistic_regression", "linear_svm", "mlp"])
+    @pytest.mark.parametrize("method", ["cfe", "ar", "causal"])
+    def test_subset_matches_full_run(self, chain_models, method, kind):
+        data, fits = chain_models
+        model = fits[kind]
+        rows = np.flatnonzero(model.predict(data.X) == -1)[:30]
+        p = method_params(method)
+        kernel = _METHODS[method][1]
+        points, iters = kernel(model, data, rows, rl.CostFn("L2"), p, 3, None)
+        assert sum(pt is not None for pt in points) >= 10
+        pick = np.random.default_rng(4).permutation(rows.size)[:12]
+        sub_points, sub_iters = kernel(model, data, rows[pick], rl.CostFn("L2"), p, 3, None)
+        assert np.array_equal(sub_iters, iters[pick])
+        for got, k in zip(sub_points, pick):
+            want = points[k]
+            assert (got is None and want is None) or np.array_equal(got, want), rows[k]
 
 
 class TestBatchRecourse:
