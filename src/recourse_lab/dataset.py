@@ -37,6 +37,13 @@ class FeatureSpec:
             raise DataValidationError(
                 f"feature {self.name!r}: lower bound {self.lower} exceeds upper bound {self.upper}"
             )
+        if self.kind != "continuous":
+            for side, bound in (("lower", self.lower), ("upper", self.upper)):
+                if math.isfinite(bound) and bound != round(bound):
+                    raise DataValidationError(
+                        f"feature {self.name!r}: {self.kind} {side} bound {bound} "
+                        "must be a whole number"
+                    )
 
 
 @dataclass(frozen=True)

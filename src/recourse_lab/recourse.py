@@ -20,6 +20,7 @@ import heapq
 import itertools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,6 +163,8 @@ def _record(model: TrainedModel, x, point, cost: CostFn, method: str, iterations
 
 
 _B1, _B2 = 0.9, 0.999
+# the largest CFE gradient entry whose square, so (1 - b2) g g and v / bias2, is finite
+_G_MAX = math.sqrt(sys.float_info.max)
 
 
 def _cfe_batch(model, data, rows, cost, p, seed, scm):
@@ -183,7 +186,8 @@ def _cfe_batch(model, data, rows, cost, p, seed, scm):
     textbook expressions, so every bit is theirs. Rows only leave a stage, so
     its live rows share one step count and one bias correction.
 
-    A gradient that overflows raises SearchError, with no NumPy warning.
+    A NaN gradient entry, or one whose square would overflow the second
+    moment, raises SearchError, with no NumPy warning.
 
     Returns (list of recourse vectors or None, iterations array).
     """
@@ -235,11 +239,11 @@ def _cfe_batch(model, data, rows, cost, p, seed, scm):
                 remember(idx[better], zl[better], c[better])
             gap = np.maximum(0.0, margin - f)
             grad = model.input_gradient(zl)
-            # an overflow here is what the finiteness check reports
+            # an overflow or NaN here fails the bound check
             with np.errstate(over="ignore", invalid="ignore"):
                 g = (laml * (-2.0 * gap))[:, None] * grad
                 g += sub
-                if not np.all(np.isfinite(g)):
+                if not np.abs(g).max() <= _G_MAX:
                     raise SearchError("non-finite search gradient")
             # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g g
             m_adam *= _B1
@@ -400,17 +404,20 @@ def _markov_batch(
     X: np.ndarray,
     step: float,
     rho: float,
-    seed: int,
+    u: np.ndarray,
     max_steps: int,
     settle_at: float | None = None,
 ):
     """Vectorized stochastic boundary-crossing walk.
 
     Each walker climbs the normalized decision-value gradient in increments of
-    `step` (snapped to the grid for ordinal/binary features). Once a walker first
-    reaches a +1 point it draws, before every further step, a uniform variate and
-    stops with probability min(1, rho * step); rho is a stop rate per unit of
-    distance walked, which for unit grids equals a per-step probability.
+    `step` (snapped to the grid for ordinal/binary features). Once it first
+    reaches a +1 point it takes K more steps, K = floor(ln u / ln(1 - p)) with
+    p = min(1, rho * step) and u its entry of `u`, in (0, 1]. So
+    P(K >= k) = (1 - p)^k, as if it stopped with probability p before every
+    further step; rho is a stop rate per unit of distance walked, which for
+    unit grids equals a per-step probability. Nothing is drawn here, so a
+    walk depends on its own start and u alone.
 
     With `settle_at`, a walker also stops, keeping its point, as soon as its
     decision value reaches settle_at (checked at the start and after every
@@ -420,7 +427,8 @@ def _markov_batch(
     translation by delta_m accepts exactly the points at or above
     delta_m * ||w||.
 
-    Returns (list of points or None, iterations array).
+    Returns (list of points or None, iterations array); a walker keeps its
+    point when it crossed and did not fail, a budget stop included.
     """
     if not step > 0:
         raise ValueError("step must be positive")
@@ -428,8 +436,8 @@ def _markov_batch(
         raise ValueError("rho must be positive")
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
-    p_stop = min(1.0, rho * step)
-    rng = np.random.default_rng(seed)
+    with np.errstate(divide="ignore"):  # p = 1 gives ln 0 = -inf, so K = 0
+        stop_after = np.floor(np.log(u) / np.log1p(-min(1.0, rho * step)))
 
     n = len(X)
     schema = model.schema
@@ -441,22 +449,14 @@ def _markov_batch(
     if settle_at is not None:
         done |= f >= settle_at
     failed = np.zeros(n, dtype=bool)
+    past = np.zeros(n)  # steps taken from past the boundary
     iters = np.zeros(n, dtype=int)
 
     for _ in range(max_steps):
-        active = ~done & ~failed
-        if not active.any():
+        # a walker stops once it has taken its K steps past the boundary
+        rows = np.flatnonzero(~(done | failed | (crossed & (past >= stop_after))))
+        if not rows.size:
             break
-        # stop draws happen before the next step, only for walkers past the boundary
-        drawing = active & crossed
-        if drawing.any():
-            stops = rng.uniform(size=int(drawing.sum())) < p_stop
-            rows = np.flatnonzero(drawing)[stops]
-            done[rows] = True
-            active[rows] = False
-            if not active.any():
-                continue
-        rows = np.flatnonzero(active)
         zr = z.take(rows, axis=0)  # several times faster than z[rows] for short rows
         g = model.input_gradient(zr)
         norms = np.linalg.norm(g, axis=1, keepdims=True)
@@ -485,25 +485,22 @@ def _markov_batch(
             raise SearchError("walk produced a non-finite point")
         z[rows] = proposal
         iters[rows] += 1
+        past[rows] += crossed[rows]
         f = model.decision_values(proposal)
         crossed[rows] |= f >= 0.0
         if settle_at is not None:
             done[rows] |= f >= settle_at
 
-    unfinished = ~done & ~failed
-    failed |= unfinished & ~crossed
-    # walkers stopped by the budget while already past the boundary keep their point
-    done |= unfinished & crossed
-
-    finals = [z[i].copy() if done[i] and not failed[i] else None for i in range(n)]
+    finals = [z[i].copy() if crossed[i] and not failed[i] else None for i in range(n)]
     return finals, iters
 
 
 def _walk_batch(model, data, rows, cost, p, seed, scm):
-    """_markov_batch from the origins data.X[rows], with one stop stream per batch."""
-    return _markov_batch(
-        model, data.X[rows], p["step"], p["rho"], derive_seed(seed, "markov-batch"), p["max_steps"]
-    )
+    """_markov_batch from the origins data.X[rows]. Each walker's u comes from
+    one stream over the data's rows, taken at its row, so a walk does not
+    depend on which other rows share its batch."""
+    u = 1.0 - np.random.default_rng(derive_seed(seed, "markov")).random(data.n)[rows]
+    return _markov_batch(model, data.X[rows], p["step"], p["rho"], u, p["max_steps"])
 
 
 @dataclass(frozen=True)

@@ -273,13 +273,18 @@ def sweep_sources(scenario: str, alphas, base: ExperimentConfig) -> list[ShiftSp
     """The shifted d2 source of each alpha; raises ValueError for a bad alpha or base.
 
     The alphas must be nonempty and valid for the scenario, and both of the
-    base config's sources synthetic.
+    base config's sources synthetic. A source too small to hold rows out
+    raises ConfigError naming its `n`.
     """
     alphas = list(alphas)
     if not alphas:
         raise ValueError("alphas must be nonempty")
     if not isinstance(base.d1_source, ShiftSpec) or not isinstance(base.d2_source, ShiftSpec):
         raise ValueError("sensitivity_sweep needs synthetic d1 and d2 sources")
+    for name, source in (("d1_source", base.d1_source), ("d2_source", base.d2_source)):
+        if base.holdout_fraction > 0.0 and source.n < 2:
+            raise ConfigError(
+                f"{name}.synthetic.n: must be at least 2 to hold rows out, got {source.n}")
     return [
         ShiftSpec(scenario, float(alpha), base.d2_source.n, base.d2_source.seed)
         for alpha in alphas

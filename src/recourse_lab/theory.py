@@ -155,9 +155,8 @@ def verify_bound(
         m2, settle_at = _comparison_perturb(m1, delta_m, data), None
     if step is None:
         step = 1.0 if kind == "ordinal" else float(np.clip(0.02 / rho, 1e-3, 0.05))
-    finals, _ = _markov_batch(
-        m1, starts, step, rho, derive_seed(seed, "verify-walk"), max_steps, settle_at=settle_at
-    )
+    u = 1.0 - np.random.default_rng(derive_seed(seed, "verify-walk")).random(n_trials)
+    finals, _ = _markov_batch(m1, starts, step, rho, u, max_steps, settle_at=settle_at)
     kept = [pt for pt in finals if pt is not None]
     if len(kept) < n_trials:
         raise InsufficientSampleError(

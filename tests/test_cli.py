@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -12,6 +13,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import recourse_lab as rl
 from recourse_lab import cli, models, shiftlab, theory
@@ -292,7 +295,10 @@ class TestRunCommand:
         ("d1_source.csv.schema.features[1].lower", {"lower": True}),
         ("d1_source.csv.schema.features[1].upper", {"upper": math.nan}),
         ("d1_source.csv.schema.features[1].actionble", {"actionble": False}),
-    ], ids=["actionable-str", "lower-bool", "upper-nan", "misspelt-key"])
+        ("d1_source.csv.schema.features[1]", {"kind": "ordinal", "lower": 0.5}),
+        ("d1_source.csv.schema.features[1]", {"kind": "binary", "upper": 0.5}),
+    ], ids=["actionable-str", "lower-bool", "upper-nan", "misspelt-key", "ordinal-lower-half",
+            "binary-upper-half"])
     def test_bad_csv_schema_names_path(self, tmp_path, capsys, monkeypatch, field, entry):
         def no_training(*args, **kwargs):
             raise AssertionError("config errors must come before any training")
@@ -684,16 +690,20 @@ class TestExitCodesAgree:
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_huge_margin_target_prints_one_error_line(self, tmp_path, capsys, command):
-        # the CFE gradient overflows; its SearchError is the only thing on stderr
-        cfg = write_config(tmp_path, recourse={"method": "cfe", "params": {"margin_target": 1e308}})
-        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o"), "--jobs", "1"]
-        if command == "sweep":
-            argv += ["--scenario", "target_shift", "--alphas", "0,0.4"]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(argv) == 1
-        assert capsys.readouterr().err == "error: non-finite search gradient\n"
-        assert not caught
+        # at 1e308 the CFE gradient overflows; at 1e160 it is finite, but its
+        # square would overflow the Adam second moment. Either way its
+        # SearchError is the only thing on stderr.
+        for margin in (1e308, 1e160):
+            cfg = write_config(tmp_path, recourse={"method": "cfe",
+                                                   "params": {"margin_target": margin}})
+            argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o"), "--jobs", "1"]
+            if command == "sweep":
+                argv += ["--scenario", "target_shift", "--alphas", "0,0.4"]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(argv) == 1, margin
+            assert capsys.readouterr().err == "error: non-finite search gradient\n", margin
+            assert not caught, margin
 
 
 def count_train_calls(monkeypatch):
@@ -748,6 +758,20 @@ class TestTrainingRows:
             assert err.startswith(f"config error: {source}.csv.path: leaves {left} training rows")
         assert calls == []
 
+    @pytest.mark.parametrize("source", ["d1_source", "d2_source"])
+    def test_sweep_one_row_sample_exits_2_before_training(self, tmp_path, capsys, monkeypatch,
+                                                          source):
+        # a one-row sample cannot be split into training rows and a holdout
+        calls = count_train_calls(monkeypatch)
+        doc = {"scenario": "target_shift", "alpha": 0.0, "n": 1, "seed": 31}
+        cfg = write_config(tmp_path, **{source: {"synthetic": doc}})
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--scenario", "target_shift", "--alphas", "0,0.4", "--jobs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {source}.synthetic.n: must be at least 2 to hold rows out, " \
+                      "got 1\n"
+        assert calls == []
+
     def test_sweep_trains_small_samples(self, tmp_path, monkeypatch):
         # the sweep trains no CV folds, so cv_folds does not bound its samples
         calls = count_train_calls(monkeypatch)
@@ -757,3 +781,128 @@ class TestTrainingRows:
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"),
                      "--scenario", "target_shift", "--alphas", "0,0.4", "--jobs", "1"]) == 0
         assert len(calls) == 3
+
+
+# values a mutated config leaf takes: about half the time one of its own JSON
+# type, else any of them; numbers at and past the float range, and names that
+# are valid somewhere in the config. DELETE drops the key or list entry.
+DELETE = object()
+KIN_VALUES = {
+    bool: (True, False),
+    int: (0, 1, -1, 2, 3, 20, 400, 10**400),
+    float: (0.0, 0.05, 0.5, 0.9, -0.5, 1e-320, 1e300, -1e300, math.inf, -math.inf, math.nan),
+    str: ("", "²", "x0", "label", "logistic_regression", "linear_svm", "mlp", "cfe", "ar",
+          "causal", "markov", "L1", "ordinal", "binary", "target_shift", "predictor_shift"),
+    list: ([], [4], [0.5], ["x0"]),
+    dict: ({}, {"x0": 1}),
+}
+MUTANT_VALUES = (DELETE, None, *(v for values in KIN_VALUES.values() for v in values))
+ERROR_PATH = r"[A-Za-z_][\w.\[\]]*"
+
+
+def mutant_bases(csv_dir):
+    """Small configs to mutate: synthetic LR, synthetic MLP and CSV chain samples."""
+    base = {
+        "d1_source": {"synthetic": {"scenario": "target_shift", "alpha": 0.0, "n": 400,
+                                    "seed": 31}},
+        "d2_source": {"synthetic": {"scenario": "target_shift", "alpha": 0.3, "n": 400,
+                                    "seed": 32}},
+        "model": {"kind": "logistic_regression", "hidden_layers": [], "learning_rate": 0.5,
+                  "epochs": 20, "l2_penalty": 1e-4},
+        "recourse": {"method": "cfe", "params": {"margin_target": 0.2}},
+        "cost": {"norm": "L2"},
+        "holdout_fraction": 0.1,
+        "seeds": {"data": 0, "model": 1, "recourse": 2},
+        "cv_folds": 5,
+    }
+    mlp = {**base, "model": {"kind": "mlp", "hidden_layers": [4], "learning_rate": 0.01,
+                             "epochs": 20, "l2_penalty": 1e-4},
+           "recourse": {"method": "markov", "params": {}}}
+    schema = {"features": [{"name": f"x{i}", "kind": "continuous", "actionable": True,
+                            "lower": -100, "upper": 100} for i in range(3)], "label": "label"}
+    chain = {
+        **base,
+        "d1_source": {"csv": {"path": str(csv_dir / "d1.csv"), "schema": schema}},
+        "d2_source": {"csv": {"path": str(csv_dir / "d2.csv"), "schema": schema}},
+        "recourse": {"method": "causal", "params": {"max_intervened": 2}},
+        "scm": [{"name": "x0"}, {"name": "x1", "parents": {"0": 0.8}},
+                {"name": "x2", "parents": {"1": 0.5}, "intervenable": True}],
+    }
+    return base, mlp, chain
+
+
+def leaf_paths(doc, at=()):
+    """Paths to every scalar and empty container in doc."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    paths = []
+    for key, value in items:
+        if isinstance(value, (dict, list)) and value:
+            paths += leaf_paths(value, at + (key,))
+        else:
+            paths.append(at + (key,))
+    return paths
+
+
+def node_at(doc, path):
+    return functools.reduce(lambda node, key: node[key], path, doc)
+
+
+def mutate(doc, path, value):
+    """A deep copy of doc with the leaf at path set to value (or deleted)."""
+    doc = json.loads(json.dumps(doc))
+    parent = node_at(doc, path[:-1])
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = json.loads(json.dumps(value))
+    return doc
+
+
+@pytest.fixture(scope="module")
+def mutant_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("mutants")
+    write_chain_csv(path / "d1.csv", 300, 0.0, 1)
+    write_chain_csv(path / "d2.csv", 300, 0.3, 2)
+    return path
+
+
+class TestMutatedConfigs:
+    """`main` on a small config with one to three leaves mutated either succeeds,
+    exits 2 naming a config path before any training, or exits 1 with one
+    error line; nothing else reaches stderr or the warnings machinery."""
+
+    @given(data=st.data())
+    @settings(derandomize=True, max_examples=250, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_outcome_is_documented(self, mutant_dir, monkeypatch, capsys, data):
+        doc = data.draw(st.sampled_from(mutant_bases(mutant_dir)), label="base")
+        for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+            paths = leaf_paths(doc)
+            if not paths:
+                break
+            path = data.draw(st.sampled_from(paths), label="path")
+            kin = KIN_VALUES.get(type(node_at(doc, path)), MUTANT_VALUES)
+            value = data.draw(st.sampled_from(kin) | st.sampled_from(MUTANT_VALUES), label="value")
+            doc = mutate(doc, path, value)
+        command = data.draw(st.sampled_from(["run", "sweep"]), label="command")
+        cfg = mutant_dir / "config.json"
+        cfg.write_text(json.dumps(doc))
+        argv = [command, "--config", str(cfg), "--out", str(mutant_dir / "out"), "--jobs", "1"]
+        if command == "sweep":
+            argv += ["--scenario", "target_shift", "--alphas", "0,0.4"]
+
+        with monkeypatch.context() as patch:
+            calls = count_train_calls(patch)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(argv)
+        err = capsys.readouterr().err
+        assert not caught, [str(w.message) for w in caught]
+        if code == 0:
+            assert err == ""
+        elif code == 2:
+            assert re.fullmatch(f"config error: {ERROR_PATH}: [^\n]*\n", err), err
+            assert calls == []
+        else:
+            assert code == 1
+            assert re.fullmatch("error: [^\n]*\n", err), err

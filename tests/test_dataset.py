@@ -34,6 +34,19 @@ class TestSchema:
         with pytest.raises(DataValidationError):
             rl.FeatureSpec("a", lower=2.0, upper=1.0)
 
+    @pytest.mark.parametrize("kind", ["ordinal", "binary"])
+    @pytest.mark.parametrize("bounds", [
+        {"lower": 0.5}, {"upper": 9.5}, {"lower": -1e-9, "upper": 1},
+    ])
+    def test_grid_bounds_are_whole_numbers(self, kind, bounds):
+        with pytest.raises(DataValidationError, match="must be a whole number"):
+            rl.FeatureSpec("a", kind=kind, **bounds)
+
+    def test_whole_and_infinite_grid_bounds_accepted(self):
+        rl.FeatureSpec("a", kind="ordinal", lower=-math.inf, upper=10.0)
+        rl.FeatureSpec("a", kind="binary", lower=0, upper=1)
+        rl.FeatureSpec("a", lower=0.5, upper=9.5)  # continuous bounds may be fractional
+
     def test_label_collision(self):
         with pytest.raises(DataValidationError):
             rl.FeatureSchema((rl.FeatureSpec("y"),), label_name="y")

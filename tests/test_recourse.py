@@ -537,10 +537,10 @@ class TestMarkovSearch:
         # settle_at=0 retires each walker where it first crosses, which is where
         # a stop probability of one (rho * step = 2) halts it
         X = synth10k.X[logistic10k.predict(synth10k.X) == -1][:400]
-        step = 0.05
-        settled, settled_iters = _markov_batch(logistic10k, X, step, 0.01, 9, 5000,
+        step, u = 0.05, 1.0 - np.random.default_rng(9).random(400)
+        settled, settled_iters = _markov_batch(logistic10k, X, step, 0.01, u, 5000,
                                                settle_at=0.0)
-        first, first_iters = _markov_batch(logistic10k, X, step, 2.0 / step, 9, 5000)
+        first, first_iters = _markov_batch(logistic10k, X, step, 2.0 / step, u, 5000)
         assert np.array_equal(settled_iters, first_iters)
         assert all(a is not None and np.array_equal(a, b) for a, b in zip(settled, first))
 
@@ -564,7 +564,7 @@ class TestMarkovSearch:
         # a flat decision value gives no direction to climb, so no walker takes a step
         m = rl.linear_model([0.0, 0.0], -1.0, schema2())
         X = np.random.default_rng(6).standard_normal((20, 2))
-        finals, iters = _markov_batch(m, X, 0.05, 1.0, 3, 100)
+        finals, iters = _markov_batch(m, X, 0.05, 1.0, np.ones(20), 100)
         assert all(point is None for point in finals)
         assert np.array_equal(iters, np.zeros(20, dtype=int))
         assert search_one(m, X[0], "markov") is None
@@ -726,12 +726,11 @@ def chain_models():
 
 class TestBatchInvariance:
     """A kernel gives an origin the same point and iteration count, bit for bit,
-    whatever other origins share its batch and in whatever order. markov is
-    left out: its stop draws come from one stream per batch, so a walk's
-    depth still depends on its batch."""
+    whatever other origins share its batch and in whatever order. A walk takes
+    its stop variate at its data row, so markov is held to this too."""
 
     @pytest.mark.parametrize("kind", ["logistic_regression", "linear_svm", "mlp"])
-    @pytest.mark.parametrize("method", ["cfe", "ar", "causal"])
+    @pytest.mark.parametrize("method", ["cfe", "ar", "causal", "markov"])
     def test_subset_matches_full_run(self, chain_models, method, kind):
         data, fits = chain_models
         model = fits[kind]
@@ -822,7 +821,8 @@ class TestBatchRecourse:
         data, mlp = mlp1500
         X = data.X[mlp.predict(data.X) == -1][:50]
         calls = count_decision_calls(monkeypatch)
-        _, iters = _markov_batch(mlp, X, 0.05, 1.0, 3, 10_000)
+        _, iters = _markov_batch(mlp, X, 0.05, 1.0, 1.0 - np.random.default_rng(3).random(50),
+                                 10_000)
         # the start, then one call for each step of the longest walk
         assert iters.max() > 10
         assert len(calls) == 1 + iters.max()
