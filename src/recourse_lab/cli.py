@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
 import os
 import sys
@@ -28,20 +29,29 @@ from . import __version__, models
 from .dataset import Dataset, FeatureSchema, FeatureSpec, ShiftSpec, synth_base
 from .errors import ConfigError, DataValidationError, RecourseLabError, SchemaMismatchError
 from .models import ModelSpec, linear_model
-from .recourse import CostFn, Scm, ScmVariable
-from .shiftlab import (
-    CsvSource,
-    ExperimentConfig,
-    Seeds,
-    run_pipeline,
-    sensitivity_sweep,
-    sweep_csv_text,
-    sweep_sources,
-)
 from .theory import invalidation_bound, verify_bound
 from .util import atomic_write_text, canonical_json, is_number
 
 SEED_OVERRIDE_ENV = "RECOURSE_LAB_SEED_OVERRIDE"
+
+# Only `run` and `sweep` use these, so `bounds` loads neither module. They load
+# on first use as attributes of this module (PEP 562), read through `_this`,
+# so a value set on the module, such as a wrapper, is the one called.
+_LAZY = {
+    "recourse": ("CostFn", "Scm", "ScmVariable"),
+    "shiftlab": ("CsvSource", "ExperimentConfig", "Seeds", "run_pipeline",
+                 "sensitivity_sweep", "sweep_csv_text", "sweep_sources"),
+}
+_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
+_this = sys.modules[__name__]
+
+
+def __getattr__(name):
+    if name not in _LAZY_MODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY_MODULE[name]}", __package__), name)
+    globals()[name] = value
+    return value
 
 
 def _fail(path: str, message: str):
@@ -123,7 +133,7 @@ def _parse_source(doc, path: str):
         return _made(f"{at}.", ShiftSpec, **{**spec, "alpha": float(spec["alpha"])})
     at = f"{path}.csv"
     spec = _read(source["csv"], at, {"path": (..., _TEXT), "schema": (..., _OBJECT)})
-    return CsvSource(path=spec["path"], schema=_parse_schema(spec["schema"], f"{at}.schema"))
+    return _this.CsvSource(path=spec["path"], schema=_parse_schema(spec["schema"], f"{at}.schema"))
 
 
 def _parse_scm(doc: list, path: str) -> Scm:
@@ -132,8 +142,8 @@ def _parse_scm(doc: list, path: str) -> Scm:
         var = _read(entry, f"{path}[{i}]", {
             "name": (..., _TEXT), "parents": ({}, _PARENTS), "intervenable": (True, _BOOL),
         })
-        variables.append(ScmVariable(**{**var, "parents": tuple(var["parents"].items())}))
-    return _made(f"{path}: ", Scm, variables=tuple(variables))
+        variables.append(_this.ScmVariable(**{**var, "parents": tuple(var["parents"].items())}))
+    return _made(f"{path}: ", _this.Scm, variables=tuple(variables))
 
 
 def _apply_seed_override(doc: dict) -> dict:
@@ -163,7 +173,7 @@ def parse_config(doc) -> ExperimentConfig:
         "holdout_fraction": (0.1, _NUMBER), "seeds": (..., _OBJECT), "cv_folds": (10, _INT),
         "scm": (None, _VARIABLES),
     })
-    seeds = _made("seeds.", Seeds, **_read(top["seeds"], "seeds", {
+    seeds = _made("seeds.", _this.Seeds, **_read(top["seeds"], "seeds", {
         "data": (..., _INT), "model": (..., _INT), "recourse": (..., _INT),
     }))
     model = _read(top["model"], "model", {
@@ -177,12 +187,12 @@ def parse_config(doc) -> ExperimentConfig:
     recourse = _read(top["recourse"], "recourse", {"method": (..., _TEXT), "params": ({}, _OBJECT)})
     cost = _read(top["cost"], "cost", {"norm": ("L2", _TEXT)})
     return _made(
-        "", ExperimentConfig,
+        "", _this.ExperimentConfig,
         d1_source=_parse_source(top["d1_source"], "d1_source"),
         d2_source=_parse_source(top["d2_source"], "d2_source"),
         model_spec=spec,
         method=recourse["method"],
-        cost=_made("cost.", CostFn, **cost),
+        cost=_made("cost.", _this.CostFn, **cost),
         method_params=dict(recourse["params"]),
         holdout_fraction=float(top["holdout_fraction"]),
         seeds=seeds,
@@ -230,7 +240,7 @@ def cmd_run(args) -> int:
     started = time.monotonic()
     _check_jobs(args.jobs)
     cfg, doc = _load_config(args.config)
-    report = run_pipeline(cfg, jobs=args.jobs)
+    report = _this.run_pipeline(cfg, jobs=args.jobs)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "report.csv")
     json_path = os.path.join(args.out, "report.json")
@@ -250,13 +260,13 @@ def cmd_sweep(args) -> int:
     except ValueError:
         raise ConfigError(f"alphas: expected comma-separated numbers, got {args.alphas!r}")
     try:
-        sweep_sources(args.scenario, alphas, cfg)
+        _this.sweep_sources(args.scenario, alphas, cfg)
     except ValueError as exc:
         raise ConfigError(f"sweep: {exc}")
-    points = sensitivity_sweep(args.scenario, alphas, cfg, jobs=args.jobs)
+    points = _this.sensitivity_sweep(args.scenario, alphas, cfg, jobs=args.jobs)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "sweep.csv")
-    atomic_write_text(csv_path, sweep_csv_text(points))
+    atomic_write_text(csv_path, _this.sweep_csv_text(points))
     manifest = _write_manifest(args.out, doc, [csv_path], started)
     print(f"wrote {csv_path}, {manifest}")
     return 0
@@ -268,8 +278,10 @@ def _builtin_ordinal_setup(delta: float) -> tuple:
     Walkers cross at 31, and verify_bound retires a walker once the boundary
     translated by delta accepts it, at level 31 + delta at the latest. A top
     of at least that level means no walker can stall there, whatever rho is.
+    A float top keeps the bounds a float array for any delta, even one past
+    the int64 range.
     """
-    top = max(80, 31 + int(delta))
+    top = max(80.0, 31.0 + delta)
     schema = FeatureSchema((FeatureSpec("level", kind="ordinal", lower=0, upper=top),))
     model = linear_model(np.array([1.0]), -30.5, schema)
     values = np.tile(np.arange(31), 10)[:, None].astype(float)

@@ -8,7 +8,6 @@ Labels are always in {-1, +1}. Feature kinds:
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -123,6 +122,20 @@ class FeatureSchema:
                 )
 
 
+def _snap_to_schema(schema: FeatureSchema, Z: np.ndarray) -> np.ndarray:
+    """Round grid features to their grids and clip everything to bounds."""
+    out = np.array(Z, dtype=float)
+    grid = schema.grid_mask()
+    if grid.any():
+        out[:, grid] = np.round(out[:, grid])
+    lo, hi = schema.lower_bounds(), schema.upper_bounds()
+    np.clip(out, lo, hi, out=out)
+    binary = np.array([f.kind == "binary" for f in schema.features])
+    if binary.any():
+        out[:, binary] = np.clip(np.round(out[:, binary]), 0.0, 1.0)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Immutable feature matrix plus {-1,+1} labels, validated against a schema."""
@@ -197,6 +210,8 @@ def load_csv(path, schema: FeatureSchema) -> Dataset:
 
     Labels may be given as {-1,+1} or {0,1}; 0 maps to -1.
     """
+    import csv  # only a CSV source reads one
+
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:

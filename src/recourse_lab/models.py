@@ -201,9 +201,9 @@ def linear_model(weights, bias: float, schema: FeatureSchema, kind: str = "logis
 def _check_trainable(data: Dataset) -> None:
     if data.n == 0:
         raise TrainingError("cannot train on an empty dataset")
-    classes = np.unique(data.y)
-    if classes.size < 2:
-        raise TrainingError(f"training data holds a single class ({int(classes[0]):+d})")
+    # labels are -1 or +1, so one comparison does; np.unique would load numpy.ma
+    if np.all(data.y == data.y[0]):
+        raise TrainingError(f"training data holds a single class ({int(data.y[0]):+d})")
 
 
 def _train_linear(spec: ModelSpec, data: Dataset, hinge: bool) -> TrainedModel:

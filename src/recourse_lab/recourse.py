@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, FeatureSchema
+from .dataset import Dataset, FeatureSchema, _snap_to_schema
 from .errors import (
     DataValidationError,
     SchemaMismatchError,
@@ -33,17 +33,12 @@ from .errors import (
     SurrogateFitError,
 )
 from .models import TrainedModel, linear_model
-from .util import derive_seed, is_number
+from .theory import _markov_batch
+from .util import derive_seed, is_number, row_norms
 
 COST_NORMS = ("L1", "L2")
 
 DECILE_PERCENTILES = tuple(range(10, 100, 10))
-
-
-def _row_norms(diff: np.ndarray) -> np.ndarray:
-    """L2 norm of each row: np.linalg.norm(diff, axis=1)'s own arithmetic,
-    without its wrapper."""
-    return np.sqrt(np.add.reduce(diff * diff, axis=1))
 
 
 @dataclass(frozen=True)
@@ -66,13 +61,13 @@ class CostFn:
         diff = np.asarray(A, dtype=float) - np.asarray(B, dtype=float)
         if self.norm == "L1":
             return np.abs(diff).sum(axis=1)
-        return _row_norms(diff)
+        return row_norms(diff)
 
     def costs_and_subgradient(self, diff):
         """Rowwise costs of diff = A - B and their subgradients with respect to A."""
         if self.norm == "L1":
             return np.abs(diff).sum(axis=1), np.sign(diff)
-        norms = _row_norms(diff)
+        norms = row_norms(diff)
         nonzero = norms[:, None] > 1e-12
         return norms, np.divide(diff, norms[:, None], out=np.zeros_like(diff), where=nonzero)
 
@@ -131,20 +126,6 @@ class RecourseSet:
         if not self.records:
             return np.empty((0, d))
         return np.stack([r.recourse for r in self.records])
-
-
-def _snap_to_schema(schema: FeatureSchema, Z: np.ndarray) -> np.ndarray:
-    """Round grid features to their grids and clip everything to bounds."""
-    out = np.array(Z, dtype=float)
-    grid = schema.grid_mask()
-    if grid.any():
-        out[:, grid] = np.round(out[:, grid])
-    lo, hi = schema.lower_bounds(), schema.upper_bounds()
-    np.clip(out, lo, hi, out=out)
-    binary = np.array([f.kind == "binary" for f in schema.features])
-    if binary.any():
-        out[:, binary] = np.clip(np.round(out[:, binary]), 0.0, 1.0)
-    return out
 
 
 def _weight_norm(model: TrainedModel) -> float:
@@ -397,102 +378,6 @@ def _ar_batch(model, data, rows, cost, p, seed, scm):
         point, iters[k] = _ar_point(surrogate, x, grids, cost, p["max_changed_features"])
         points.append(point)
     return points, iters
-
-
-def _markov_batch(
-    model: TrainedModel,
-    X: np.ndarray,
-    step: float,
-    rho: float,
-    u: np.ndarray,
-    max_steps: int,
-    settle_at: float | None = None,
-):
-    """Vectorized stochastic boundary-crossing walk.
-
-    Each walker climbs the normalized decision-value gradient in increments of
-    `step` (snapped to the grid for ordinal/binary features). Once it first
-    reaches a +1 point it takes K more steps, K = floor(ln u / ln(1 - p)) with
-    p = min(1, rho * step) and u its entry of `u`, in (0, 1]. So
-    P(K >= k) = (1 - p)^k, as if it stopped with probability p before every
-    further step; rho is a stop rate per unit of distance walked, which for
-    unit grids equals a per-step probability. Nothing is drawn here, so a
-    walk depends on its own start and u alone.
-
-    With `settle_at`, a walker also stops, keeping its point, as soon as its
-    decision value reaches settle_at (checked at the start and after every
-    step, on the value the step computes anyway). A caller that only needs to
-    know whether the final point clears that level may pass it when no later
-    step can lower the value again, as on a linear model, whose parallel
-    translation by delta_m accepts exactly the points at or above
-    delta_m * ||w||.
-
-    Returns (list of points or None, iterations array); a walker keeps its
-    point when it crossed and did not fail, a budget stop included.
-    """
-    if not step > 0:
-        raise ValueError("step must be positive")
-    if not rho > 0:
-        raise ValueError("rho must be positive")
-    if max_steps < 1:
-        raise ValueError("max_steps must be at least 1")
-    with np.errstate(divide="ignore"):  # p = 1 gives ln 0 = -inf, so K = 0
-        stop_after = np.floor(np.log(u) / np.log1p(-min(1.0, rho * step)))
-
-    n = len(X)
-    schema = model.schema
-    grid = schema.grid_mask()
-    z = X.copy()
-    f = model.decision_values(z)
-    crossed = f >= 0.0
-    done = crossed.copy()  # already-valid starts return themselves
-    if settle_at is not None:
-        done |= f >= settle_at
-    failed = np.zeros(n, dtype=bool)
-    past = np.zeros(n)  # steps taken from past the boundary
-    iters = np.zeros(n, dtype=int)
-
-    for _ in range(max_steps):
-        # a walker stops once it has taken its K steps past the boundary
-        rows = np.flatnonzero(~(done | failed | (crossed & (past >= stop_after))))
-        if not rows.size:
-            break
-        zr = z.take(rows, axis=0)  # several times faster than z[rows] for short rows
-        g = model.input_gradient(zr)
-        norms = np.linalg.norm(g, axis=1, keepdims=True)
-        flat = norms[:, 0] <= 1e-12
-        if flat.any():
-            failed[rows[flat]] = True
-            rows, zr, g, norms = rows[~flat], zr[~flat], g[~flat], norms[~flat]
-            if rows.size == 0:
-                continue
-        direction = g / norms
-        proposal = zr + step * direction
-        if grid.any():
-            proposal = _snap_to_schema(schema, proposal)
-            stalled = np.all(proposal == zr, axis=1)
-            if stalled.any():
-                # force one grid unit along the steepest grid coordinate
-                sub = np.flatnonzero(stalled)
-                dir_grid = np.where(grid, direction[sub], 0.0)
-                j = np.abs(dir_grid).argmax(axis=1)
-                bump = proposal[sub]
-                bump[np.arange(sub.size), j] += np.sign(dir_grid[np.arange(sub.size), j])
-                proposal[sub] = _snap_to_schema(schema, bump)
-                still = np.all(proposal[sub] == zr[sub], axis=1)
-                failed[rows[sub[still]]] = True
-        if not np.all(np.isfinite(proposal)):
-            raise SearchError("walk produced a non-finite point")
-        z[rows] = proposal
-        iters[rows] += 1
-        past[rows] += crossed[rows]
-        f = model.decision_values(proposal)
-        crossed[rows] |= f >= 0.0
-        if settle_at is not None:
-            done[rows] |= f >= settle_at
-
-    finals = [z[i].copy() if crossed[i] and not failed[i] else None for i in range(n)]
-    return finals, iters
 
 
 def _walk_batch(model, data, rows, cost, p, seed, scm):

@@ -141,6 +141,18 @@ class TestBoundsCommand:
     def test_missing_flag_exits_2(self):
         assert main(["bounds", "--rho", "1.0"]) == 2
 
+    @pytest.mark.parametrize("rho, delta", [("0.5", "1e20"), ("1e-310", "2")])
+    def test_verify_extreme_ordinal_prints_two_lines_only(self, capsys, rho, delta):
+        # delta 1e20 puts the grid top past the int64 range; rho 1e-310 overflows
+        # the stop draw to K = inf, a walker that never stops by itself
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["bounds", "--rho", rho, "--delta", delta, "--kind", "ordinal",
+                         "--verify"]) == 0
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 2
+        assert err == "" and not caught
+
     def check_ordinal_verify(self, capsys, rho, delta):
         code = main(["bounds", "--rho", str(rho), "--delta", str(delta), "--kind", "ordinal",
                      "--verify"])
@@ -543,6 +555,21 @@ class TestParallelRun:
         assert files[0] == files[1]
         pids = set((tmp_path / f"{name}.pids").read_text().split())
         assert pids - {str(os.getpid())}
+
+    @pytest.mark.parametrize("command, name, result", [
+        ("run", "run_pipeline", SimpleNamespace(to_csv_text=lambda: "", to_json_dict=dict)),
+        ("sweep", "sensitivity_sweep", []),
+    ])
+    def test_commands_call_cli_bindings(self, tmp_path, monkeypatch, command, name, result):
+        # cli loads shiftlab on first use, and a value set on cli, as a tracer
+        # sets one, is still the one called
+        calls = []
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: calls.append(args) or result)
+        argv = [command, "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "o")]
+        if command == "sweep":
+            argv += ["--scenario", "target_shift", "--alphas", "0,0.4"]
+        assert main(argv) == 0
+        assert len(calls) == 1
 
     def run_at_jobs(self, cfg, tmp_path, capsys, jobs):
         out = tmp_path / f"out-{jobs}"

@@ -35,11 +35,26 @@ def test_cli_import_loads_no_scipy(fresh_env):
     assert [m for m in modules_after_cli_import(fresh_env) if m.split(".")[0] == "scipy"] == []
 
 
+RUN_SWEEP_MODULES = ("recourse_lab.recourse", "recourse_lab.shiftlab")
+
+
 def test_cli_import_loads_no_process_pool(fresh_env):
-    # only a parallel run or sweep forks; bounds and --help never pay for the pool modules
-    loaded = modules_after_cli_import(fresh_env)
+    # bounds and --help load no run/sweep module, and only a parallel run or
+    # sweep forks, so loading shiftlab pays for no pool module either
+    assert [m for m in modules_after_cli_import(fresh_env) if m in RUN_SWEEP_MODULES] == []
+    loaded = fresh_run(fresh_env, "import sys, recourse_lab.cli, recourse_lab.shiftlab; "
+                                  "print('\\n'.join(sys.modules))")
     assert "recourse_lab.shiftlab" in loaded
     assert [m for m in loaded if m.split(".")[0] in ("concurrent", "multiprocessing")] == []
+
+
+def test_bounds_verify_loads_no_run_or_sweep_module(fresh_env):
+    code = ("import contextlib, io, sys\nfrom recourse_lab.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(['bounds', '--rho', '0.5', '--delta', '2', '--kind', kind, '--verify'])\n"
+            "             for kind in ('continuous', 'ordinal')]\n"
+            f"print(codes, [m for m in sys.modules if m in {RUN_SWEEP_MODULES}])")
+    assert fresh_run(fresh_env, code) == ["[0, 0] []"]
 
 
 def test_package_import_loads_no_numpy(fresh_env):

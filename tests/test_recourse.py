@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 import recourse_lab as rl
+from recourse_lab.dataset import _snap_to_schema
 from recourse_lab.errors import DataValidationError, SearchError
 from recourse_lab.models import TrainedModel
 from recourse_lab.recourse import (
@@ -17,12 +18,11 @@ from recourse_lab.recourse import (
     DECILE_PERCENTILES,
     _ar_point,
     _cfe_batch,
-    _markov_batch,
     _percentile_grid,
-    _snap_to_schema,
     method_params,
 )
-from recourse_lab.util import derive_seed
+from recourse_lab.theory import _markov_batch
+from recourse_lab.util import derive_seed, row_norms
 
 
 def schema2():
@@ -211,6 +211,14 @@ class TestCostFn:
     def test_unknown_norm(self):
         with pytest.raises(ValueError):
             rl.CostFn("L0")
+
+    def test_row_norms_bit_equal_linalg_norm(self):
+        # L2 costs and the walk's step direction use row_norms for np.linalg.norm;
+        # below 8 columns it sums in its own order, from 8 on it calls add.reduce
+        rng = np.random.default_rng(4)
+        for d in range(1, 13):
+            diff = rng.standard_normal((1001, d)) * 10.0 ** rng.uniform(-8, 8, (1001, d))
+            assert np.array_equal(row_norms(diff), np.linalg.norm(diff, axis=1)), d
 
     @given(
         st.lists(st.floats(-50, 50).map(lambda v: round(v, 6)), min_size=3, max_size=3),

@@ -161,3 +161,60 @@ class TestVerifyBound:
             rl.verify_bound(model, data, 1.5, 2, 100, 0)
         with pytest.raises(ValueError, match="whole number"):
             rl.verify_bound(model, data, 0.5, 1.5, 100, 0)
+
+
+def straight_model():
+    """A linear model on three continuous features: its walks are straight lines."""
+    schema = rl.FeatureSchema(tuple(rl.FeatureSpec(f"x{j}") for j in range(3)))
+    return rl.linear_model([0.8, -0.5, 0.3], -2.5, schema)
+
+
+class TestStraightWalks:
+    @pytest.mark.parametrize("settle_at", [None, 0.5])
+    def test_closed_form_matches_the_stepped_loop(self, settle_at):
+        # on a linear model with no grid feature every walk is a straight line,
+        # so its end point has a closed form; the loop is its oracle. Far starts
+        # run out of the budget, and rho 1e-6 walks on until the budget or the
+        # settle level ends the walk.
+        model = straight_model()
+        rng = np.random.default_rng(5)
+        step, max_steps, n = 0.02, 1500, 900
+        for rho in (1e-6, 0.01, 0.5, 1.0, 2.0, 32.0):
+            X = rng.normal(0.0, 3.0, (n, 3)) * rng.choice([1.0, 12.0], p=[0.9, 0.1], size=(n, 1))
+            u = 1.0 - rng.random(n)
+            stop_after = theory._steps_past_crossing(u, rho, step)
+            loop_points, loop_iters = theory._stepped_walks(model, X, step, stop_after, max_steps,
+                                                            settle_at)
+            points, iters = theory._straight_walks(model, X, step, stop_after, max_steps, settle_at)
+            assert np.array_equal(iters, loop_iters), rho
+            assert [p is None for p in points] == [p is None for p in loop_points], rho
+            found = [i for i, p in enumerate(points) if p is not None]
+            ends, loop_ends = (np.stack([pts[i] for i in found]) for pts in (points, loop_points))
+            assert np.abs(ends - loop_ends).max() <= 1e-8, rho
+            assert np.all(model.predict(ends) == 1), rho
+            assert 0 < len(found) < n, rho
+            # _markov_batch takes this path for such a model
+            batch_points, batch_iters = theory._markov_batch(model, X, step, rho, u, max_steps,
+                                                             settle_at=settle_at)
+            assert np.array_equal(batch_iters, iters)
+            assert all(np.array_equal(a, b) for a, b in zip(batch_points, points) if a is not None)
+
+    @pytest.mark.parametrize("level", [0.0, 0.3])
+    def test_first_step_at_a_level_is_exact_at_knife_edges(self, level):
+        # starts a whole number of steps before the level put the linear
+        # estimate one off in either direction, once rounded; a scan over every
+        # step count is the definition
+        model = straight_model()
+        w, rng, max_steps = model.weight_vector, np.random.default_rng(1), 60
+        s = 0.02 * (w / np.linalg.norm(w))
+        C = rng.normal(0.0, 3.0, (3000, 3))
+        C -= ((model.decision_values(C) - level) / (w @ w))[:, None] * w
+        X = C - rng.integers(0, max_steps + 3, 3000)[:, None] * s
+        f0 = model.decision_values(X)
+        first = theory._first_reaching(model, X, f0, s, level, max_steps)
+        scan = np.full(3000, max_steps + 1.0)
+        for k in range(max_steps, -1, -1):
+            scan[model.decision_values(X + k * s) >= level] = k
+        assert np.array_equal(first, scan)
+        estimate = np.clip(np.ceil((level - f0) / (w @ s)), 0, max_steps + 1)
+        assert np.any(estimate < scan) and np.any(estimate > scan)
