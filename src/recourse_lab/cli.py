@@ -3,14 +3,16 @@
 This module alone knows the config JSON format (see parse_config). All
 randomness flows from the seeds named in the config; the environment variable
 RECOURSE_LAB_SEED_OVERRIDE (a nonnegative integer) replaces every config seed
-for smoke tests. Output files are written atomically.
+for smoke tests. `run` and `sweep` write each output file atomically, then a
+manifest.json that names them. The package's public names that only `run` and
+`sweep` use, such as run_pipeline, load on first use, so `bounds` loads
+neither `shiftlab` nor `recourse`.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import importlib
 import json
 import os
 import sys
@@ -34,24 +36,17 @@ from .util import atomic_write_text, canonical_json, is_number
 
 SEED_OVERRIDE_ENV = "RECOURSE_LAB_SEED_OVERRIDE"
 
-# Only `run` and `sweep` use these, so `bounds` loads neither module. They load
-# on first use as attributes of this module (PEP 562), read through `_this`,
-# so a value set on the module, such as a wrapper, is the one called.
-_LAZY = {
-    "recourse": ("CostFn", "Scm", "ScmVariable"),
-    "shiftlab": ("CsvSource", "ExperimentConfig", "Seeds", "run_pipeline",
-                 "sensitivity_sweep", "sweep_csv_text", "sweep_sources"),
-}
-_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
 _this = sys.modules[__name__]
 
 
 def __getattr__(name):
-    if name not in _LAZY_MODULE:
+    """A public name of the package, looked up there on first use (PEP 562).
+    Code here reads these through `_this`, so a value set on this module, such
+    as a wrapper, is the one called."""
+    package = sys.modules[__package__]
+    if name not in package.__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_LAZY_MODULE[name]}", __package__), name)
-    globals()[name] = value
-    return value
+    return getattr(package, name)
 
 
 def _fail(path: str, message: str):
@@ -217,7 +212,13 @@ def _config_hash(doc: dict) -> str:
     return hashlib.sha256(canonical_json(doc).encode()).hexdigest()
 
 
-def _write_manifest(out_dir: str, doc: dict, outputs: list[str], started: float) -> str:
+def _write_outputs(out_dir: str, texts: dict, doc: dict, started: float) -> None:
+    """Write each text of `texts`, keyed by file name, into out_dir, then a
+    manifest.json that lists them, and print the paths written."""
+    os.makedirs(out_dir, exist_ok=True)
+    outputs = [os.path.join(out_dir, name) for name in texts]
+    for path, text in zip(outputs, texts.values()):
+        atomic_write_text(path, text)
     manifest = {
         "config_hash": _config_hash(doc),
         "tool_version": __version__,
@@ -226,7 +227,7 @@ def _write_manifest(out_dir: str, doc: dict, outputs: list[str], started: float)
     }
     path = os.path.join(out_dir, "manifest.json")
     atomic_write_text(path, json.dumps(manifest, indent=2) + "\n")
-    return path
+    print(f"wrote {', '.join(outputs + [path])}")
 
 
 def _check_jobs(jobs: int) -> None:
@@ -241,17 +242,16 @@ def cmd_run(args) -> int:
     _check_jobs(args.jobs)
     cfg, doc = _load_config(args.config)
     report = _this.run_pipeline(cfg, jobs=args.jobs)
-    os.makedirs(args.out, exist_ok=True)
-    csv_path = os.path.join(args.out, "report.csv")
-    json_path = os.path.join(args.out, "report.json")
-    atomic_write_text(csv_path, report.to_csv_text())
-    atomic_write_text(json_path, json.dumps(report.to_json_dict(), indent=2) + "\n")
-    manifest = _write_manifest(args.out, doc, [csv_path, json_path], started)
-    print(f"wrote {csv_path}, {json_path}, {manifest}")
+    _write_outputs(args.out, {
+        "report.csv": report.to_csv_text(),
+        "report.json": json.dumps(report.to_json_dict(), indent=2) + "\n",
+    }, doc, started)
     return 0
 
 
 def cmd_sweep(args) -> int:
+    from .shiftlab import sweep_csv_text, sweep_sources
+
     started = time.monotonic()
     _check_jobs(args.jobs)
     cfg, doc = _load_config(args.config)
@@ -260,15 +260,11 @@ def cmd_sweep(args) -> int:
     except ValueError:
         raise ConfigError(f"alphas: expected comma-separated numbers, got {args.alphas!r}")
     try:
-        _this.sweep_sources(args.scenario, alphas, cfg)
+        sweep_sources(args.scenario, alphas, cfg)
     except ValueError as exc:
         raise ConfigError(f"sweep: {exc}")
     points = _this.sensitivity_sweep(args.scenario, alphas, cfg, jobs=args.jobs)
-    os.makedirs(args.out, exist_ok=True)
-    csv_path = os.path.join(args.out, "sweep.csv")
-    atomic_write_text(csv_path, _this.sweep_csv_text(points))
-    manifest = _write_manifest(args.out, doc, [csv_path], started)
-    print(f"wrote {csv_path}, {manifest}")
+    _write_outputs(args.out, {"sweep.csv": sweep_csv_text(points)}, doc, started)
     return 0
 
 
@@ -362,10 +358,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except RecourseLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (RecourseLabError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

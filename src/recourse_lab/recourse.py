@@ -32,7 +32,7 @@ from .errors import (
     SearchError,
     SurrogateFitError,
 )
-from .models import TrainedModel, linear_model
+from .models import _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS, TrainedModel, linear_model
 from .theory import _markov_batch
 from .util import derive_seed, is_number, row_norms
 
@@ -143,7 +143,6 @@ def _record(model: TrainedModel, x, point, cost: CostFn, method: str, iterations
     )
 
 
-_B1, _B2 = 0.9, 0.999
 # the largest CFE gradient entry whose square, so (1 - b2) g g and v / bias2, is finite
 _G_MAX = math.sqrt(sys.float_info.max)
 
@@ -180,27 +179,25 @@ def _cfe_batch(model, data, rows, cost, p, seed, scm):
     lam = np.full(n, p["lambda_init"])
     z = X.copy()
     # Adam bias corrections per step, as array powers (Python's float ** may differ in the last bit)
-    bias1, bias2 = (1.0 - b ** np.arange(1.0, p["inner_iters"] + 1.0) for b in (_B1, _B2))
+    bias1, bias2 = (1.0 - b ** np.arange(1.0, p["inner_iters"] + 1.0)
+                    for b in (_ADAM_BETA1, _ADAM_BETA2))
 
     done = np.zeros(n, dtype=bool)
-    final = [None] * n
+    final = np.empty_like(X)
     iters = np.zeros(n, dtype=int)
 
+    # a row's cheapest valid iterate; its cost stays inf until it has one
     seen_z = np.zeros_like(X)
     seen_cost = np.full(n, np.inf)
-    has_seen = np.zeros(n, dtype=bool)
 
     def remember(rows, zr, c):
         seen_cost[rows] = c
         seen_z[rows] = zr
-        has_seen[rows] = True
 
     def accept(rows, points):
         ok = model.decision_values(points) >= 0.0
-        for r, point, good in zip(rows, points, ok):
-            if good:
-                final[r] = point
-                done[r] = True
+        final[rows[ok]] = points[ok]
+        done[rows[ok]] = True
 
     for _stage in range(p["lambda_steps"] + 1):
         active = np.flatnonzero(~done)
@@ -227,14 +224,14 @@ def _cfe_batch(model, data, rows, cost, p, seed, scm):
                 if not np.abs(g).max() <= _G_MAX:
                     raise SearchError("non-finite search gradient")
             # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g g
-            m_adam *= _B1
-            m_adam += np.multiply(g, 1 - _B1, out=work)
-            v_adam *= _B2
-            np.multiply(g, 1 - _B2, out=work)
+            m_adam *= _ADAM_BETA1
+            m_adam += np.multiply(g, 1 - _ADAM_BETA1, out=work)
+            v_adam *= _ADAM_BETA2
+            np.multiply(g, 1 - _ADAM_BETA2, out=work)
             v_adam += np.multiply(work, g, out=work)
-            # step = step_size * (m / bias1) / (sqrt(v / bias2) + 1e-8)
+            # step = step_size * (m / bias1) / (sqrt(v / bias2) + eps)
             np.sqrt(np.divide(v_adam, bias2[t], out=work), out=work)
-            work += 1e-8
+            work += _ADAM_EPS
             np.divide(m_adam, bias1[t], out=step)
             step *= step_size
             step /= work
@@ -257,12 +254,12 @@ def _cfe_batch(model, data, rows, cost, p, seed, scm):
 
         # converged iterate first, cheapest valid iterate as the fallback
         accept(active, _snap_to_schema(schema, za))
-        rows = active[~done[active] & has_seen[active]]
+        rows = active[~done[active] & (seen_cost[active] < np.inf)]
         if rows.size:
             accept(rows, _snap_to_schema(schema, seen_z[rows]))
         lam[~done] *= p["lambda_growth"]
 
-    return final, iters
+    return [point if ok else None for point, ok in zip(final, done)], iters
 
 
 def fit_local_linear(

@@ -119,6 +119,8 @@ class InvalidationReport:
 
     def __post_init__(self):
         object.__setattr__(self, "per_record", tuple(self.per_record))
+        if self.cf1_size != len(self.per_record):
+            raise ValueError("cf1_size disagrees with the number of per_record entries")
         if (self.invalidation_pct is None) != (self.cf1_size == 0):
             raise ValueError("invalidation_pct must be NAN exactly when CF1 is empty")
         if self.cf1_size:

@@ -22,6 +22,8 @@ from .util import derive_seed, row_norms
 
 BOUND_KINDS = ("continuous", "ordinal")
 
+_VERIFY_MAX_STEPS = 50_000
+
 
 def bound_continuous(rho: float, delta_m: float) -> float:
     """Invalidation probability 1 - exp(-rho * delta_m) for continuous data."""
@@ -259,12 +261,6 @@ class BoundCheck:
     n: int
 
 
-def _data_kind(data: Dataset) -> str:
-    if all(k in ("ordinal", "binary") for k in data.schema.kinds):
-        return "ordinal"
-    return "continuous"
-
-
 def _comparison_perturb(model: TrainedModel, delta_m: float, data: Dataset) -> TrainedModel:
     """Approximate parallel shift for a nonlinear model.
 
@@ -279,7 +275,7 @@ def _comparison_perturb(model: TrainedModel, delta_m: float, data: Dataset) -> T
     take = max(50, data.n // 10)
     near = np.argsort(np.abs(f))[:take]
     grads = model.input_gradient(data.X[near])
-    mean_norm = float(np.linalg.norm(grads, axis=1).mean())
+    mean_norm = float(row_norms(grads).mean())
     layers = list(model.layers)
     W, b = layers[-1]
     layers[-1] = (W, b - delta_m * mean_norm)
@@ -293,10 +289,14 @@ def verify_bound(
     delta_m: float,
     n_trials: int,
     seed: int,
-    step: float | None = None,
-    max_steps: int = 50_000,
 ) -> BoundCheck:
     """Monte-Carlo invalidation of walk recourses against the closed form.
+
+    The data is ordinal when every feature lies on a grid (ordinal or binary),
+    and continuous otherwise. Walkers step 1 on the ordinal grid and
+    0.02 / rho, clipped to [0.001, 0.05], on continuous data, for at most
+    _VERIFY_MAX_STEPS steps each. If any walker fails, by that budget or by
+    stalling at a grid bound, InsufficientSampleError says how many did.
 
     Walk starts are drawn (with replacement) from the model's negatives; the
     updated model is the exact parallel translation for linear kinds and the
@@ -306,7 +306,7 @@ def verify_bound(
     later step raises that value, so its verdict is settled. rho and delta_m
     are checked before any walk.
     """
-    kind = _data_kind(data)
+    kind = "ordinal" if data.schema.grid_mask().all() else "continuous"
     theoretical = invalidation_bound(kind if m1.is_linear else "continuous", rho, delta_m)
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
@@ -323,10 +323,9 @@ def verify_bound(
         settle_at = delta_m * float(np.linalg.norm(m1.weight_vector))
     else:
         m2, settle_at = _comparison_perturb(m1, delta_m, data), None
-    if step is None:
-        step = 1.0 if kind == "ordinal" else float(np.clip(0.02 / rho, 1e-3, 0.05))
+    step = 1.0 if kind == "ordinal" else float(np.clip(0.02 / rho, 1e-3, 0.05))
     u = 1.0 - np.random.default_rng(derive_seed(seed, "verify-walk")).random(n_trials)
-    finals, _ = _markov_batch(m1, starts, step, rho, u, max_steps, settle_at=settle_at)
+    finals, _ = _markov_batch(m1, starts, step, rho, u, _VERIFY_MAX_STEPS, settle_at=settle_at)
     kept = [pt for pt in finals if pt is not None]
     if len(kept) < n_trials:
         raise InsufficientSampleError(

@@ -571,6 +571,45 @@ class TestParallelRun:
         assert main(argv) == 0
         assert len(calls) == 1
 
+    def test_cli_names_come_from_the_package(self):
+        assert cli.run_pipeline is shiftlab.run_pipeline
+        # only the package's public names: not its dunders, nor recourse's helpers
+        for name in ("__path__", "__wrapped__", "method_params"):
+            with pytest.raises(AttributeError, match=f"'recourse_lab.cli' has no attribute '{name}'"):
+                getattr(cli, name)
+
+    @pytest.mark.parametrize("argv, names", [
+        (["bounds", "--rho", "0.5", "--delta", "2", "--verify"],
+         {"cli.main", "dataset.synth_base", "models.train", "recourse.walk", "theory.verify_bound"}),
+        (["bounds", "--rho", "0.5", "--delta", "2", "--kind", "ordinal", "--verify"],
+         {"cli.main", "recourse.walk", "theory.verify_bound"}),
+        (["run", "--jobs", "1"],
+         {"shiftlab.run_pipeline", "recourse.batch_recourse", "models.cross_val_accuracy"}),
+        (["sweep", "--jobs", "2", "--scenario", "target_shift", "--alphas", "0,0.4"],
+         {"shiftlab.sensitivity_sweep"}),
+    ], ids=["bounds-continuous", "bounds-ordinal", "run", "sweep"])
+    def test_tracer_wraps_what_commands_call(self, tmp_path, fresh_env, argv, names):
+        # perfbench/spans.py wraps module bindings; each must be the one called
+        perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+        src = str(Path(rl.__file__).resolve().parents[1])
+        env = {**fresh_env, "PYTHONPATH": os.pathsep.join((src, str(perfbench)))}
+        if argv[0] != "bounds":
+            data = {"scenario": "target_shift", "n": 600}
+            argv = argv + ["--config", str(write_config(
+                tmp_path, d1_source={"synthetic": {**data, "alpha": 0.0, "seed": 31}},
+                d2_source={"synthetic": {**data, "alpha": 0.3, "seed": 32}},
+                model={"kind": "logistic_regression", "epochs": 30}))]
+        span_dir = tmp_path / "spans"
+        span_dir.mkdir()
+        outs = [subprocess.run([sys.executable, str(perfbench / "launch.py"), "ready", spans, *argv],
+                               cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+                for spans in ("", str(span_dir))]
+        assert [proc.returncode for proc in outs] == [0, 0], outs[1].stderr
+        assert outs[1].stdout == outs[0].stdout
+        traced = {json.loads(line)["name"] for path in span_dir.glob("spans-*.jsonl")
+                  for line in path.read_text().splitlines()}
+        assert names <= traced
+
     def run_at_jobs(self, cfg, tmp_path, capsys, jobs):
         out = tmp_path / f"out-{jobs}"
         code = main(["run", "--config", str(cfg), "--out", str(out), "--jobs", jobs])

@@ -10,10 +10,10 @@ from scipy.stats import ks_2samp
 import recourse_lab as rl
 from recourse_lab.dataset import _snap_to_schema
 from recourse_lab.errors import DataValidationError, SearchError
+from recourse_lab.models import _ADAM_BETA1 as _B1
+from recourse_lab.models import _ADAM_BETA2 as _B2
 from recourse_lab.models import TrainedModel
 from recourse_lab.recourse import (
-    _B1,
-    _B2,
     _METHODS,
     DECILE_PERCENTILES,
     _ar_point,

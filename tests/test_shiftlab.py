@@ -162,6 +162,13 @@ class TestRunPipeline:
                 cf1_size=0, invalidation_pct=5.0, per_record=(),
             )
 
+    def test_cf1_size_must_count_per_record(self):
+        with pytest.raises(ValueError, match="cf1_size"):
+            rl.InvalidationReport(
+                algorithm="AR", model_kind="LR", m1_cv_acc=90.0, m2_cv_acc=91.0,
+                cf1_size=2, invalidation_pct=50.0, per_record=((1.0, True),),
+            )
+
     def test_mlp_with_surrogate_actions_end_to_end(self):
         cfg = small_config(
             d1_source=rl.ShiftSpec("target_shift", 0.0, 500, 31),

@@ -129,10 +129,13 @@ class TestVerifyBound:
             rl.verify_bound(model, data, 1.0, 0.1, 100, 0)
 
     def test_every_walk_failing_is_named(self):
-        data = rl.synth_base(2000, 0)
-        model = rl.linear_model([1.0, 0.0], -3.0, data.schema)  # boundary far from most starts
+        # the grid ends at 10, below the boundary at 30.5, so every walker stalls
+        schema = rl.FeatureSchema((rl.FeatureSpec("level", kind="ordinal", lower=0, upper=10),))
+        model = rl.linear_model([1.0], -30.5, schema)
+        values = np.tile(np.arange(11.0), 20)[:, None]
+        data = rl.Dataset(schema, values, np.full(values.shape[0], -1))
         with pytest.raises(InsufficientSampleError, match="200 of 200 walks failed"):
-            rl.verify_bound(model, data, 1.0, 0.1, 200, 0, max_steps=1)
+            rl.verify_bound(model, data, 1.0, 1, 200, 0)
 
     def test_ordinal_kind_detected(self, ordinal_setup):
         model, data = ordinal_setup
