@@ -1,12 +1,10 @@
 """Config-driven command line: `run`, `sweep`, and `bounds` subcommands.
 
 This module alone knows the config JSON format (see parse_config). All
-randomness flows from the seeds named in the config; the environment variable
-RECOURSE_LAB_SEED_OVERRIDE (a nonnegative integer) replaces every config seed
-for smoke tests. `run` and `sweep` write each output file atomically, then a
-manifest.json that names them. The package's public names that only `run` and
-`sweep` use, such as run_pipeline, load on first use, so `bounds` loads
-neither `shiftlab` nor `recourse`.
+randomness flows from the seeds named in the config. `run` and `sweep` write
+each output file atomically, then a manifest.json that names them. The
+package's public names that only `run` and `sweep` use, such as run_pipeline,
+load on first use, so `bounds` loads neither `shiftlab` nor `recourse`.
 """
 
 from __future__ import annotations
@@ -33,8 +31,6 @@ from .errors import ConfigError, DataValidationError, RecourseLabError, SchemaMi
 from .models import ModelSpec, linear_model
 from .theory import invalidation_bound, verify_bound
 from .util import atomic_write_text, canonical_json, is_number
-
-SEED_OVERRIDE_ENV = "RECOURSE_LAB_SEED_OVERRIDE"
 
 _this = sys.modules[__name__]
 
@@ -141,23 +137,6 @@ def _parse_scm(doc: list, path: str) -> Scm:
     return _made(f"{path}: ", _this.Scm, variables=tuple(variables))
 
 
-def _apply_seed_override(doc: dict) -> dict:
-    raw = os.environ.get(SEED_OVERRIDE_ENV)
-    if raw is None:
-        return doc
-    if not raw.strip().isdecimal():
-        raise ConfigError(f"{SEED_OVERRIDE_ENV}: expected a nonnegative integer, got {raw!r}")
-    value = int(raw)
-    doc = json.loads(json.dumps(doc))  # deep copy
-    doc["seeds"] = {"data": value, "model": value, "recourse": value}
-    # keep the two samples distinct so the override still exercises a real update
-    for key, bump in (("d1_source", 0), ("d2_source", 1)):
-        src = doc.get(key)
-        if isinstance(src, dict) and "synthetic" in src:
-            src["synthetic"]["seed"] = value + bump
-    return doc
-
-
 def parse_config(doc) -> ExperimentConfig:
     """The experiment a config JSON document describes. Every section is read
     by `_read`, and every error exits 2 with a message that starts with the
@@ -204,7 +183,6 @@ def _load_config(path: str) -> tuple[ExperimentConfig, dict]:
         raise ConfigError(f"config: cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: invalid JSON in {path}: {exc}")
-    doc = _apply_seed_override(doc)
     return parse_config(doc), doc
 
 

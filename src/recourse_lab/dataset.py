@@ -165,10 +165,6 @@ class Dataset:
     def n(self) -> int:
         return self.X.shape[0]
 
-    @property
-    def n_features(self) -> int:
-        return self.X.shape[1]
-
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=int)
         return Dataset(self.schema, self.X[idx].copy(), self.y[idx].copy())

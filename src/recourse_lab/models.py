@@ -115,10 +115,6 @@ class TrainedModel:
         object.__setattr__(self, "layers", tuple(frozen))
 
     @property
-    def kind(self) -> str:
-        return self.spec.kind
-
-    @property
     def is_linear(self) -> bool:
         return self.spec.kind != "mlp"
 

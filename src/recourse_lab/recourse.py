@@ -77,9 +77,7 @@ class RecourseRecord:
     origin: np.ndarray
     recourse: np.ndarray
     cost: float
-    method: str
     iterations: int
-    boundary_distance: float | None = None
 
     def __post_init__(self):
         origin = np.array(self.origin, dtype=float)
@@ -88,8 +86,6 @@ class RecourseRecord:
         recourse.flags.writeable = False
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "recourse", recourse)
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
         if not (math.isfinite(self.cost) and self.cost >= 0.0):
             raise ValueError(f"cost must be finite and nonnegative, got {self.cost}")
 
@@ -126,21 +122,6 @@ class RecourseSet:
         if not self.records:
             return np.empty((0, d))
         return np.stack([r.recourse for r in self.records])
-
-
-def _weight_norm(model: TrainedModel) -> float:
-    """Norm of a linear model's weights; 0.0, meaning no boundary distance, for an MLP."""
-    return float(np.linalg.norm(model.weight_vector)) if model.is_linear else 0.0
-
-
-def _record(model: TrainedModel, x, point, cost: CostFn, method: str, iterations,
-            w_norm: float) -> RecourseRecord:
-    """One record; `w_norm` is `_weight_norm(model)`, taken once per batch."""
-    distance = float((model.weight_vector @ point + model.bias) / w_norm) if w_norm else None
-    return RecourseRecord(
-        origin=x, recourse=point, cost=cost(x, point), method=method,
-        iterations=int(iterations), boundary_distance=distance,
-    )
 
 
 # the largest CFE gradient entry whose square, so (1 - b2) g g and v / bias2, is finite
@@ -417,9 +398,6 @@ class Scm:
     def n_variables(self) -> int:
         return len(self.variables)
 
-    def intervenable_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.variables) if v.intervenable)
-
     def abduct(self, x) -> np.ndarray:
         """Residual noises that reproduce x exactly under the structural equations."""
         x = np.asarray(x, dtype=float)
@@ -457,31 +435,41 @@ def default_chain_scm(names=("x0", "x1", "x2")) -> Scm:
     ))
 
 
+def _intervention_targets(scm: Scm, schema: FeatureSchema) -> tuple[int, ...]:
+    """The variables a causal search may set: intervenable in `scm` and actionable in `schema`."""
+    return tuple(
+        i for i, (var, f) in enumerate(zip(scm.variables, schema.features))
+        if var.intervenable and f.actionable
+    )
+
+
 def _causal_scm(scm: Scm | None, schema: FeatureSchema) -> Scm:
     """The SCM a causal search over `schema` uses: `scm`, or the default chain
     when it is None. Raises, naming `scm`, unless it has one variable per
-    feature and at least one of them intervenable."""
+    feature and at least one of them both intervenable and actionable."""
     if scm is None:
         if schema.n_features != 3:
             raise ValueError(
                 f"scm: no scm given and the default causal chain needs 3 features, "
                 f"got {schema.n_features}"
             )
-        return default_chain_scm(schema.names)
-    if scm.n_variables != schema.n_features:
+        scm = default_chain_scm(schema.names)
+    elif scm.n_variables != schema.n_features:
         raise SchemaMismatchError(
             f"scm: has {scm.n_variables} variables but the schema has "
             f"{schema.n_features} features"
         )
-    if not scm.intervenable_indices():
-        raise ValueError("scm: has no intervenable variables")
+    if not _intervention_targets(scm, schema):
+        raise ValueError("scm: has no variable that is both intervenable and actionable")
     return scm
 
 
-def _intervention_rows(scm: Scm, data: Dataset, percentiles, max_intervened: int):
-    """Every grid intervention on 1..max_intervened variables as (values, mask)
-    rows, in order of size, then variables, then grid values."""
-    targets = scm.intervenable_indices()
+def _intervention_rows(scm: Scm, schema: FeatureSchema, data: Dataset, percentiles,
+                       max_intervened: int):
+    """Every grid intervention on 1..max_intervened of the variables that
+    `_intervention_targets` names, as (values, mask) rows, in order of size,
+    then variables, then grid values."""
+    targets = _intervention_targets(scm, schema)
     grids = {j: _percentile_grid(data.X[:, j], percentiles) for j in targets}
     actions = [
         (list(combo), chosen)
@@ -521,7 +509,8 @@ def _causal_batch(model, data, rows, cost, p, seed, scm):
     data's empirical percentiles) and intervention rows are built once; the
     default chain stands in for a missing scm."""
     scm = _causal_scm(scm, model.schema)
-    values, mask = _intervention_rows(scm, data, p["grid_percentiles"], p["max_intervened"])
+    values, mask = _intervention_rows(scm, model.schema, data, p["grid_percentiles"],
+                                      p["max_intervened"])
     points, iters = [], np.zeros(len(rows), dtype=int)
     for k, x in enumerate(data.X[rows]):
         point, iters[k] = _causal_point(scm, model, x, values, mask, cost)
@@ -626,9 +615,9 @@ def batch_recourse(
     proposed = np.reshape([points[k] for k in found], (len(found), data.schema.n_features))
     # surrogates and snapping may propose points the true model rejects
     valid = model.predict(proposed) == 1
-    w_norm = _weight_norm(model)
     records = [
-        _record(model, data.X[rows[k]], points[k], cost, method, iters[k], w_norm)
+        RecourseRecord(origin=data.X[rows[k]], recourse=points[k],
+                       cost=cost(data.X[rows[k]], points[k]), iterations=int(iters[k]))
         for k, ok in zip(found, valid) if ok
     ]
     return RecourseSet(tuple(records), model, len(points) - len(records))

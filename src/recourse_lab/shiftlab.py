@@ -107,53 +107,56 @@ def _materialize(source) -> Dataset:
     return synth_shift(source)
 
 
+def _percent(flags) -> float | None:
+    """The percentage of true flags; None when there are none."""
+    return 100.0 * float(np.mean(flags)) if len(flags) else None
+
+
+def _csv_text(header, rows) -> str:
+    """CSV text with one header; a None cell reads NAN and a float one has 2 decimals."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(["NAN" if v is None else f"{v:.2f}" if isinstance(v, float) else v
+                         for v in row])
+    return buf.getvalue()
+
+
 @dataclass(frozen=True, eq=False)
 class InvalidationReport:
     algorithm: str
     model_kind: str
     m1_cv_acc: float
     m2_cv_acc: float
-    cf1_size: int
-    invalidation_pct: float | None
     per_record: tuple[tuple[float, bool], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "per_record", tuple(self.per_record))
-        if self.cf1_size != len(self.per_record):
-            raise ValueError("cf1_size disagrees with the number of per_record entries")
-        if (self.invalidation_pct is None) != (self.cf1_size == 0):
-            raise ValueError("invalidation_pct must be NAN exactly when CF1 is empty")
-        if self.cf1_size:
-            expected = 100.0 * sum(flag for _, flag in self.per_record) / self.cf1_size
-            if abs(expected - self.invalidation_pct) > 1e-9:
-                raise ValueError("invalidation_pct disagrees with per_record flags")
 
-    def csv_row(self) -> list[str]:
-        inv = "NAN" if self.invalidation_pct is None else f"{self.invalidation_pct:.2f}"
-        return [
-            self.algorithm,
-            self.model_kind,
-            f"{self.m1_cv_acc:.2f}",
-            f"{self.m2_cv_acc:.2f}",
-            str(self.cf1_size),
-            inv,
-        ]
+    @property
+    def cf1_size(self) -> int:
+        return len(self.per_record)
+
+    @property
+    def invalidation_pct(self) -> float | None:
+        return _percent([flag for _, flag in self.per_record])
 
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(REPORT_COLUMNS)
-        writer.writerow(self.csv_row())
-        return buf.getvalue()
+        return _csv_text(REPORT_COLUMNS, [(
+            self.algorithm, self.model_kind, self.m1_cv_acc, self.m2_cv_acc,
+            self.cf1_size, self.invalidation_pct,
+        )])
 
     def to_json_dict(self) -> dict:
+        pct = self.invalidation_pct
         return {
             "algorithm": self.algorithm,
             "model_kind": self.model_kind,
             "m1_cv_acc": self.m1_cv_acc,
             "m2_cv_acc": self.m2_cv_acc,
             "cf1_size": self.cf1_size,
-            "invalidation_pct": "NAN" if self.invalidation_pct is None else self.invalidation_pct,
+            "invalidation_pct": "NAN" if pct is None else pct,
             "per_record": [
                 {"cost": cost, "invalidated": bool(flag)} for cost, flag in self.per_record
             ],
@@ -188,10 +191,8 @@ def _prepare(cfg: ExperimentConfig, d1_train: Dataset) -> RecourseSet:
 def _evaluate_m2(points: np.ndarray, m2: TrainedModel) -> tuple[np.ndarray, float | None]:
     """Invalidation flags under M2 of the recourse points, one per row, and
     their percentage (None when there are no points)."""
-    if not len(points):
-        return np.zeros(0, dtype=bool), None
-    flags = m2.predict(points) == -1
-    return flags, 100.0 * float(np.mean(flags))
+    flags = m2.predict(points) == -1 if len(points) else np.zeros(0, dtype=bool)
+    return flags, _percent(flags)
 
 
 def _cross_validate(spec: ModelSpec, data: Dataset, folds: int) -> float:
@@ -244,15 +245,13 @@ def run_pipeline(cfg: ExperimentConfig, jobs: int = 1) -> InvalidationReport:
         else:
             cv = [pool.submit(_cross_validate, spec, data, cfg.cv_folds).result for data in samples]
         cf1 = _prepare(cfg, d1_train)
-        flags, pct = _evaluate_m2(cf1.recourse_matrix(), train(spec, d2_train))
+        flags, _ = _evaluate_m2(cf1.recourse_matrix(), train(spec, d2_train))
         m1_acc, m2_acc = (read() for read in cv)
     return InvalidationReport(
         algorithm=ALGORITHM_LABELS[cfg.method],
         model_kind=MODEL_LABELS[cfg.model_spec.kind],
         m1_cv_acc=m1_acc,
         m2_cv_acc=m2_acc,
-        cf1_size=cf1.size,
-        invalidation_pct=pct,
         per_record=tuple((rec.cost, bool(flag)) for rec, flag in zip(cf1.records, flags)),
     )
 
@@ -317,13 +316,8 @@ def sensitivity_sweep(scenario: str, alphas, base: ExperimentConfig, jobs: int =
 
 
 def sweep_csv_text(points) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["alpha", "invalidation_pct", "cf1_size"])
-    for p in points:
-        inv = "NAN" if p.invalidation_pct is None else f"{p.invalidation_pct:.2f}"
-        writer.writerow([repr(p.alpha), inv, p.cf1_size])
-    return buf.getvalue()
+    return _csv_text(("alpha", "invalidation_pct", "cf1_size"),
+                     [(repr(p.alpha), p.invalidation_pct, p.cf1_size) for p in points])
 
 
 @dataclass(frozen=True)

@@ -257,8 +257,11 @@ class BoundCheck:
     kind: str
     empirical_q: float
     theoretical_q: float
-    abs_gap: float
     n: int
+
+    @property
+    def abs_gap(self) -> float:
+        return abs(self.empirical_q - self.theoretical_q)
 
 
 def _comparison_perturb(model: TrainedModel, delta_m: float, data: Dataset) -> TrainedModel:
@@ -341,6 +344,5 @@ def verify_bound(
         kind=kind,
         empirical_q=empirical,
         theoretical_q=theoretical,
-        abs_gap=abs(empirical - theoretical),
         n=points.shape[0],
     )

@@ -15,6 +15,13 @@ from recourse_lab.cli import main as cli_main
 from recourse_lab.recourse import DECILE_PERCENTILES, _percentile_grid
 
 
+def linear_depths(model, cf) -> np.ndarray:
+    """Signed distance of each recourse past a linear model's boundary."""
+    w = model.weight_vector
+    return np.array([float((w @ r.recourse + model.bias) / float(np.linalg.norm(w)))
+                     for r in cf.records])
+
+
 def verdict(num: int, name: str, ok: bool, detail: str) -> bool:
     print(f"[acceptance] criterion {num} ({name}): {'PASS' if ok else 'FAIL'} - {detail}")
     return ok
@@ -61,7 +68,7 @@ def test_criterion_03_distribution_law(logistic10k, synth10k, ordinal_setup):
     cont_data = rl.Dataset(synth10k.schema, neg, np.full(len(neg), -1))
     cf = rl.batch_recourse(logistic10k, cont_data, "markov", rl.CostFn("L2"),
                            params={"step": 0.01, "rho": 2.0}, seed=21)
-    depths = np.array([r.boundary_distance for r in cf.records])[:5000]
+    depths = linear_depths(logistic10k, cf)[:5000]
     rho_hat = rl.fit_rho(depths, "continuous")
     ks_cont = sps.kstest(depths, sps.expon(scale=1.0 / rho_hat).cdf).statistic
     ok_cont = ks_cont <= 0.05 and abs(rho_hat / 2.0 - 1.0) <= 0.05 and len(depths) == 5000
@@ -70,7 +77,7 @@ def test_criterion_03_distribution_law(logistic10k, synth10k, ordinal_setup):
     big = data.subset(np.tile(np.arange(data.n), 1)[:5000])
     cf2 = rl.batch_recourse(model, big, "markov", rl.CostFn("L2"),
                             params={"step": 1.0, "rho": 0.5}, seed=22)
-    counts = np.array([round(r.boundary_distance + 0.5) for r in cf2.records])[:5000]
+    counts = np.array([round(d + 0.5) for d in linear_depths(model, cf2)])[:5000]
     p_hat = rl.fit_rho(counts, "ordinal")
     ks_ord = max(
         abs(float(np.mean(counts <= k)) - sps.geom(p_hat).cdf(k))

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import recourse_lab as rl
 from recourse_lab import cli, models, shiftlab, theory
-from recourse_lab.cli import SEED_OVERRIDE_ENV, main
+from recourse_lab.cli import main
 
 
 def write_config(tmp_path, **overrides):
@@ -91,11 +91,6 @@ class InProcessPool:
 
     def map(self, fn, items):
         return map(fn, items)
-
-
-@pytest.fixture(autouse=True)
-def no_seed_override(monkeypatch):
-    monkeypatch.delenv(SEED_OVERRIDE_ENV, raising=False)
 
 
 class TestBoundsCommand:
@@ -266,11 +261,17 @@ class TestRunCommand:
         ("scm", {"recourse": {"method": "causal"},
                  "scm": [{"name": "x0", "intervenable": False},
                          {"name": "x1", "intervenable": False}]}),
+        ("scm", {"recourse": {"method": "causal"},
+                 "d1_source": {"csv": {"path": "d1.csv", "schema": {
+                     "features": [{"name": "x0"}, {"name": "x1", "actionable": False}],
+                     "label": "label"}}},
+                 "scm": [{"name": "x0", "intervenable": False}, {"name": "x1"}]}),
     ], ids=["step-str", "inner-iters-negative", "percentile-200", "hidden-float", "hidden-str",
             "scm-entry-int", "scm-parent-key", "rate-bool", "epochs-bool", "l2-nan", "l2-inf",
             "method-holdout-fraction", "method-n-samples", "cv-folds-1", "holdout-0.9",
             "synthetic-seed-negative", "model-seed-negative", "data-seed-negative",
-            "recourse-seed-negative", "scm-3-variables", "scm-none-intervenable"])
+            "recourse-seed-negative", "scm-3-variables", "scm-none-intervenable",
+            "scm-none-intervenable-and-actionable"])
     def test_bad_value_names_field(self, tmp_path, capsys, monkeypatch, field, overrides):
         def no_training(*args, **kwargs):
             raise AssertionError("config errors must come before any training")
@@ -321,16 +322,6 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert f"config error: {field}:" in capsys.readouterr().err
 
-    def test_negative_seed_override_exits_2(self, tmp_path, capsys, monkeypatch):
-        def no_training(*args, **kwargs):
-            raise AssertionError("config errors must come before any training")
-
-        monkeypatch.setattr(shiftlab, "train", no_training)
-        monkeypatch.setattr(models, "train", no_training)
-        monkeypatch.setenv(SEED_OVERRIDE_ENV, "-1")
-        cfg = write_config(tmp_path, model={"kind": "mlp", "hidden_layers": [4]})
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err.startswith(f"config error: {SEED_OVERRIDE_ENV}:")
 
     def test_parse_config_reads_every_schema_field(self, tmp_path):
         schema = rl.FeatureSchema(
@@ -381,17 +372,6 @@ class TestRunCommand:
         )
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "d2_source" in capsys.readouterr().err
-
-    def test_seed_override(self, tmp_path, monkeypatch):
-        cfg_a = write_config(tmp_path, seeds={"data": 5, "model": 6, "recourse": 7})
-        out_a = tmp_path / "oa"
-        out_b = tmp_path / "ob"
-        monkeypatch.setenv(SEED_OVERRIDE_ENV, "123")
-        assert main(["run", "--config", str(cfg_a), "--out", str(out_a)]) == 0
-        cfg_b = write_config(tmp_path, seeds={"data": 50, "model": 60, "recourse": 70})
-        assert main(["run", "--config", str(cfg_b), "--out", str(out_b)]) == 0
-        # override makes runs with different config seeds coincide
-        assert (out_a / "report.csv").read_bytes() == (out_b / "report.csv").read_bytes()
 
 
 class TestSweepCommand:
@@ -606,9 +586,16 @@ class TestParallelRun:
                 for spans in ("", str(span_dir))]
         assert [proc.returncode for proc in outs] == [0, 0], outs[1].stderr
         assert outs[1].stdout == outs[0].stdout
-        traced = {json.loads(line)["name"] for path in span_dir.glob("spans-*.jsonl")
-                  for line in path.read_text().splitlines()}
-        assert names <= traced
+        recorded = [json.loads(line) for path in span_dir.glob("spans-*.jsonl")
+                    for line in path.read_text().splitlines()]
+        assert names <= {span["name"] for span in recorded}
+        if argv[0] == "run":
+            # the tracer counts the recourse set's records and sums their int iterations
+            [search] = [span for span in recorded if span["name"] == "recourse.batch_recourse"]
+            report = json.loads((tmp_path / "out" / "report.json").read_text())
+            assert search["found"] == report["cf1_size"]
+            assert search["negatives"] >= search["found"]
+            assert isinstance(search["iterations"], int) and search["iterations"] > 0
 
     def run_at_jobs(self, cfg, tmp_path, capsys, jobs):
         out = tmp_path / f"out-{jobs}"

@@ -29,6 +29,12 @@ def schema2():
     return rl.synth_base(2, 0).schema
 
 
+def depth(model, rec) -> float:
+    """Signed distance of a record's recourse past a linear model's boundary."""
+    w = model.weight_vector
+    return float((w @ rec.recourse + model.bias) / float(np.linalg.norm(w)))
+
+
 def search_one(model, x, method, params=None, seed=0, cost=rl.CostFn("L2"), grid_rows=()):
     """batch_recourse from x alone: the record for x, or None.
 
@@ -312,7 +318,7 @@ class TestCfeSearch:
         data = rl.synth_base(2000, 300)
         model = rl.train(rl.ModelSpec.logistic(seed=0), data)
         cf = rl.batch_recourse(model, data, "cfe", rl.CostFn("L2"))
-        depths = np.array([r.boundary_distance for r in cf.records])
+        depths = np.array([depth(model, r) for r in cf.records])
         assert cf.size > 0
         assert np.all((depths >= 0.0) & (depths <= 0.02))
 
@@ -502,7 +508,7 @@ class TestMarkovSearch:
         m = rl.linear_model([1.0, 0.0], 0.0, schema2())
         rec = search_one(m, [-2.3, 0.0], "markov", {"step": 1.0, "rho": 1.0}, seed=4)
         assert rec is not None
-        assert 0.0 <= rec.boundary_distance <= 1.0
+        assert 0.0 <= depth(m, rec) <= 1.0
 
     def test_deterministic_per_seed(self):
         m = rl.linear_model([1.0, 1.0], -0.5, schema2())
@@ -517,7 +523,7 @@ class TestMarkovSearch:
         data = rl.Dataset(synth10k.schema, neg, np.full(len(neg), -1))
         cf = rl.batch_recourse(logistic10k, data, "markov", rl.CostFn("L2"),
                                params={"step": 0.01, "rho": 2.0}, seed=5)
-        depths = np.array([r.boundary_distance for r in cf.records])
+        depths = np.array([depth(logistic10k, r) for r in cf.records])
         assert abs(depths.mean() - 0.5) <= 0.025
 
     @pytest.mark.parametrize("step, rho", [(0.05, 1.0), (0.01, 4.0)])
@@ -529,7 +535,7 @@ class TestMarkovSearch:
         data = rl.Dataset(synth10k.schema, neg, np.full(len(neg), -1))
         cf = rl.batch_recourse(logistic10k, data, "markov", rl.CostFn("L2"),
                                params={"step": step, "rho": rho}, seed=13)
-        depths = np.array([r.boundary_distance for r in cf.records])
+        depths = np.array([depth(logistic10k, r) for r in cf.records])
 
         def law(rate):
             rng = np.random.default_rng(21)
@@ -561,11 +567,11 @@ class TestMarkovSearch:
         rec = search_one(m, [-3.0, 0.0], "markov", {"step": 0.05, "rho": 0.8}, seed=7)
         assert m.predict(rec.recourse) == 1
 
-    def test_boundary_distance_absent_for_nonlinear(self, mlp1500):
+    def test_mlp_walk_finds_a_valid_point(self, mlp1500):
         data, mlp = mlp1500
         neg = data.X[mlp.predict(data.X) == -1][0]
         rec = search_one(mlp, neg, "markov", {"step": 0.05, "rho": 1.0}, seed=3)
-        assert rec is not None and rec.boundary_distance is None
+        assert rec is not None
         assert mlp.predict(rec.recourse) == 1
 
     def test_zero_weight_model_finds_nothing(self):
@@ -717,6 +723,25 @@ class TestCausalRecourse:
         with pytest.raises(SchemaMismatchError):
             rl.batch_recourse(model, data, "causal", rl.CostFn("L2"), scm=scm)
 
+    def test_non_actionable_root_never_changes(self):
+        # x0 is the default chain's root, so only an intervention on it can move it
+        schema = rl.FeatureSchema((rl.FeatureSpec("x0", actionable=False),
+                                   rl.FeatureSpec("x1"), rl.FeatureSpec("x2")))
+        X = np.random.default_rng(5).standard_normal((1500, 3))
+        data = rl.Dataset(schema, X, np.where(X.sum(axis=1) >= 0.0, 1, -1))
+        model = rl.train(rl.ModelSpec.logistic(epochs=100), data)
+        cf = rl.batch_recourse(model, data, "causal", rl.CostFn("L2"))
+        assert cf.size > 100
+        assert all(r.recourse[0] == r.origin[0] for r in cf.records)
+
+    def test_no_actionable_intervenable_variable_names_scm(self):
+        scm = rl.Scm((rl.ScmVariable("x0"), rl.ScmVariable("x1", intervenable=False)))
+        schema = rl.FeatureSchema((rl.FeatureSpec("x0", actionable=False), rl.FeatureSpec("x1")))
+        model = rl.linear_model([1.0, 1.0], 0.0, schema)
+        data = rl.Dataset(schema, -np.ones((4, 2)), -np.ones(4))
+        with pytest.raises(ValueError, match="^scm: "):
+            rl.batch_recourse(model, data, "causal", rl.CostFn("L2"), scm=scm)
+
 
 @pytest.fixture(scope="module")
 def chain_models():
@@ -861,7 +886,7 @@ class TestRecourseSet:
         m = rl.linear_model([1.0, 0.0], 0.0, schema2())
         bad = rl.RecourseRecord(
             origin=np.array([-1.0, 0.0]), recourse=np.array([-0.5, 0.0]),
-            cost=0.5, method="cfe", iterations=1,
+            cost=0.5, iterations=1,
         )
         with pytest.raises(DataValidationError):
             rl.RecourseSet((bad,), m)

@@ -150,24 +150,10 @@ class TestRunPipeline:
     def test_nan_representation(self):
         report = rl.InvalidationReport(
             algorithm="AR", model_kind="LR", m1_cv_acc=90.0, m2_cv_acc=91.0,
-            cf1_size=0, invalidation_pct=None, per_record=(),
+            per_record=(),
         )
         assert report.to_csv_text().splitlines()[1].endswith("NAN")
         assert report.to_json_dict()["invalidation_pct"] == "NAN"
-
-    def test_nan_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            rl.InvalidationReport(
-                algorithm="AR", model_kind="LR", m1_cv_acc=90.0, m2_cv_acc=91.0,
-                cf1_size=0, invalidation_pct=5.0, per_record=(),
-            )
-
-    def test_cf1_size_must_count_per_record(self):
-        with pytest.raises(ValueError, match="cf1_size"):
-            rl.InvalidationReport(
-                algorithm="AR", model_kind="LR", m1_cv_acc=90.0, m2_cv_acc=91.0,
-                cf1_size=2, invalidation_pct=50.0, per_record=((1.0, True),),
-            )
 
     def test_mlp_with_surrogate_actions_end_to_end(self):
         cfg = small_config(
@@ -265,7 +251,7 @@ class TestCostInvalidationCheck:
         records = tuple(
             rl.RecourseRecord(
                 origin=np.array([-c, 0.0]), recourse=np.array([c, 0.0]),
-                cost=2.0 * c, method="cfe", iterations=1,
+                cost=2.0 * c, iterations=1,
             )
             for c in costs
         )
