@@ -76,8 +76,9 @@ class FeatureSchema:
         """Features living on a discrete grid (ordinal or binary)."""
         return np.array([f.kind in ("ordinal", "binary") for f in self.features])
 
-    def actionable_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, f in enumerate(self.features) if f.actionable)
+    def actionable_mask(self) -> np.ndarray:
+        """Features a recourse may change."""
+        return np.array([f.actionable for f in self.features])
 
     def lower_bounds(self) -> np.ndarray:
         return np.array([f.lower for f in self.features])

@@ -22,6 +22,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,56 +73,55 @@ class CostFn:
         return norms, np.divide(diff, norms[:, None], out=np.zeros_like(diff), where=nonzero)
 
 
-@dataclass(frozen=True, eq=False)
-class RecourseRecord:
+class RecourseRecord(NamedTuple):
     origin: np.ndarray
     recourse: np.ndarray
     cost: float
     iterations: int
 
-    def __post_init__(self):
-        origin = np.array(self.origin, dtype=float)
-        recourse = np.array(self.recourse, dtype=float)
-        origin.flags.writeable = False
-        recourse.flags.writeable = False
-        object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "recourse", recourse)
-        if not (math.isfinite(self.cost) and self.cost >= 0.0):
-            raise ValueError(f"cost must be finite and nonnegative, got {self.cost}")
-
 
 @dataclass(frozen=True, eq=False)
 class RecourseSet:
-    """Successful records for one model, plus the count of points with no recourse."""
+    """The recourses found for one model, one row each, as read-only columns
+    (origins and points (m, d), costs and iterations (m,)), plus the count of
+    searched points with no recourse. Construction checks each column's
+    shape, the costs, not_found and that the model accepts every point."""
 
-    records: tuple[RecourseRecord, ...]
     model: TrainedModel
+    origins: np.ndarray
+    points: np.ndarray
+    costs: np.ndarray
+    iterations: np.ndarray
     not_found: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
+        m, d = len(self.points), self.model.schema.n_features
+        for name, shape in (("points", (m, d)), ("origins", (m, d)),
+                            ("costs", (m,)), ("iterations", (m,))):
+            column = np.array(getattr(self, name), dtype=int if name == "iterations" else float)
+            if column.shape != shape:
+                raise SchemaMismatchError(f"{name}: expected shape {shape}, got {column.shape}")
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        if not np.all(np.isfinite(self.costs) & (self.costs >= 0.0)):
+            raise ValueError("costs: must be finite and nonnegative")
         if self.not_found < 0:
-            raise ValueError("not_found must be nonnegative")
-        if self.records:
-            preds = self.model.predict(self.recourse_matrix())
-            if not np.all(preds == 1):
-                bad = int(np.argmax(preds != 1))
-                raise DataValidationError(
-                    f"record {bad} is not classified +1 by the reference model"
-                )
+            raise ValueError(f"not_found: must be nonnegative, got {self.not_found}")
+        rejected = np.flatnonzero(self.model.predict(self.points) != 1) if m else []
+        if len(rejected):
+            raise DataValidationError(
+                f"record {rejected[0]} is not classified +1 by the reference model")
 
     @property
     def size(self) -> int:
-        return len(self.records)
+        return len(self.points)
 
-    def costs(self) -> np.ndarray:
-        return np.array([r.cost for r in self.records])
-
-    def recourse_matrix(self) -> np.ndarray:
-        d = self.model.schema.n_features
-        if not self.records:
-            return np.empty((0, d))
-        return np.stack([r.recourse for r in self.records])
+    @property
+    def records(self) -> tuple[RecourseRecord, ...]:
+        """The rows, with Python-number costs and iterations. Nothing in the
+        package reads them; tests and perfbench's tracer do."""
+        return tuple(map(RecourseRecord, self.origins, self.points,
+                         self.costs.tolist(), self.iterations.tolist()))
 
 
 # the largest CFE gradient entry whose square, so (1 - b2) g g and v / bias2, is finite
@@ -147,6 +147,9 @@ def _cfe_batch(model, data, rows, cost, p, seed, scm):
     textbook expressions, so every bit is theirs. Rows only leave a stage, so
     its live rows share one step count and one bias correction.
 
+    The input gradient is zeroed on the non-actionable features, so their
+    cost subgradient stays 0 too and no iterate moves them.
+
     A NaN gradient entry, or one whose square would overflow the second
     moment, raises SearchError, with no NumPy warning.
 
@@ -155,6 +158,7 @@ def _cfe_batch(model, data, rows, cost, p, seed, scm):
     X = data.X[rows]
     n, d = X.shape
     schema = model.schema
+    fixed = np.flatnonzero(~schema.actionable_mask())
     margin = p["margin_target"]
     step_size = p["step_size"]
     lam = np.full(n, p["lambda_init"])
@@ -198,6 +202,8 @@ def _cfe_batch(model, data, rows, cost, p, seed, scm):
                 remember(idx[better], zl[better], c[better])
             gap = np.maximum(0.0, margin - f)
             grad = model.input_gradient(zl)
+            if fixed.size:
+                grad[:, fixed] = 0.0
             # an overflow or NaN here fails the bound check
             with np.errstate(over="ignore", invalid="ignore"):
                 g = (laml * (-2.0 * gap))[:, None] * grad
@@ -280,13 +286,16 @@ def fit_local_linear(
 
 
 def _percentile_grid(column: np.ndarray, percentiles) -> np.ndarray:
-    """Empirical values at the requested percentiles (nearest-rank, deduplicated)."""
+    """Empirical values at the requested percentiles (nearest-rank,
+    deduplicated); none for an empty column."""
+    if not column.size:
+        return column
     vals = np.percentile(column, list(percentiles), method="nearest")
     return np.unique(vals)
 
 
 def _action_grids(model: TrainedModel, data: Dataset, percentiles) -> dict:
-    actionable = model.schema.actionable_indices()
+    actionable = np.flatnonzero(model.schema.actionable_mask()).tolist()
     if not actionable:
         raise ValueError("schema has no actionable features")
     return {j: _percentile_grid(data.X[:, j], percentiles) for j in actionable}
@@ -600,7 +609,7 @@ def batch_recourse(
 ) -> RecourseSet:
     """Run one generator over every point the model classifies -1.
 
-    Successes land in the returned set's records (input order); per-point
+    Successes land in the returned set's rows (input order); per-point
     failures are counted in not_found, never raised. Every proposal is
     re-checked against the true model, so surrogate-driven methods cannot leak
     invalid points into the set.
@@ -611,13 +620,12 @@ def batch_recourse(
     rows = np.flatnonzero(model.predict(data.X) == -1)
     points, iters = _METHODS[method][1](model, data, rows, cost, p, seed, scm)
 
-    found = [k for k, point in enumerate(points) if point is not None]
-    proposed = np.reshape([points[k] for k in found], (len(found), data.schema.n_features))
+    found = np.flatnonzero([point is not None for point in points])
+    proposed = np.reshape([points[k] for k in found], (found.size, data.schema.n_features))
     # surrogates and snapping may propose points the true model rejects
     valid = model.predict(proposed) == 1
-    records = [
-        RecourseRecord(origin=data.X[rows[k]], recourse=points[k],
-                       cost=cost(data.X[rows[k]], points[k]), iterations=int(iters[k]))
-        for k, ok in zip(found, valid) if ok
-    ]
-    return RecourseSet(tuple(records), model, len(points) - len(records))
+    found, proposed = found[valid], proposed[valid]
+    origins = data.X[rows[found]]
+    # the per-row cost: report.json pins its 1-D norm, which pairwise's differs from in the last bit
+    costs = [cost(x, z) for x, z in zip(origins, proposed)]
+    return RecourseSet(model, origins, proposed, costs, iters[found], len(points) - found.size)

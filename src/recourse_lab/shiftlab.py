@@ -191,7 +191,7 @@ def _prepare(cfg: ExperimentConfig, d1_train: Dataset) -> RecourseSet:
 def _evaluate_m2(points: np.ndarray, m2: TrainedModel) -> tuple[np.ndarray, float | None]:
     """Invalidation flags under M2 of the recourse points, one per row, and
     their percentage (None when there are no points)."""
-    flags = m2.predict(points) == -1 if len(points) else np.zeros(0, dtype=bool)
+    flags = m2.predict(points) == -1
     return flags, _percent(flags)
 
 
@@ -245,14 +245,14 @@ def run_pipeline(cfg: ExperimentConfig, jobs: int = 1) -> InvalidationReport:
         else:
             cv = [pool.submit(_cross_validate, spec, data, cfg.cv_folds).result for data in samples]
         cf1 = _prepare(cfg, d1_train)
-        flags, _ = _evaluate_m2(cf1.recourse_matrix(), train(spec, d2_train))
+        flags, _ = _evaluate_m2(cf1.points, train(spec, d2_train))
         m1_acc, m2_acc = (read() for read in cv)
     return InvalidationReport(
         algorithm=ALGORITHM_LABELS[cfg.method],
         model_kind=MODEL_LABELS[cfg.model_spec.kind],
         m1_cv_acc=m1_acc,
         m2_cv_acc=m2_acc,
-        per_record=tuple((rec.cost, bool(flag)) for rec, flag in zip(cf1.records, flags)),
+        per_record=tuple(zip(cf1.costs.tolist(), flags.tolist())),
     )
 
 
@@ -306,8 +306,8 @@ def sensitivity_sweep(scenario: str, alphas, base: ExperimentConfig, jobs: int =
     specs = sweep_sources(scenario, alphas, base)
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    # a task gets the recourse points, not their RecourseSet, which pickles ten times larger
-    points = _prepare(base, _training_sample(base, base.d1_source, "d1-split")).recourse_matrix()
+    # a task gets the recourse points, not their RecourseSet, which pickles about 3 times larger
+    points = _prepare(base, _training_sample(base, base.d1_source, "d1-split")).points
     workers = min(jobs, len(specs))
     if workers <= 1:
         return [_sweep_point(base, spec, points) for spec in specs]
@@ -341,11 +341,10 @@ def cost_invalidation_check(cf1: RecourseSet, m2_draws) -> TradeoffStats:
         raise ValueError("need at least one updated-model draw")
     if cf1.size < 4:
         raise DegenerateMetricError("cost quartiles need at least 4 recourses")
-    costs = cf1.costs()
+    costs = cf1.costs
     if np.allclose(costs, costs[0]):
         raise DegenerateMetricError("all recourse costs identical; quartiles undefined")
-    points = cf1.recourse_matrix()
-    invalid = np.stack([m2.predict(points) == -1 for m2 in m2_draws], axis=1)
+    invalid = np.stack([m2.predict(cf1.points) == -1 for m2 in m2_draws], axis=1)
 
     order = np.argsort(costs, kind="stable")
     groups = np.array_split(order, 4)

@@ -91,7 +91,8 @@ def _markov_batch(
 ):
     """Vectorized stochastic boundary-crossing walk.
 
-    Each walker climbs the normalized decision-value gradient in increments of
+    Each walker climbs the normalized decision-value gradient, zeroed on the
+    non-actionable features so that they never move, in increments of
     `step` (snapped to the grid for ordinal/binary features). Once it first
     reaches a +1 point it takes K more steps, K = floor(ln u / ln(1 - p)) with
     p = min(1, rho * step) and u its entry of `u`, in (0, 1]. So
@@ -139,6 +140,7 @@ def _stepped_walks(model, X, step, stop_after, max_steps, settle_at):
     n = len(X)
     schema = model.schema
     grid = schema.grid_mask()
+    fixed = np.flatnonzero(~schema.actionable_mask())
     z = X.copy()
     f = model.decision_values(z)
     crossed = f >= 0.0
@@ -156,6 +158,8 @@ def _stepped_walks(model, X, step, stop_after, max_steps, settle_at):
             break
         zr = z.take(rows, axis=0)  # several times faster than z[rows] for short rows
         g = model.input_gradient(zr)
+        if fixed.size:
+            g[:, fixed] = 0.0
         norms = row_norms(g)
         flat = norms <= 1e-12
         if flat.any():
@@ -196,15 +200,16 @@ def _straight_walks(model, X, step, stop_after, max_steps, settle_at):
     """The walks of _stepped_walks on a linear model with no grid feature, in
     closed form.
 
-    Every step adds the same s = step * w / ||w||, computed as the loop
-    computes its direction, so k steps from x end at x + k * s. A walker
-    first valid after k* steps, and settled after k_s, takes
-    min(k* + K, k_s, max_steps) steps; one valid or settled at the start takes
-    none. It keeps its point when k* is within that count. A flat model fails
-    every other walker, with no step taken.
+    Every step adds the same s = step * w_A / ||w_A||, w_A being w with its
+    non-actionable entries zeroed, computed as the loop computes its
+    direction, so k steps from x end at x + k * s. A walker first valid
+    after k* steps, and settled after k_s, takes min(k* + K, k_s, max_steps)
+    steps; one valid or settled at the start takes none. It keeps its point
+    when k* is within that count. A zero w_A fails every other walker, with
+    no step taken.
     """
     f0 = model.decision_values(X)
-    w = model.weight_vector
+    w = np.where(model.schema.actionable_mask(), model.weight_vector, 0.0)
     norm = row_norms(w[None, :])[0]
     done = f0 >= 0.0
     if settle_at is not None:
@@ -308,6 +313,11 @@ def verify_bound(
     accepts it, i.e. once m1's decision value reaches delta_m * ||w||: every
     later step raises that value, so its verdict is settled. rho and delta_m
     are checked before any walk.
+
+    Walkers move only the actionable features, so they climb the decision
+    value at ||w_A|| per unit distance, w_A being w on those features, not
+    at ||w||. With a non-actionable feature the closed form is then only a
+    lower bound.
     """
     kind = "ordinal" if data.schema.grid_mask().all() else "continuous"
     theoretical = invalidation_bound(kind if m1.is_linear else "continuous", rho, delta_m)

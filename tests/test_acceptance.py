@@ -126,8 +126,8 @@ def test_criterion_05_cost_invalidation_tradeoff():
         stats = rl.cost_invalidation_check(cf, draws)
         if stats.quartile_rates[0] > stats.quartile_rates[3]:
             wins += 1
-        invalid = np.stack([m2.predict(cf.recourse_matrix()) == -1 for m2 in draws], axis=1)
-        pooled_costs.extend(cf.costs())
+        invalid = np.stack([m2.predict(cf.points) == -1 for m2 in draws], axis=1)
+        pooled_costs.extend(cf.costs)
         pooled_rates.extend(invalid.mean(axis=1))
     import warnings
 
@@ -182,7 +182,7 @@ def test_criterion_07_validity_and_accounting(logistic10k, synth10k):
         cf = rl.batch_recourse(logistic10k, sub, method, rl.CostFn("L2"),
                                params=params, seed=41)
         if cf.size:
-            all_valid &= bool(np.all(logistic10k.predict(cf.recourse_matrix()) == 1))
+            all_valid &= bool(np.all(logistic10k.predict(cf.points) == 1))
         all_accounted &= (cf.size + cf.not_found == negatives)
         sizes[method] = (cf.size, cf.not_found)
     ok = all_valid and all_accounted
@@ -202,8 +202,8 @@ def test_criterion_08_cfe_optimality(logistic10k, synth10k):
     data = rl.Dataset(synth10k.schema, pts, np.full(500, -1))
     cf = rl.batch_recourse(logistic10k, data, "cfe", rl.CostFn("L2"), seed=8)
     w, b = logistic10k.weight_vector, logistic10k.bias
-    proj = np.abs(np.stack([r.origin for r in cf.records]) @ w + b) / np.linalg.norm(w)
-    ratio = cf.costs() / proj
+    proj = np.abs(cf.origins @ w + b) / np.linalg.norm(w)
+    ratio = cf.costs / proj
     frac = float(np.mean(ratio <= 1.10))
     ok = frac >= 0.95 and cf.size == 500
     detail = f"{frac:.1%} of 500 recourses within 1.10x of the projection distance"

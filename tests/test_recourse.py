@@ -9,7 +9,7 @@ from scipy.stats import ks_2samp
 
 import recourse_lab as rl
 from recourse_lab.dataset import _snap_to_schema
-from recourse_lab.errors import DataValidationError, SearchError
+from recourse_lab.errors import DataValidationError, SchemaMismatchError, SearchError
 from recourse_lab.models import _ADAM_BETA1 as _B1
 from recourse_lab.models import _ADAM_BETA2 as _B2
 from recourse_lab.models import TrainedModel
@@ -288,7 +288,7 @@ class TestCfeSearch:
         cf = rl.batch_recourse(logistic10k, rl.Dataset(synth10k.schema, neg, np.full(len(neg), -1)),
                                "cfe", rl.CostFn("L2"))
         proj = np.abs(neg @ w + b) / norm
-        ratio = cf.costs() / proj
+        ratio = cf.costs / proj
         assert np.mean(ratio <= 1.10) >= 0.95
 
     def test_stationary_point_on_readme_config(self, readme_m1):
@@ -302,11 +302,11 @@ class TestCfeSearch:
         cf = rl.batch_recourse(m1, train, "cfe", rl.CostFn("L2"),
                                params={"margin_target": margin}, seed=2)
         w, norm = m1.weight_vector, np.linalg.norm(m1.weight_vector)
-        origins = np.stack([r.origin for r in cf.records])
+        origins = cf.origins
         f_opt = margin - 1.0 / (2.0 * lam * norm)
         along = (f_opt - m1.decision_values(origins)) / norm
         optimum = origins + along[:, None] * (w / norm)
-        dist = np.linalg.norm(cf.recourse_matrix() - optimum, axis=1)
+        dist = np.linalg.norm(cf.points - optimum, axis=1)
         assert cf.size == 2325
         assert dist.max() <= 0.03
         assert np.median(dist) <= 1e-3
@@ -717,7 +717,6 @@ class TestCausalRecourse:
     def test_schema_alignment(self):
         scm = rl.default_chain_scm()
         model = rl.linear_model([1.0, 0.0], 0.0, schema2())
-        from recourse_lab.errors import SchemaMismatchError
 
         data = rl.synth_base(50, 0)
         with pytest.raises(SchemaMismatchError):
@@ -780,7 +779,48 @@ class TestBatchInvariance:
             assert (got is None and want is None) or np.array_equal(got, want), rows[k]
 
 
+@pytest.fixture(scope="module")
+def fixed_x0_models():
+    """600 normal rows labelled by the sign of their sum, with x0
+    non-actionable, and LR, SVM and MLP fits to them."""
+    schema = rl.FeatureSchema((rl.FeatureSpec("x0", actionable=False),
+                               rl.FeatureSpec("x1"), rl.FeatureSpec("x2")))
+    X = np.random.default_rng(5).standard_normal((600, 3))
+    data = rl.Dataset(schema, X, np.where(X.sum(axis=1) >= 0.0, 1, -1))
+    specs = (rl.ModelSpec.logistic(epochs=100), rl.ModelSpec.svm(epochs=100),
+             rl.ModelSpec.mlp(hidden_layers=(8,), epochs=20, seed=1))
+    return data, {spec.kind: rl.train(spec, data) for spec in specs}
+
+
+class TestActionability:
+    @pytest.mark.parametrize("norm", ["L1", "L2"])
+    @pytest.mark.parametrize("kind", ["logistic_regression", "linear_svm", "mlp"])
+    @pytest.mark.parametrize("method", list(_METHODS))
+    def test_non_actionable_feature_never_changes(self, fixed_x0_models, method, kind, norm):
+        data, fits = fixed_x0_models
+        cf = rl.batch_recourse(fits[kind], data, method, rl.CostFn(norm))
+        assert cf.size >= 50
+        assert np.array_equal(cf.points[:, 0], cf.origins[:, 0])
+
+
 class TestBatchRecourse:
+    @pytest.mark.parametrize("method", list(_METHODS))
+    def test_empty_data_is_an_empty_set(self, method):
+        schema = rl.FeatureSchema(tuple(rl.FeatureSpec(f"x{j}") for j in range(3)))
+        model = rl.linear_model([1.0, 1.0, 1.0], 0.0, schema)
+        data = rl.Dataset(schema, np.empty((0, 3)), np.empty(0))
+        cf = rl.batch_recourse(model, data, method, rl.CostFn("L2"))
+        assert cf.size == cf.not_found == 0
+        assert cf.points.shape == cf.origins.shape == (0, 3)
+
+    def test_empty_data_still_checks_the_scm(self):
+        schema = rl.FeatureSchema(tuple(rl.FeatureSpec(f"x{j}") for j in range(3)))
+        model = rl.linear_model([1.0, 1.0, 1.0], 0.0, schema)
+        data = rl.Dataset(schema, np.empty((0, 3)), np.empty(0))
+        scm = rl.Scm((rl.ScmVariable("x0"), rl.ScmVariable("x1")))
+        with pytest.raises(SchemaMismatchError, match="^scm: "):
+            rl.batch_recourse(model, data, "causal", rl.CostFn("L2"), scm=scm)
+
     def test_accounting_identity(self, logistic10k, synth10k):
         sub = synth10k.subset(np.arange(600))
         cf = rl.batch_recourse(logistic10k, sub, "markov", rl.CostFn("L2"),
@@ -792,7 +832,7 @@ class TestBatchRecourse:
         sub = synth10k.subset(np.arange(400))
         for method, params in (("cfe", {}), ("markov", {"step": 0.05, "rho": 1.0})):
             cf = rl.batch_recourse(logistic10k, sub, method, rl.CostFn("L2"), params=params)
-            assert np.all(logistic10k.predict(cf.recourse_matrix()) == 1)
+            assert np.all(logistic10k.predict(cf.points) == 1)
 
     def test_no_negatives_is_empty(self):
         data = rl.synth_base(200, 1)
@@ -806,7 +846,7 @@ class TestBatchRecourse:
         sub = data.subset(np.arange(80))
         cf = rl.batch_recourse(mlp, sub, "ar", rl.CostFn("L1"), seed=2)
         if cf.size:
-            assert np.all(mlp.predict(cf.recourse_matrix()) == 1)
+            assert np.all(mlp.predict(cf.points) == 1)
         negatives = int(np.sum(mlp.predict(sub.X) == -1))
         assert cf.size + cf.not_found == negatives
 
@@ -821,7 +861,7 @@ class TestBatchRecourse:
         cf = rl.batch_recourse(model, data.subset(np.arange(60)), "causal", rl.CostFn("L2"))
         assert cf.size + cf.not_found == int(np.sum(model.predict(data.X[:60]) == -1))
         if cf.size:
-            assert np.all(model.predict(cf.recourse_matrix()) == 1)
+            assert np.all(model.predict(cf.points) == 1)
 
     def test_causal_scores_each_origin_in_one_call(self, monkeypatch):
         scm = rl.default_chain_scm()
@@ -878,15 +918,56 @@ class TestBatchRecourse:
         b = rl.batch_recourse(logistic10k, sub, "markov", rl.CostFn("L2"),
                               params={"step": 0.05, "rho": 0.5}, seed=9)
         assert a.size == b.size
-        assert np.array_equal(a.recourse_matrix(), b.recourse_matrix())
+        assert np.array_equal(a.points, b.points)
+
+
+def one_row_set(**changes):
+    """A valid one-row RecourseSet on x0 >= 0, with `changes` to its arguments."""
+    args = dict(origins=[[-1.0, 0.0]], points=[[0.5, 0.0]], costs=[1.5], iterations=[3])
+    args.update(changes)
+    return rl.RecourseSet(rl.linear_model([1.0, 0.0], 0.0, schema2()), **args)
 
 
 class TestRecourseSet:
     def test_invalid_record_rejected(self):
-        m = rl.linear_model([1.0, 0.0], 0.0, schema2())
-        bad = rl.RecourseRecord(
-            origin=np.array([-1.0, 0.0]), recourse=np.array([-0.5, 0.0]),
-            cost=0.5, iterations=1,
-        )
-        with pytest.raises(DataValidationError):
-            rl.RecourseSet((bad,), m)
+        with pytest.raises(DataValidationError, match="record 1 "):
+            one_row_set(origins=[[-1.0, 0.0]] * 2, points=[[0.5, 0.0], [-0.5, 0.0]],
+                        costs=[1.5, 0.5], iterations=[3, 1])
+
+    @pytest.mark.parametrize("column, value", [
+        ("origins", [[-1.0, 0.0, 0.0, 0.0, 0.0]]),
+        ("points", [[0.5, 0.0, 0.0]]),
+        ("points", [0.5, 0.0]),
+        ("origins", [[-1.0, 0.0]] * 2),
+        ("costs", [1.5, 1.5]),
+        ("iterations", []),
+    ])
+    def test_column_shapes_checked(self, column, value):
+        with pytest.raises(SchemaMismatchError, match=f"^{column}: expected shape"):
+            one_row_set(**{column: value})
+
+    @pytest.mark.parametrize("changes, match", [
+        ({"costs": [math.nan]}, "^costs: "),
+        ({"costs": [-0.5]}, "^costs: "),
+        ({"costs": [math.inf]}, "^costs: "),
+        ({"not_found": -1}, "^not_found: "),
+    ])
+    def test_bad_values_rejected(self, changes, match):
+        with pytest.raises(ValueError, match=match):
+            one_row_set(**changes)
+
+    def test_columns_are_read_only_copies(self):
+        origins = np.array([[-1.0, 0.0]])
+        cf = one_row_set(origins=origins)
+        origins[0, 0] = -2.0
+        assert cf.origins[0, 0] == -1.0
+        for column in (cf.origins, cf.points, cf.costs, cf.iterations):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+
+    def test_records_are_rows_of_python_numbers(self):
+        # perfbench's tracer JSON-dumps the sum of the rows' iterations
+        (rec,) = one_row_set().records
+        assert type(rec.cost) is float and type(rec.iterations) is int
+        assert rec.cost == 1.5 and rec.iterations == 3
+        assert np.array_equal(rec.origin, [-1.0, 0.0]) and np.array_equal(rec.recourse, [0.5, 0.0])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import recourse_lab as rl
-from recourse_lab import shiftlab
+from recourse_lab import recourse, shiftlab
 from recourse_lab.errors import (
     DegenerateMetricError,
     SchemaMismatchError,
@@ -91,24 +91,33 @@ class TestEvaluateM2:
 
     def test_counting(self):
         cf, model = self.make_cf()
-        sub = rl.RecourseSet(cf.records[:4], model, 0)
+        sub = rl.RecourseSet(model, cf.origins[:4], cf.points[:4], cf.costs[:4], cf.iterations[:4])
         fake_preds = np.array([1, 1, -1, 1])
 
         class Stub:
             def predict(self, X):
                 return fake_preds[: len(X)]
 
-        flags, pct = _evaluate_m2(sub.recourse_matrix(), Stub())
+        flags, pct = _evaluate_m2(sub.points, Stub())
         assert flags.tolist() == [False, False, True, False]
         assert pct == pytest.approx(25.0)
 
     def test_empty_set_has_no_percentage(self):
         _, model = self.make_cf()
-        flags, pct = _evaluate_m2(rl.RecourseSet((), model, 0).recourse_matrix(), model)
+        flags, pct = _evaluate_m2(np.empty((0, model.schema.n_features)), model)
         assert flags.size == 0 and pct is None
 
 
 class TestRunPipeline:
+    def test_run_and_sweep_build_no_record_rows(self, monkeypatch):
+        # the set's columns are what the pipeline reads; rows are for callers that ask
+        def no_rows(*args):
+            raise AssertionError("built a RecourseRecord")
+
+        monkeypatch.setattr(recourse, "RecourseRecord", no_rows)
+        assert rl.run_pipeline(small_config()).cf1_size > 0
+        assert rl.sensitivity_sweep("target_shift", [0.0, 0.3], small_config())[0].cf1_size > 0
+
     def test_identical_sources_zero_invalidation(self):
         cfg = small_config(d2_source=rl.ShiftSpec("target_shift", 0.0, 1200, 31))
         report = rl.run_pipeline(cfg)
@@ -120,7 +129,7 @@ class TestRunPipeline:
         _, cf1 = prepare(cfg)
         m1 = cf1.model
         negated = rl.linear_model(-m1.weight_vector, -m1.bias - 1e-9, m1.schema)
-        flags, pct = _evaluate_m2(cf1.recourse_matrix(), negated)
+        flags, pct = _evaluate_m2(cf1.points, negated)
         assert pct == 100.0
         assert flags.size == cf1.size and flags.all()
 
@@ -248,14 +257,10 @@ class TestCostInvalidationCheck:
     def make_manual_set(self, costs):
         schema = rl.synth_base(2, 0).schema
         model = rl.linear_model([1.0, 0.0], 0.0, schema)
-        records = tuple(
-            rl.RecourseRecord(
-                origin=np.array([-c, 0.0]), recourse=np.array([c, 0.0]),
-                cost=2.0 * c, iterations=1,
-            )
-            for c in costs
-        )
-        return rl.RecourseSet(records, model, 0)
+        c = np.asarray(costs, dtype=float)
+        zero = np.zeros_like(c)
+        return rl.RecourseSet(model, np.column_stack([-c, zero]), np.column_stack([c, zero]),
+                              2.0 * c, np.ones(c.size), 0)
 
     def test_counting_example(self):
         # recourses sit at depths .5, 1, 1.5, 2 with costs 1, 2, 3, 4; a boundary

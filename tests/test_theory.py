@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -166,9 +167,10 @@ class TestVerifyBound:
             rl.verify_bound(model, data, 0.5, 1.5, 100, 0)
 
 
-def straight_model():
+def straight_model(actionable=(True, True, True)):
     """A linear model on three continuous features: its walks are straight lines."""
-    schema = rl.FeatureSchema(tuple(rl.FeatureSpec(f"x{j}") for j in range(3)))
+    schema = rl.FeatureSchema(tuple(rl.FeatureSpec(f"x{j}", actionable=a)
+                                    for j, a in enumerate(actionable)))
     return rl.linear_model([0.8, -0.5, 0.3], -2.5, schema)
 
 
@@ -178,11 +180,13 @@ class TestStraightWalks:
         # on a linear model with no grid feature every walk is a straight line,
         # so its end point has a closed form; the loop is its oracle. Far starts
         # run out of the budget, and rho 1e-6 walks on until the budget or the
-        # settle level ends the walk.
-        model = straight_model()
+        # settle level ends the walk. With x0 fixed, walks run along w less
+        # its x0 entry.
         rng = np.random.default_rng(5)
         step, max_steps, n = 0.02, 1500, 900
-        for rho in (1e-6, 0.01, 0.5, 1.0, 2.0, 32.0):
+        for model, rho in itertools.product(
+                (straight_model(), straight_model((False, True, True))),
+                (1e-6, 0.01, 0.5, 1.0, 2.0, 32.0)):
             X = rng.normal(0.0, 3.0, (n, 3)) * rng.choice([1.0, 12.0], p=[0.9, 0.1], size=(n, 1))
             u = 1.0 - rng.random(n)
             stop_after = theory._steps_past_crossing(u, rho, step)
@@ -196,6 +200,8 @@ class TestStraightWalks:
             assert np.abs(ends - loop_ends).max() <= 1e-8, rho
             assert np.all(model.predict(ends) == 1), rho
             assert 0 < len(found) < n, rho
+            if not model.schema.features[0].actionable:
+                assert np.array_equal(ends[:, 0], X[found, 0]), rho
             # _markov_batch takes this path for such a model
             batch_points, batch_iters = theory._markov_batch(model, X, step, rho, u, max_steps,
                                                              settle_at=settle_at)
