@@ -278,10 +278,20 @@ def _train_mlp(spec: ModelSpec, sets: list[Dataset]) -> list[TrainedModel]:
     equal those of separate fits bit for bit. A fit whose loss turns
     non-finite raises DivergenceError once no earlier fit can: the first
     diverging fit in order, with its own epoch.
+
+    Each epoch ends with a divergence check that bounds every fit's |logit|
+    from its weights and max|X|, and runs the forward pass over the whole
+    sample for the loss only when that bound could overflow.
     """
     X = np.stack([data.X for data in sets])
     y = np.stack([data.y for data in sets]).astype(float)
     k, n, d = X.shape
+    # A layer maps |input| <= B to |output| <= B * max_j sum_i |W_ij| + max|b|
+    # and ReLU does not grow it. Each softplus term is at most |logit| + 1, so
+    # while every layer's bound stays within this cap the loss is finite and
+    # the divergence check need not compute it.
+    cap = sys.float_info.max / (2.0 * (n + 1))
+    x_max = np.abs(X).max(axis=(1, 2))
     dims = [d, *spec.hidden_layers, 1]
     size = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
     # Weights and gradients are views into two (k, size) arrays, so one Adam
@@ -335,10 +345,17 @@ def _train_mlp(spec: ModelSpec, sets: list[Dataset]) -> list[TrainedModel]:
             update /= work
             update *= spec.learning_rate
             theta -= update
-        _, logits = _mlp_forward(params, X)
-        loss = np.mean(np.logaddexp(0.0, -y * logits), axis=1)
-        for fit in np.flatnonzero(~np.isfinite(loss)):
-            diverged.setdefault(int(fit), epoch)
+        # inf * 0 makes a NaN bound, which fails the cap as it should
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = peak = x_max
+            for W, b in params:
+                bound = bound * np.abs(W).sum(axis=1).max(axis=1) + np.abs(b).max(axis=(1, 2))
+                peak = np.maximum(peak, bound)
+        if not np.all(peak <= cap):
+            _, logits = _mlp_forward(params, X)
+            loss = np.mean(np.logaddexp(0.0, -y * logits), axis=1)
+            for fit in np.flatnonzero(~np.isfinite(loss)):
+                diverged.setdefault(int(fit), epoch)
         if 0 in diverged:
             break
     if diverged:

@@ -504,12 +504,28 @@ def _causal_point(scm: Scm, model: TrainedModel, x: np.ndarray, values, mask, co
     if not len(candidates):
         return None, 0
     accepted = np.flatnonzero(model.decision_values(candidates) >= 0.0)
-    best, best_cost = None, np.inf
-    for k, c in zip(accepted, cost.pairwise(x, candidates[accepted])):
-        if c < best_cost - 1e-12:
-            best, best_cost = k, c
+    best = _kept_candidate(cost.pairwise(x, candidates[accepted]))
     # a copy, so the point does not keep every candidate alive
-    return (None if best is None else candidates[best].copy()), len(candidates)
+    return (None if best is None else candidates[accepted[best]].copy()), len(candidates)
+
+
+def _kept_candidate(costs: np.ndarray) -> int | None:
+    """The index that a scan of costs in order keeps when a later cost
+    replaces the kept one only if it is lower by more than 1e-12, starting
+    from the first cost below inf; None if there is none.
+
+    Each step jumps straight to the next replacement. This is not an argmin
+    with a tolerance: costs 1, 1 - 0.6e-12, 1 - 1.2e-12 keep index 2.
+    """
+    best, best_cost, start = None, np.inf, 0
+    while start < len(costs):
+        cheaper = costs[start:] < best_cost - 1e-12
+        j = int(cheaper.argmax())
+        if not cheaper[j]:
+            break
+        best = start + j
+        best_cost, start = costs[best], best + 1
+    return best
 
 
 def _causal_batch(model, data, rows, cost, p, seed, scm):

@@ -1,9 +1,13 @@
+import itertools
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import recourse_lab as rl
+from recourse_lab import models
 from recourse_lab.models import _train_mlp_folds
 from recourse_lab.errors import (
     DivergenceError,
@@ -95,8 +99,11 @@ def reference_train_linear(spec, data):
     return np.r_[w, b]
 
 
-def reference_train_mlp(spec, data):
-    """Reference MLP loop: separate tensors and one Adam update per tensor."""
+def reference_mlp_epochs(spec, data):
+    """Reference MLP loop: separate tensors and one Adam update per tensor.
+
+    Yields the layers and the logits of the whole sample after every epoch.
+    """
     X = data.X
     y = data.y.astype(float)
     n = X.shape[0]
@@ -135,7 +142,46 @@ def reference_train_mlp(spec, data):
                     v_state[li][slot] = 0.999 * v_state[li][slot] + (1 - 0.999) * g * g
                     upd = (m_state[li][slot] / c1) / (np.sqrt(v_state[li][slot] / c2) + 1e-8)
                     params[li][slot] = params[li][slot] - spec.learning_rate * upd
+        Z = X
+        for W, b in params[:-1]:
+            Z = np.maximum(Z @ W + b, 0.0)
+        yield params, (Z @ params[-1][0] + params[-1][1])[:, 0]
+
+
+def reference_train_mlp(spec, data):
+    """The layers reference_mlp_epochs ends with, or the DivergenceError
+    message at the first epoch whose full loss is not finite."""
+    y = data.y.astype(float)
+    for epoch, (params, logits) in enumerate(reference_mlp_epochs(spec, data)):
+        if not np.isfinite(np.mean(np.logaddexp(0.0, -y * logits))):
+            return f"non-finite loss at epoch {epoch}"
     return params
+
+
+def divergence_message(fit, *args):
+    """The DivergenceError message of fit(*args), or None if it returns."""
+    try:
+        fit(*args)
+    except DivergenceError as exc:
+        return str(exc)
+    return None
+
+
+def mlp_overflow_cases(spec, data):
+    """Which hard cases of the divergence check the reference fit meets: an
+    epoch whose loss is finite although some |logit| exceeds float max / (2 (n + 1)),
+    so any bound on |logit| does too, and how the first non-finite loss comes."""
+    y = data.y.astype(float)
+    cap = sys.float_info.max / (2.0 * (data.n + 1))
+    cases = set()
+    for params, logits in reference_mlp_epochs(spec, data):
+        if not np.isfinite(np.mean(np.logaddexp(0.0, -y * logits))):
+            finite = all(np.all(np.isfinite(t)) for layer in params for t in layer)
+            cases.add("finite weights, non-finite loss" if finite else "non-finite weights")
+            break
+        if np.max(np.abs(logits)) > cap:
+            cases.add("logits above the cap, finite loss")
+    return cases
 
 
 class TestTrainingOracles:
@@ -199,6 +245,51 @@ class TestTrainingOracles:
                     else:
                         rl.train(spec, data)
         assert len(epochs) >= 3 and min(epochs) >= 1
+
+    # diverging fits overflow on the way to a non-finite loss
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_mlp_divergence_epoch_matches(self):
+        base = rl.synth_base(300, 1)
+        # features of 1e100 make |X| as large a part of the logits as the weights
+        scaled = rl.Dataset(base.schema, base.X * 1e100, base.y)
+        seen = set()
+        for data, lr, l2 in itertools.product(
+            (base, scaled), (1.0, 1e50, 1e100, 3e101, 4e101, 5e101, 1e150, 1e200, 1e300),
+            (0.0, 1e-4, 1.0),
+        ):
+            spec = rl.ModelSpec.mlp(learning_rate=lr, epochs=3, l2_penalty=l2, seed=2)
+            _, sets = cv_training_sets(data, 4, spec.seed)
+            wants = []
+            for fit_data in (data, *sets):
+                want = reference_train_mlp(spec, fit_data)
+                wants.append(want if isinstance(want, str) else None)
+                seen |= mlp_overflow_cases(spec, fit_data)
+            lone, folds = wants[0], wants[1:]
+            assert divergence_message(rl.train, spec, data) == lone, (lr, l2)
+            # the first diverging fold names its own epoch
+            first = next((want for want in folds if want), None)
+            assert divergence_message(_train_mlp_folds, spec, sets) == first, (lr, l2)
+            if first and not folds[0]:
+                seen.add("first diverging fold after fold 0")
+        assert seen == {"logits above the cap, finite loss", "finite weights, non-finite loss",
+                        "non-finite weights", "first diverging fold after fold 0"}
+
+    def test_mlp_epoch_runs_no_full_forward_pass(self, monkeypatch):
+        calls = []
+
+        def counting_forward(params, X):
+            calls.append(X.shape[-2])
+            return forward(params, X)
+
+        forward = models._mlp_forward
+        monkeypatch.setattr(models, "_mlp_forward", counting_forward)
+        spec = rl.ModelSpec.mlp(epochs=5, seed=2)
+        rl.train(spec, rl.synth_base(300, 1))
+        assert calls == [128, 128, 44] * 5
+        calls.clear()
+        _, sets = cv_training_sets(rl.synth_base(300, 1), 4, spec.seed)
+        _train_mlp_folds(spec, sets)
+        assert calls == [128, 97] * 5
 
 
 class TestModelSpec:

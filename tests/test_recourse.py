@@ -18,6 +18,7 @@ from recourse_lab.recourse import (
     DECILE_PERCENTILES,
     _ar_point,
     _cfe_batch,
+    _kept_candidate,
     _percentile_grid,
     method_params,
 )
@@ -740,6 +741,36 @@ class TestCausalRecourse:
         data = rl.Dataset(schema, -np.ones((4, 2)), -np.ones(4))
         with pytest.raises(ValueError, match="^scm: "):
             rl.batch_recourse(model, data, "causal", rl.CostFn("L2"), scm=scm)
+
+    @pytest.mark.parametrize("costs, want", [
+        ([1.0, 1.0 - 0.6e-12, 1.0 - 1.2e-12], 2),  # two steps within 1e-12 add up past it
+        ([1.0, 1.0 - 1.2e-12, 1.0 - 0.6e-12], 1),
+        ([2.0, 2.0, 2.0], 0),
+        ([np.inf, np.inf], None),
+        ([np.inf, 3.0, np.inf, 3.0 - 2e-12, 1.0, 1.0], 4),
+        ([np.nan, 5.0, np.nan, 4.0], 3),
+        ([0.0], 0),
+        ([], None),
+    ])
+    def test_kept_candidate_matches_scan(self, costs, want):
+        assert reference_kept_candidate(costs) == want
+        assert _kept_candidate(np.array(costs)) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([1.0, 1.0 - 0.6e-12, 1.0 - 1.2e-12, 1.0 - 1e-11, 0.5,
+                                     np.inf]), max_size=30))
+    def test_kept_candidate_matches_scan_on_ties(self, costs):
+        assert _kept_candidate(np.array(costs)) == reference_kept_candidate(costs)
+
+
+def reference_kept_candidate(costs):
+    """The causal search's tie rule as a plain scan: a later candidate wins
+    only if it is cheaper by more than 1e-12."""
+    best, best_cost = None, np.inf
+    for k, c in enumerate(costs):
+        if c < best_cost - 1e-12:
+            best, best_cost = k, c
+    return best
 
 
 @pytest.fixture(scope="module")
