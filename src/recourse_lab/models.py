@@ -175,14 +175,16 @@ class TrainedModel:
         return G[:len(X)]
 
     def predict(self, x):
-        """+1 iff the decision value is >= 0; handles single vectors and batches."""
+        """+1 iff the decision value is >= 0; handles single vectors and batches.
+        A non-finite input raises ValueError, after the shape check."""
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            f = self.decision_values(x[None])  # raises SchemaMismatchError first
-            if not np.all(np.isfinite(x)):
-                raise ValueError("input vector must be finite")
-            return 1 if f[0] >= 0.0 else -1
-        return np.where(self.decision_values(x) >= 0.0, 1, -1)
+        batch = x[None] if x.ndim == 1 else x
+        f = self.decision_values(batch)  # raises SchemaMismatchError first
+        bad = np.flatnonzero(~np.isfinite(batch).all(axis=1))
+        if bad.size:
+            raise ValueError(f"input row {bad[0]} must be finite" if x.ndim == 2
+                             else "input vector must be finite")
+        return np.where(f >= 0.0, 1, -1) if x.ndim == 2 else (1 if f[0] >= 0.0 else -1)
 
 
 def linear_model(weights, bias: float, schema: FeatureSchema, kind: str = "logistic_regression") -> TrainedModel:
@@ -269,6 +271,8 @@ def _layer_views(flat: np.ndarray, dims: list[int]) -> list[tuple[np.ndarray, np
     return views
 
 
+# overflow to inf is exactly what the divergence check looks for
+@np.errstate(over="ignore", invalid="ignore")
 def _train_mlp(spec: ModelSpec, sets: list[Dataset]) -> list[TrainedModel]:
     """One MLP per dataset, fitted as one stacked model; the datasets share a row count.
 
@@ -346,11 +350,10 @@ def _train_mlp(spec: ModelSpec, sets: list[Dataset]) -> list[TrainedModel]:
             update *= spec.learning_rate
             theta -= update
         # inf * 0 makes a NaN bound, which fails the cap as it should
-        with np.errstate(over="ignore", invalid="ignore"):
-            bound = peak = x_max
-            for W, b in params:
-                bound = bound * np.abs(W).sum(axis=1).max(axis=1) + np.abs(b).max(axis=(1, 2))
-                peak = np.maximum(peak, bound)
+        bound = peak = x_max
+        for W, b in params:
+            bound = bound * np.abs(W).sum(axis=1).max(axis=1) + np.abs(b).max(axis=(1, 2))
+            peak = np.maximum(peak, bound)
         if not np.all(peak <= cap):
             _, logits = _mlp_forward(params, X)
             loss = np.mean(np.logaddexp(0.0, -y * logits), axis=1)

@@ -9,8 +9,9 @@ Four search strategies produce points the model classifies +1:
   markov - a boundary-crossing walk that keeps stepping past the boundary with a
            constant per-step stop probability, so crossing depths follow an
            exponential (continuous grids) or geometric (integer grids) law
-  causal - enumeration of interventions on a linear structural model,
-           with downstream effects propagated under abducted noise
+  causal - enumeration of interventions on a linear structural model, with
+           downstream effects propagated under abducted noise; blocks of
+           origins share one propagation and one model call
 """
 
 from __future__ import annotations
@@ -407,29 +408,18 @@ class Scm:
     def n_variables(self) -> int:
         return len(self.variables)
 
-    def abduct(self, x) -> np.ndarray:
-        """Residual noises that reproduce x exactly under the structural equations."""
-        x = np.asarray(x, dtype=float)
-        u = np.zeros(self.n_variables)
-        for i, var in enumerate(self.variables):
-            u[i] = x[i] - sum(coeff * x[parent] for parent, coeff in var.parents)
-        return u
-
-    def propagate_rows(self, x, values, mask) -> np.ndarray:
-        """Apply a batch of interventions to one origin x, with abducted noises fixed.
-
-        Row k sets the variables where mask[k] holds to values[k]. Each other
-        variable is its abducted noise plus its coeff * parent terms, summed
-        from zero in the parents' order as the structural equations list them,
-        so every row equals the one-row call bit for bit.
-        """
-        u = self.abduct(x)
+    def propagate(self, X, values, mask) -> np.ndarray:
+        """Intervention row k (values[k] where mask[k] holds) applied to origin
+        X[k]. Each other variable is its abducted noise X[k, i] - sum(coeff *
+        X[k, parent]) plus its sum(coeff * parent) on the new row. Each sum
+        runs in the parents' listed order from Python's int 0 (as from a zero
+        array: 0 + -0.0 is 0.0), so no row's bits depend on another row."""
+        X = np.asarray(X, dtype=float)
         out = np.empty(np.shape(values))
         for i, var in enumerate(self.variables):
-            total = np.zeros(len(out))
-            for parent, coeff in var.parents:
-                total = total + coeff * out[:, parent]
-            out[:, i] = np.where(mask[:, i], values[:, i], u[i] + total)
+            noise = X[:, i] - sum(coeff * X[:, parent] for parent, coeff in var.parents)
+            total = sum(coeff * out[:, parent] for parent, coeff in var.parents)
+            out[:, i] = np.where(mask[:, i], values[:, i], noise + total)
         return out
 
 
@@ -494,21 +484,6 @@ def _intervention_rows(scm: Scm, schema: FeatureSchema, data: Dataset, percentil
     return values, mask
 
 
-def _causal_point(scm: Scm, model: TrainedModel, x: np.ndarray, values, mask, cost: CostFn):
-    """Cheapest accepted intervention on x, its candidates scored in one model
-    call; (point or None, candidates evaluated). Ties within 1e-12 go to the
-    earliest candidate."""
-    # a component that sets a variable to its current value is covered by a smaller combo
-    keep = ~np.any(mask & (values == x), axis=1)
-    candidates = scm.propagate_rows(x, values[keep], mask[keep])
-    if not len(candidates):
-        return None, 0
-    accepted = np.flatnonzero(model.decision_values(candidates) >= 0.0)
-    best = _kept_candidate(cost.pairwise(x, candidates[accepted]))
-    # a copy, so the point does not keep every candidate alive
-    return (None if best is None else candidates[accepted[best]].copy()), len(candidates)
-
-
 def _kept_candidate(costs: np.ndarray) -> int | None:
     """The index that a scan of costs in order keeps when a later cost
     replaces the kept one only if it is lower by more than 1e-12, starting
@@ -528,18 +503,37 @@ def _kept_candidate(costs: np.ndarray) -> int | None:
     return best
 
 
+# the candidate rows a causal block scores in one model call: a bound on its memory
+_CAUSAL_BLOCK_ROWS = 1024
+
+
 def _causal_batch(model, data, rows, cost, p, seed, scm):
     """Cheapest grid intervention on at most max_intervened variables from each
     origin data.X[rows], costed against the full propagated point. Grids (the
     data's empirical percentiles) and intervention rows are built once; the
-    default chain stands in for a missing scm."""
+    default chain stands in for a missing scm. Blocks of origins with at most
+    _CAUSAL_BLOCK_ROWS candidates, listed origin by origin, share one
+    propagation, model call and cost call; an origin's iterations are its
+    candidate count, and ties within 1e-12 go to its earliest accepted one."""
     scm = _causal_scm(scm, model.schema)
     values, mask = _intervention_rows(scm, model.schema, data, p["grid_percentiles"],
                                       p["max_intervened"])
     points, iters = [], np.zeros(len(rows), dtype=int)
-    for k, x in enumerate(data.X[rows]):
-        point, iters[k] = _causal_point(scm, model, x, values, mask, cost)
-        points.append(point)
+    size = max(1, _CAUSAL_BLOCK_ROWS // max(1, len(values)))
+    for start in range(0, len(rows), size):
+        block = data.X[rows[start:start + size]]
+        # a component that sets a variable to its current value is covered by a smaller combo
+        keep = ~np.any(mask & (values == block[:, None]), axis=2)
+        iters[start:start + len(block)] = keep.sum(axis=1)
+        origin, action = np.nonzero(keep)
+        candidates = scm.propagate(block[origin], values[action], mask[action])
+        accepted = model.decision_values(candidates) >= 0.0
+        costs = cost.pairwise(block[origin], candidates)
+        for k in range(len(block)):
+            ok = np.flatnonzero(accepted & (origin == k))
+            best = _kept_candidate(costs[ok])
+            # a copy, so the point does not keep the block's candidates alive
+            points.append(None if best is None else candidates[ok[best]].copy())
     return points, iters
 
 

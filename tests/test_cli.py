@@ -62,6 +62,14 @@ README_DIGESTS = {
     "report.json": "2a99225b3e24484f7160ddb29376d678cd1c3a8bc3a8043dd47751eb49542497",
     "sweep.csv": "36b5c7f07425996eec36b282611b0c6fa502aa6e9fc61f8933bca29714afea51",
 }
+# the default chain SCM, written out as a config's scm section
+CHAIN_SCM = [{"name": "x0"}, {"name": "x1", "parents": {"0": 0.8}},
+             {"name": "x2", "parents": {"1": 0.5}}]
+# sha256 of the report files of a causal run on chain-SCM CSVs with an (8, 8) MLP
+CAUSAL_DIGESTS = {
+    "report.csv": "06ccedff96f53c1654ab2a93445f26e0c47229566b665dce64ef532cc28b0031",
+    "report.json": "38fd57d7421c21df652f87ba8291df4c78f5d85a744113c2e14bce65fa35c91e",
+}
 
 
 def write_chain_csv(path, n, x0_mean, seed, labels=None):
@@ -190,6 +198,21 @@ class TestRunCommand:
         assert all(os.path.exists(p) for p in manifest["outputs"])
         assert manifest["tool_version"]
         assert manifest["wall_time"] > 0
+
+    def test_csv_mlp_causal_bytes_pinned(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            d1_source=write_chain_csv(tmp_path / "d1.csv", 300, 0.0, 11),
+            d2_source=write_chain_csv(tmp_path / "d2.csv", 300, 0.3, 12),
+            model={"kind": "mlp", "hidden_layers": [8, 8], "learning_rate": 0.01, "epochs": 10},
+            recourse={"method": "causal", "params": {}},
+            scm=CHAIN_SCM,
+            cv_folds=3,
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        for name, digest in CAUSAL_DIGESTS.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path)

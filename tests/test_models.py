@@ -1,5 +1,6 @@
 import itertools
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -274,6 +275,17 @@ class TestTrainingOracles:
         assert seen == {"logits above the cap, finite loss", "finite weights, non-finite loss",
                         "non-finite weights", "first diverging fold after fold 0"}
 
+    def test_mlp_divergence_warns_nothing(self):
+        # lr 1e300 overflows the first batch step's forward pass
+        spec = rl.ModelSpec.mlp(hidden_layers=(4,), learning_rate=1e300, epochs=20, seed=1)
+        data = rl.synth_base(400, 0)
+        _, sets = cv_training_sets(data, 5, spec.seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fit, arg in ((rl.train, data), (_train_mlp_folds, sets)):
+                with pytest.raises(DivergenceError, match="^non-finite loss at epoch 0$"):
+                    fit(spec, arg)
+
     def test_mlp_epoch_runs_no_full_forward_pass(self, monkeypatch):
         calls = []
 
@@ -399,6 +411,26 @@ class TestDecisionGeometry:
         m = rl.linear_model([1.0, 1.0], 0.0, schema2())
         with pytest.raises(ValueError, match="finite"):
             m.predict(np.array([np.nan, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_batch_row_named(self, bad):
+        m = rl.linear_model([1.0, 1.0], 0.0, schema2())
+        with pytest.raises(ValueError, match="^input vector must be finite$"):
+            m.predict([bad, 1.0])
+        with pytest.raises(ValueError, match="^input row 0 must be finite$"):
+            m.predict([[bad, 1.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="^input row 1 must be finite$"):
+            m.predict([[1.0, 1.0], [1.0, bad], [bad, bad]])
+        # the shape check comes first
+        with pytest.raises(SchemaMismatchError):
+            m.predict([[bad, 1.0, 1.0]])
+
+    def test_empty_batch(self):
+        m = rl.linear_model([1.0, 1.0], 0.0, schema2())
+        labels = m.predict(np.empty((0, 2)))
+        assert labels.shape == (0,)
+        with pytest.raises(SchemaMismatchError):
+            m.predict(np.empty((0, 3)))
 
 
 @pytest.fixture(scope="module")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 import recourse_lab as rl
+from recourse_lab import recourse
 from recourse_lab.dataset import _snap_to_schema
 from recourse_lab.errors import DataValidationError, SchemaMismatchError, SearchError
 from recourse_lab.models import _ADAM_BETA1 as _B1
@@ -17,6 +18,7 @@ from recourse_lab.recourse import (
     _METHODS,
     DECILE_PERCENTILES,
     _ar_point,
+    _causal_batch,
     _cfe_batch,
     _kept_candidate,
     _percentile_grid,
@@ -89,12 +91,28 @@ def count_decision_calls(monkeypatch):
 
 
 def propagate_one(scm, x, interventions):
-    """Scm.propagate_rows for a single {variable index: value} intervention."""
+    """Scm.propagate for a single {variable index: value} intervention on x."""
     values = np.zeros((1, scm.n_variables))
     mask = np.zeros((1, scm.n_variables), dtype=bool)
     for j, v in interventions.items():
         values[0, j], mask[0, j] = v, True
-    return scm.propagate_rows(x, values, mask)[0]
+    return scm.propagate(np.asarray(x, dtype=float)[None], values, mask)[0]
+
+
+def per_origin_propagate(scm, x, values, mask):
+    """The causal search's propagation as it was before origins were batched:
+    the noises abducted from the one origin x with Python sums, then every
+    variable summed from a zero array in the parents' order."""
+    u = np.zeros(scm.n_variables)
+    for i, var in enumerate(scm.variables):
+        u[i] = x[i] - sum(coeff * x[parent] for parent, coeff in var.parents)
+    out = np.empty(np.shape(values))
+    for i, var in enumerate(scm.variables):
+        total = np.zeros(len(out))
+        for parent, coeff in var.parents:
+            total = total + coeff * out[:, parent]
+        out[:, i] = np.where(mask[:, i], values[:, i], u[i] + total)
+    return out
 
 
 def reference_propagate(scm, x, interventions):
@@ -603,7 +621,8 @@ class TestScm:
             rl.ScmVariable("x2", parents=((0, 0.5),)),
         ))
         x = np.array([-1.0, -0.3])           # u2 = -0.3 - 0.5*(-1) = 0.2
-        assert scm.abduct(x)[1] == pytest.approx(0.2)
+        # setting x1 to 0 leaves x2 at its abducted noise
+        assert propagate_one(scm, x, {0: 0.0})[1] == pytest.approx(0.2)
         out = propagate_one(scm, x, {0: 1.0})
         assert out[0] == 1.0
         assert out[1] == pytest.approx(0.7)  # 0.5 * 1 + 0.2
@@ -652,11 +671,44 @@ class TestScm:
             for k, iv in enumerate(rows):
                 for j, v in iv.items():
                     values[k, j], mask[k, j] = v, True
-            batch = scm.propagate_rows(x, values, mask)
+            batch = scm.propagate(np.repeat(x[None], len(rows), axis=0), values, mask)
             for k, iv in enumerate(rows):
                 expected = reference_propagate(scm, x, iv)
                 assert np.array_equal(propagate_one(scm, x, iv), expected)
                 assert np.array_equal(batch[k], expected)
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_mixed_origins_match_one_origin_calls(self, data):
+        # small chains with up to three extra parents, so that the order of a
+        # sum shows in its bits; origins, grid values and coefficients are
+        # +-0.0, +-1e16 or in [-10, 10], and some grid values equal the origin's
+        pool = st.one_of(st.sampled_from([-0.0, 0.0, 1e16, -1e16]), st.floats(-10.0, 10.0))
+        d = data.draw(st.integers(2, 6))
+        scm = rl.Scm(tuple(
+            rl.ScmVariable(f"v{i}", parents=tuple(
+                (p, data.draw(pool)) for p in sorted(
+                    {i - 1, *data.draw(st.lists(st.integers(0, i - 1), max_size=3))})
+            ) if i else ())
+            for i in range(d)
+        ))
+        origins = np.array(data.draw(st.lists(st.lists(pool, min_size=d, max_size=d),
+                                              min_size=1, max_size=4)))
+        n = data.draw(st.integers(1, 12))
+        origin = np.array(data.draw(st.lists(st.integers(0, len(origins) - 1),
+                                             min_size=n, max_size=n)))
+        mask = np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=d, max_size=d),
+                                           min_size=n, max_size=n)))
+        values = np.array([[origins[o, j] if data.draw(st.booleans()) else data.draw(pool)
+                            for j in range(d)] for o in origin])
+        batch = scm.propagate(origins[origin], values, mask)
+        for k, o in enumerate(origin):
+            one = scm.propagate(origins[[o]], values[[k]], mask[[k]])[0]
+            # bytes, so that -0.0 and 0.0 differ
+            assert batch[k].tobytes() == one.tobytes()
+            old = per_origin_propagate(scm, origins[o], values[[k]], mask[[k]])[0]
+            assert batch[k].tobytes() == old.tobytes()
 
 
 def causal_by_origin(model, data, scm):
@@ -906,6 +958,49 @@ class TestBatchRecourse:
         assert negatives > 50 and cf.size > 0
         # the scan for negatives, one call per origin, the recheck, RecourseSet's check
         assert len(calls) <= negatives + 3
+
+    @pytest.mark.parametrize("kind", ["logistic_regression", "mlp"])
+    @pytest.mark.parametrize("block_rows", [1, 300, 600, 1024, 10**6])
+    def test_causal_scores_each_block_in_one_call(self, chain_models, monkeypatch, kind,
+                                                  block_rows):
+        # one origin per block is the search one origin at a time
+        data, fits = chain_models
+        model = fits[kind]
+        rows = np.flatnonzero(model.predict(data.X) == -1)
+        p = method_params("causal")
+        want_points, want_iters = _causal_batch(model, data, rows, rl.CostFn("L2"), p, 0, None)
+        monkeypatch.setattr(recourse, "_CAUSAL_BLOCK_ROWS", block_rows)
+        calls = count_decision_calls(monkeypatch)
+        points, iters = _causal_batch(model, data, rows, rl.CostFn("L2"), p, 0, None)
+        # 270 interventions on the default chain's three variables
+        per_block = max(1, block_rows // 270)
+        assert len(calls) == math.ceil(rows.size / per_block)
+        assert sum(calls) == iters.sum() > 0
+        assert np.array_equal(iters, want_iters)
+        for got, want in zip(points, want_points, strict=True):
+            assert (got is None and want is None) or got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rare", [0, 4])
+    def test_causal_origin_with_no_candidate(self, rare):
+        # x1 is not intervenable, so only x0 can be set, and its grid is its
+        # one common value: an origin there has no intervention left
+        scm = rl.Scm((rl.ScmVariable("x0"), rl.ScmVariable("x1", intervenable=False)))
+        schema = rl.FeatureSchema((rl.FeatureSpec("x0"), rl.FeatureSpec("x1")))
+        rng = np.random.default_rng(7)
+        X = np.column_stack([np.where(np.arange(200) < rare, 2.0, 0.0), rng.standard_normal(200)])
+        model = rl.linear_model([-1.0, 1.0], 1.5, schema)
+        data = rl.Dataset(schema, X, model.predict(X))
+        rows = np.flatnonzero(model.predict(X) == -1)
+        assert rows.size > 10 and np.sum(X[rows, 0] == 2.0) == rare
+        points, iters = _causal_batch(model, data, rows, rl.CostFn("L2"),
+                                      method_params("causal"), 0, scm)
+        common = X[rows, 0] == 0.0
+        assert all(points[k] is None for k in np.flatnonzero(common))
+        assert np.array_equal(iters, np.where(common, 0, 1))
+        # each x0 = 2 negative has x1 >= -1.5 here, so x0 := 0 is accepted
+        assert all(points[k] is not None for k in np.flatnonzero(~common))
+        cf = rl.batch_recourse(model, data, "causal", rl.CostFn("L2"), scm=scm)
+        assert (cf.size, cf.not_found) == (int(np.sum(~common)), int(np.sum(common)))
 
     def test_cfe_scores_once_per_inner_iteration(self, monkeypatch, mlp1500):
         # input gradients cost no decision_values call; a lambda stage adds at most
