@@ -186,10 +186,6 @@ def _load_config(path: str) -> tuple[ExperimentConfig, dict]:
     return parse_config(doc), doc
 
 
-def _config_hash(doc: dict) -> str:
-    return hashlib.sha256(canonical_json(doc).encode()).hexdigest()
-
-
 def _write_outputs(out_dir: str, texts: dict, doc: dict, started: float) -> None:
     """Write each text of `texts`, keyed by file name, into out_dir, then a
     manifest.json that lists them, and print the paths written."""
@@ -198,7 +194,7 @@ def _write_outputs(out_dir: str, texts: dict, doc: dict, started: float) -> None
     for path, text in zip(outputs, texts.values()):
         atomic_write_text(path, text)
     manifest = {
-        "config_hash": _config_hash(doc),
+        "config_hash": hashlib.sha256(canonical_json(doc).encode()).hexdigest(),
         "tool_version": __version__,
         "outputs": outputs,
         "wall_time": time.monotonic() - started,
@@ -215,10 +211,22 @@ def _check_jobs(jobs: int) -> None:
         raise ConfigError(f"--jobs: must be 1 where processes cannot fork, got {jobs}")
 
 
+def _check_out(out_dir: str) -> None:
+    """Exit 2 unless out_dir is nonempty and it or its nearest existing ancestor is a directory."""
+    if not out_dir:
+        raise ConfigError("--out: must not be empty")
+    path = os.path.abspath(out_dir)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"--out: {path} is not a directory")
+
+
 def cmd_run(args) -> int:
     started = time.monotonic()
     _check_jobs(args.jobs)
     cfg, doc = _load_config(args.config)
+    _check_out(args.out)
     report = _this.run_pipeline(cfg, jobs=args.jobs)
     _write_outputs(args.out, {
         "report.csv": report.to_csv_text(),
@@ -233,6 +241,7 @@ def cmd_sweep(args) -> int:
     started = time.monotonic()
     _check_jobs(args.jobs)
     cfg, doc = _load_config(args.config)
+    _check_out(args.out)
     try:
         alphas = [float(a) for a in args.alphas.split(",") if a.strip() != ""]
     except ValueError:
@@ -241,7 +250,7 @@ def cmd_sweep(args) -> int:
         sweep_sources(args.scenario, alphas, cfg)
     except ValueError as exc:
         raise ConfigError(f"sweep: {exc}")
-    points = _this.sensitivity_sweep(args.scenario, alphas, cfg, jobs=args.jobs)
+    points = _this.sensitivity_sweep(args.scenario, alphas, cfg)
     _write_outputs(args.out, {"sweep.csv": sweep_csv_text(points)}, doc, started)
     return 0
 

@@ -202,11 +202,8 @@ def _cross_validate(spec: ModelSpec, data: Dataset, folds: int) -> float:
 
 
 def _fork_pool(workers: int):
-    """A pool of `workers` forked processes.
-
-    The pool modules are imported here, not at module level, because only a
-    parallel `run` or `sweep` forks.
-    """
+    """A pool of `workers` forked processes. Only a parallel `run` forks, so the
+    pool modules are imported here, not at module level."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
@@ -274,8 +271,8 @@ def sweep_sources(scenario: str, alphas, base: ExperimentConfig) -> list[ShiftSp
     """The shifted d2 source of each alpha; raises ValueError for a bad alpha or base.
 
     The alphas must be nonempty and valid for the scenario, and both of the
-    base config's sources synthetic. A source too small to hold rows out
-    raises ConfigError naming its `n`.
+    base config's sources synthetic. A source too small to hold rows out, or
+    to leave 2 training rows, raises ConfigError naming its `n`.
     """
     alphas = list(alphas)
     if not alphas:
@@ -286,33 +283,26 @@ def sweep_sources(scenario: str, alphas, base: ExperimentConfig) -> list[ShiftSp
         if base.holdout_fraction > 0.0 and source.n < 2:
             raise ConfigError(
                 f"{name}.synthetic.n: must be at least 2 to hold rows out, got {source.n}")
+        rows = source.n - holdout_size(source.n, base.holdout_fraction)
+        if rows < 2:
+            raise ConfigError(f"{name}.synthetic.n: leaves {rows} training rows, fewer than 2")
     return [
         ShiftSpec(scenario, float(alpha), base.d2_source.n, base.d2_source.seed)
         for alpha in alphas
     ]
 
 
-def sensitivity_sweep(scenario: str, alphas, base: ExperimentConfig, jobs: int = 1) -> list[SweepPoint]:
+def sensitivity_sweep(scenario: str, alphas, base: ExperimentConfig) -> list[SweepPoint]:
     """One pipeline run per shift magnitude, with the d1 sample and model fixed.
 
-    Every alpha (see sweep_sources), and `jobs` itself, is validated before
-    any training, so a bad alpha fails the same way whatever `jobs` is. The
-    d1 side is prepared once in the calling process. When min(jobs,
-    len(alphas)) exceeds one, that many forked workers run only the d2 side.
-    The sweep trains no CV folds: a SweepPoint holds no accuracy.
-    Invalidation and CF1 size match per-alpha run_pipeline calls exactly (all
-    stages are pure).
+    Every alpha (see sweep_sources) is validated before any training. The d1
+    side is prepared once, then each alpha's d2 side, all in this process. The
+    sweep trains no CV folds: a SweepPoint holds no accuracy. Invalidation and
+    CF1 size match per-alpha run_pipeline calls exactly (all stages are pure).
     """
     specs = sweep_sources(scenario, alphas, base)
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
-    # a task gets the recourse points, not their RecourseSet, which pickles about 3 times larger
     points = _prepare(base, _training_sample(base, base.d1_source, "d1-split")).points
-    workers = min(jobs, len(specs))
-    if workers <= 1:
-        return [_sweep_point(base, spec, points) for spec in specs]
-    with _fork_pool(workers) as pool:
-        return list(pool.map(partial(_sweep_point, base, points=points), specs))
+    return [_sweep_point(base, spec, points) for spec in specs]
 
 
 def sweep_csv_text(points) -> str:

@@ -88,19 +88,6 @@ def write_chain_csv(path, n, x0_mean, seed, labels=None):
     return {"csv": {"path": str(path), "schema": CHAIN_SCHEMA}}
 
 
-class InProcessPool:
-    """Stands in for shiftlab._fork_pool's executor, running every task in this process."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
 class TestBoundsCommand:
     def test_continuous_value(self, capsys):
         code = main(["bounds", "--rho", "2.0", "--delta", "0.25", "--kind", "continuous"])
@@ -460,20 +447,6 @@ class TestSweepCommand:
                      "--jobs", "2"]) == 0
         assert calls == [os.getpid()]
 
-    def test_workers_capped_at_alpha_count(self, tmp_path, monkeypatch):
-        requested = []
-
-        def fake_pool(workers):
-            requested.append(workers)
-            return InProcessPool()
-
-        monkeypatch.setattr(shiftlab, "_fork_pool", fake_pool)
-        cfg = write_config(tmp_path)
-        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s"),
-                     "--scenario", "target_shift", "--alphas", "0,0.4",
-                     "--jobs", "64"]) == 0
-        assert requested == [2]
-
     def test_nonpositive_jobs_exit_2(self, tmp_path, monkeypatch):
         def no_work(*args, **kwargs):
             raise AssertionError("started work before checking --jobs")
@@ -495,16 +468,21 @@ class TestSweepCommand:
         digest = hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest()
         assert digest == README_DIGESTS["sweep.csv"]
 
-    def test_parallel_jobs_match_serial(self, tmp_path):
+    def test_parallel_jobs_match_serial(self, tmp_path, monkeypatch):
+        # the sweep runs in one process whatever --jobs is
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the sweep made a process pool")
+
+        monkeypatch.setattr(shiftlab, "_fork_pool", no_pool)
         cfg = write_config(tmp_path)
-        out1, out2 = tmp_path / "s1", tmp_path / "s2"
-        assert main(["sweep", "--config", str(cfg), "--out", str(out1),
-                     "--scenario", "target_shift", "--alphas", "0,0.4",
-                     "--jobs", "1"]) == 0
-        assert main(["sweep", "--config", str(cfg), "--out", str(out2),
-                     "--scenario", "target_shift", "--alphas", "0,0.4",
-                     "--jobs", "2"]) == 0
-        assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+        files = []
+        for jobs in ("1", "2", "64"):
+            out = tmp_path / f"s-{jobs}"
+            assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                         "--scenario", "target_shift", "--alphas", "0,0.4",
+                         "--jobs", jobs]) == 0
+            files.append((out / "sweep.csv").read_bytes())
+        assert files[1:] == files[:1] * 2
 
 
 class TestParallelRun:
@@ -529,9 +507,7 @@ class TestParallelRun:
         assert main(argv + ["--jobs", "2"]) == 2
         assert "config error: --jobs: must be 1 where processes cannot fork" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, jobs, name", [
-        ("run", "3", "cross_val_accuracy"), ("sweep", "2", "train"),
-    ])
+    @pytest.mark.parametrize("command, jobs, name", [("run", "3", "cross_val_accuracy")])
     def test_workers_call_module_bindings(self, tmp_path, monkeypatch, command, jobs, name):
         # wrapped as a tracer wraps them; a task that pickled such a wrapper by
         # reference would fail to submit
@@ -550,10 +526,7 @@ class TestParallelRun:
         files = []
         for j in ("1", jobs):
             out = tmp_path / f"out-{j}"
-            argv = [command, "--config", str(cfg), "--out", str(out), "--jobs", j]
-            if command == "sweep":
-                argv += ["--scenario", "target_shift", "--alphas", "0,0.4"]
-            assert main(argv) == 0
+            assert main([command, "--config", str(cfg), "--out", str(out), "--jobs", j]) == 0
             files.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"})
         assert files[0] == files[1]
         pids = set((tmp_path / f"{name}.pids").read_text().split())
@@ -720,6 +693,23 @@ class TestParallelRun:
 
 class TestExitCodesAgree:
     @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("out", ["file", "file/sub", ""])
+    def test_out_not_a_directory_exits_2_before_loading(self, tmp_path, capsys, monkeypatch,
+                                                        command, out):
+        def no_loading(*args, **kwargs):
+            raise AssertionError("loaded a sample before checking --out")
+
+        monkeypatch.setattr(shiftlab, "_materialize", no_loading)
+        (tmp_path / "file").write_text("")
+        out_dir = str(tmp_path / out) if out else ""
+        argv = [command, "--config", str(write_config(tmp_path)), "--out", out_dir]
+        if command == "sweep":
+            argv += ["--scenario", "target_shift", "--alphas", "0,0.4"]
+        assert main(argv) == 2
+        message = f"{tmp_path / 'file'} is not a directory" if out else "must not be empty"
+        assert capsys.readouterr().err == f"config error: --out: {message}\n"
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_too_few_surrogate_samples_exit_2_before_training(
             self, tmp_path, capsys, monkeypatch, command):
         def no_training(*args, **kwargs):
@@ -834,18 +824,24 @@ class TestTrainingRows:
             assert err.startswith(f"config error: {source}.csv.path: leaves {left} training rows")
         assert calls == []
 
-    @pytest.mark.parametrize("source", ["d1_source", "d2_source"])
-    def test_sweep_one_row_sample_exits_2_before_training(self, tmp_path, capsys, monkeypatch,
-                                                          source):
+    @pytest.mark.parametrize("source, n, holdout, message", [
         # a one-row sample cannot be split into training rows and a holdout
+        ("d1_source", 1, 0.1, "must be at least 2 to hold rows out, got 1"),
+        ("d2_source", 1, 0.1, "must be at least 2 to hold rows out, got 1"),
+        # one training row, with no holdout or after half of 3 rows is held out
+        ("d1_source", 1, 0.0, "leaves 1 training rows, fewer than 2"),
+        ("d2_source", 1, 0.0, "leaves 1 training rows, fewer than 2"),
+        ("d2_source", 3, 0.5, "leaves 1 training rows, fewer than 2"),
+    ], ids=["d1_source", "d2_source", "d1_source-no-holdout", "d2_source-no-holdout",
+            "d2_source-half-holdout"])
+    def test_sweep_one_row_sample_exits_2_before_training(self, tmp_path, capsys, monkeypatch,
+                                                          source, n, holdout, message):
         calls = count_train_calls(monkeypatch)
-        doc = {"scenario": "target_shift", "alpha": 0.0, "n": 1, "seed": 31}
-        cfg = write_config(tmp_path, **{source: {"synthetic": doc}})
+        doc = {"scenario": "target_shift", "alpha": 0.0, "n": n, "seed": 31}
+        cfg = write_config(tmp_path, holdout_fraction=holdout, **{source: {"synthetic": doc}})
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"),
                      "--scenario", "target_shift", "--alphas", "0,0.4", "--jobs", "1"]) == 2
-        err = capsys.readouterr().err
-        assert err == f"config error: {source}.synthetic.n: must be at least 2 to hold rows out, " \
-                      "got 1\n"
+        assert capsys.readouterr().err == f"config error: {source}.synthetic.n: {message}\n"
         assert calls == []
 
     def test_sweep_trains_small_samples(self, tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -39,8 +40,8 @@ RUN_SWEEP_MODULES = ("recourse_lab.recourse", "recourse_lab.shiftlab")
 
 
 def test_cli_import_loads_no_process_pool(fresh_env):
-    # bounds and --help load no run/sweep module, and only a parallel run or
-    # sweep forks, so loading shiftlab pays for no pool module either
+    # bounds and --help load no run/sweep module, and only a parallel run
+    # forks, so loading shiftlab pays for no pool module either
     assert [m for m in modules_after_cli_import(fresh_env) if m in RUN_SWEEP_MODULES] == []
     loaded = fresh_run(fresh_env, "import sys, recourse_lab.cli, recourse_lab.shiftlab; "
                                   "print('\\n'.join(sys.modules))")
@@ -55,6 +56,22 @@ def test_bounds_verify_loads_no_run_or_sweep_module(fresh_env):
             "             for kind in ('continuous', 'ordinal')]\n"
             f"print(codes, [m for m in sys.modules if m in {RUN_SWEEP_MODULES}])")
     assert fresh_run(fresh_env, code) == ["[0, 0] []"]
+
+
+def test_parallel_sweep_loads_no_process_pool(fresh_env, tmp_path):
+    source = {"scenario": "target_shift", "alpha": 0.0, "n": 300, "seed": 31}
+    (tmp_path / "config.json").write_text(json.dumps({
+        "d1_source": {"synthetic": source}, "d2_source": {"synthetic": {**source, "seed": 32}},
+        "model": {"kind": "logistic_regression", "epochs": 30}, "recourse": {"method": "cfe"},
+        "seeds": {"data": 0, "model": 1, "recourse": 2},
+    }))
+    argv = ["sweep", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out"),
+            "--scenario", "target_shift", "--alphas", "0,0.4", "--jobs", "2"]
+    code = ("import contextlib, io, sys\nfrom recourse_lab.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main({argv})\n"
+            "print(code, [m for m in sys.modules if m in ('concurrent.futures', 'multiprocessing')])")
+    assert fresh_run(fresh_env, code) == ["0 []"]
 
 
 def test_package_import_loads_no_numpy(fresh_env):

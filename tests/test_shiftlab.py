@@ -235,7 +235,7 @@ class TestSensitivitySweep:
         assert points[0].cf1_size == solo.cf1_size
 
     def test_runs_no_cross_validation(self, monkeypatch):
-        # sweep.csv prints no accuracy, so no job count may fit a CV fold
+        # sweep.csv prints no accuracy, so the sweep may fit no CV fold
         cfg = small_config()
         alphas = [0.0, 0.4]
         solo = [
@@ -248,9 +248,8 @@ class TestSensitivitySweep:
             raise AssertionError("the sweep ran cross-validation")
 
         monkeypatch.setattr(shiftlab, "cross_val_accuracy", no_cv)
-        for jobs in (1, 2):
-            points = rl.sensitivity_sweep("target_shift", alphas, cfg, jobs=jobs)
-            assert [(p.alpha, p.invalidation_pct, p.cf1_size) for p in points] == expected
+        points = rl.sensitivity_sweep("target_shift", alphas, cfg)
+        assert [(p.alpha, p.invalidation_pct, p.cf1_size) for p in points] == expected
 
 
 class TestCostInvalidationCheck:
