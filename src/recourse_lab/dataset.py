@@ -170,13 +170,6 @@ class Dataset:
         idx = np.asarray(indices, dtype=int)
         return Dataset(self.schema, self.X[idx].copy(), self.y[idx].copy())
 
-    def equals(self, other: "Dataset") -> bool:
-        return (
-            self.schema == other.schema
-            and np.array_equal(self.X, other.X)
-            and np.array_equal(self.y, other.y)
-        )
-
 
 @dataclass(frozen=True)
 class ShiftSpec:

@@ -4,20 +4,20 @@ Four search strategies produce points the model classifies +1:
 
   cfe    - gradient descent on a penalized distance objective, with the penalty
            weight grown geometrically until a valid point appears
-  ar     - best-first search over per-feature percentile actions, exact on the
-           grid, run against a (possibly surrogate) linear model
+  ar     - cheapest combination of per-feature percentile actions: the grid
+           enumeration shared with causal, over an SCM with no parents, run
+           against a (possibly surrogate) linear model
   markov - a boundary-crossing walk that keeps stepping past the boundary with a
            constant per-step stop probability, so crossing depths follow an
            exponential (continuous grids) or geometric (integer grids) law
-  causal - enumeration of interventions on a linear structural model, with
-           downstream effects propagated under abducted noise; blocks of
+  causal - the grid enumeration of interventions on a linear structural model,
+           with downstream effects propagated under abducted noise; blocks of
            origins share one propagation and one model call
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 import math
 import numbers
@@ -295,79 +295,6 @@ def _percentile_grid(column: np.ndarray, percentiles) -> np.ndarray:
     return np.unique(vals)
 
 
-def _action_grids(model: TrainedModel, data: Dataset, percentiles) -> dict:
-    actionable = np.flatnonzero(model.schema.actionable_mask()).tolist()
-    if not actionable:
-        raise ValueError("schema has no actionable features")
-    return {j: _percentile_grid(data.X[:, j], percentiles) for j in actionable}
-
-
-def _ar_point(model: TrainedModel, x: np.ndarray, grids: dict, cost: CostFn, max_changed: int):
-    """Minimum-cost combination of grid actions on at most max_changed
-    features, valid under the linear `model`; (point or None, nodes popped).
-
-    Best-first over partial assignments ordered by a cost lower bound, which is
-    exact for both norms (monotone keys), so the first valid point popped is the
-    grid optimum. An expanded node's children are scored in one call when they
-    are pushed; a linear model scores a row the same in any batch.
-    """
-    # every grid action that changes x, by ascending feature; a node whose last
-    # action is i takes its next actions from after[i], where i's feature ends
-    moves = [(j, grid[grid != x[j]]) for j, grid in grids.items()]
-    counts = [len(values) for _, values in moves]
-    feature = np.repeat([j for j, _ in moves], counts)
-    value = np.concatenate([values for _, values in moves])
-    delta = value - x[feature]
-    step = np.abs(delta) if cost.norm == "L1" else delta * delta
-    after = np.repeat(np.cumsum(counts), counts).tolist()
-    n = len(value)
-
-    # heap entries: (cost key, tiebreak, decision value, changes, first next
-    # action, the batch holding the point, its row there)
-    counter = itertools.count()
-    root = x[None]
-    heap = [(0.0, next(counter), model.decision_values(root)[0], 0, 0, root, 0)]
-    popped = 0
-    while heap:
-        k, _, score, changed, start, rows, r = heapq.heappop(heap)
-        popped += 1
-        if score >= 0.0:
-            return rows[r].copy(), popped
-        if changed >= max_changed or start == n:
-            continue
-        children = np.repeat(rows[r:r + 1], n - start, axis=0)
-        children[np.arange(n - start), feature[start:]] = value[start:]
-        keys = (k + step[start:]).tolist()
-        for c, s in enumerate(model.decision_values(children).tolist()):
-            heapq.heappush(heap, (keys[c], next(counter), s, changed + 1, after[start + c], children, c))
-    return None, popped
-
-
-def _ar_batch(model, data, rows, cost, p, seed, scm):
-    """_ar_point from each origin data.X[rows], against a local linear surrogate
-    (seeded per row) when the model is nonlinear; a failed fit finds nothing."""
-    grids = _action_grids(model, data, p["grid_percentiles"])
-    points, iters = [], np.zeros(len(rows), dtype=int)
-    for k, i in enumerate(rows):
-        x = data.X[i]
-        if model.is_linear:
-            surrogate = model
-        else:
-            try:
-                surrogate = fit_local_linear(
-                    model, x,
-                    n_samples=p["n_samples"],
-                    kernel_width=p["kernel_width"],
-                    seed=derive_seed(seed, "surrogate", int(i)),
-                )
-            except SurrogateFitError:
-                points.append(None)
-                continue
-        point, iters[k] = _ar_point(surrogate, x, grids, cost, p["max_changed_features"])
-        points.append(point)
-    return points, iters
-
-
 def _walk_batch(model, data, rows, cost, p, seed, scm):
     """_markov_batch from the origins data.X[rows]. Each walker's u comes from
     one stream over the data's rows, taken at its row, so a walk does not
@@ -484,15 +411,15 @@ def _intervention_rows(scm: Scm, schema: FeatureSchema, data: Dataset, percentil
     return values, mask
 
 
-def _kept_candidate(costs: np.ndarray) -> int | None:
+def _kept_candidate(costs: np.ndarray, best_cost: float = np.inf) -> int | None:
     """The index that a scan of costs in order keeps when a later cost
     replaces the kept one only if it is lower by more than 1e-12, starting
-    from the first cost below inf; None if there is none.
+    from a kept cost of best_cost; None if no cost replaces it.
 
     Each step jumps straight to the next replacement. This is not an argmin
     with a tolerance: costs 1, 1 - 0.6e-12, 1 - 1.2e-12 keep index 2.
     """
-    best, best_cost, start = None, np.inf, 0
+    best, start = None, 0
     while start < len(costs):
         cheaper = costs[start:] < best_cost - 1e-12
         j = int(cheaper.argmax())
@@ -503,43 +430,88 @@ def _kept_candidate(costs: np.ndarray) -> int | None:
     return best
 
 
-# the candidate rows a causal block scores in one model call: a bound on its memory
+# the most candidate rows one enumeration call scores: a bound on its memory
 _CAUSAL_BLOCK_ROWS = 1024
 
 
-def _causal_batch(model, data, rows, cost, p, seed, scm):
-    """Cheapest grid intervention on at most max_intervened variables from each
-    origin data.X[rows], costed against the full propagated point. Grids (the
-    data's empirical percentiles) and intervention rows are built once; the
-    default chain stands in for a missing scm. Blocks of origins with at most
-    _CAUSAL_BLOCK_ROWS candidates, listed origin by origin, share one
-    propagation, model call and cost call; an origin's iterations are its
-    candidate count, and ties within 1e-12 go to its earliest accepted one."""
-    scm = _causal_scm(scm, model.schema)
-    values, mask = _intervention_rows(scm, model.schema, data, p["grid_percentiles"],
-                                      p["max_intervened"])
-    points, iters = [], np.zeros(len(rows), dtype=int)
+def _enumerate(model, X, values, mask, cost, scm):
+    """The cheapest candidate the model accepts from each origin X[k]: every
+    intervention row (values, mask) that changes X[k], propagated by `scm` and
+    costed against the full propagated point. Returns (point or None per
+    origin, iterations array); an origin's iterations are its candidate count,
+    and ties within 1e-12 go to its earliest accepted candidate.
+
+    Blocks of origins with at most _CAUSAL_BLOCK_ROWS candidates, listed origin
+    by origin, share one propagation, model call and cost call. A block with
+    more, which is one origin, is scored in chunks of _CAUSAL_BLOCK_ROWS rows,
+    and its kept cost carries from chunk to chunk."""
+    points, iters = [None] * len(X), np.zeros(len(X), dtype=int)
     size = max(1, _CAUSAL_BLOCK_ROWS // max(1, len(values)))
-    for start in range(0, len(rows), size):
-        block = data.X[rows[start:start + size]]
+    for start in range(0, len(X), size):
+        block = X[start:start + size]
         # a component that sets a variable to its current value is covered by a smaller combo
         keep = ~np.any(mask & (values == block[:, None]), axis=2)
         iters[start:start + len(block)] = keep.sum(axis=1)
-        origin, action = np.nonzero(keep)
-        candidates = scm.propagate(block[origin], values[action], mask[action])
-        accepted = model.decision_values(candidates) >= 0.0
-        costs = cost.pairwise(block[origin], candidates)
-        for k in range(len(block)):
-            ok = np.flatnonzero(accepted & (origin == k))
-            best = _kept_candidate(costs[ok])
-            # a copy, so the point does not keep the block's candidates alive
-            points.append(None if best is None else candidates[ok[best]].copy())
+        origins, actions = np.nonzero(keep)
+        kept_cost = np.full(len(block), np.inf)
+        for lo in range(0, len(origins), _CAUSAL_BLOCK_ROWS):
+            origin, action = origins[lo:lo + _CAUSAL_BLOCK_ROWS], actions[lo:lo + _CAUSAL_BLOCK_ROWS]
+            base = block[origin]
+            candidates = scm.propagate(base, values[action], mask[action])
+            accepted = model.decision_values(candidates) >= 0.0
+            costs = cost.pairwise(base, candidates)
+            for k in range(origin[0], origin[-1] + 1):
+                ok = np.flatnonzero(accepted & (origin == k))
+                best = _kept_candidate(costs[ok], kept_cost[k])
+                if best is not None:
+                    kept_cost[k] = costs[ok[best]]
+                    # a copy, so the point does not keep the chunk's candidates alive
+                    points[start + k] = candidates[ok[best]].copy()
+    return points, iters
+
+
+def _causal_batch(model, data, rows, cost, p, seed, scm):
+    """_enumerate's cheapest grid intervention on at most max_intervened
+    variables from each origin data.X[rows]. Grids (the data's empirical
+    percentiles) and intervention rows are built once; the default chain
+    stands in for a missing scm."""
+    scm = _causal_scm(scm, model.schema)
+    values, mask = _intervention_rows(scm, model.schema, data, p["grid_percentiles"],
+                                      p["max_intervened"])
+    return _enumerate(model, data.X[rows], values, mask, cost, scm)
+
+
+def _ar_batch(model, data, rows, cost, p, seed, scm):
+    """Cheapest grid action on at most max_changed_features actionable features
+    from each origin data.X[rows]: _enumerate over an SCM with no parents, whose
+    propagation only writes the action. A nonlinear model is searched one
+    origin at a time against a local linear surrogate (seeded per row); a
+    failed fit finds nothing."""
+    schema = model.schema
+    if not schema.actionable_mask().any():
+        raise ValueError("schema has no actionable features")
+    scm = Scm(tuple(ScmVariable(name) for name in schema.names))
+    values, mask = _intervention_rows(scm, schema, data, p["grid_percentiles"],
+                                      p["max_changed_features"])
+    X = data.X[rows]
+    if model.is_linear:
+        return _enumerate(model, X, values, mask, cost, scm)
+    points, iters = [None] * len(rows), np.zeros(len(rows), dtype=int)
+    for k, i in enumerate(rows):
+        try:
+            surrogate = fit_local_linear(model, X[k], p["n_samples"], p["kernel_width"],
+                                         derive_seed(seed, "surrogate", int(i)))
+        except SurrogateFitError:
+            continue
+        found, counts = _enumerate(surrogate, X[k:k + 1], values, mask, cost, scm)
+        points[k], iters[k] = found[0], counts[0]
     return points, iters
 
 
 # name -> (parameter defaults, batch kernel). A kernel takes
 # (model, data, rows, cost, params, seed, scm) and returns one point or None
-# per origin data.X[rows], plus an iterations array.
+# per origin data.X[rows], plus an iterations array. ar and causal share the
+# grid enumeration `_enumerate`; their iterations are candidate counts.
 _METHODS = {
     "cfe": ({
         "lambda_init": 0.1,

@@ -87,6 +87,8 @@ class ExperimentConfig:
             raise SchemaMismatchError("d2_source.schema: incompatible with the d1 source's schema")
         if self.method == "causal":
             _causal_scm(self.scm, s1)
+        if self.method == "ar" and not s1.actionable_mask().any():
+            raise ValueError("d1_source.csv.schema.features: ar needs an actionable feature, got none")
         # the AR surrogate fit needs 10 samples per feature; checked here, before any training
         if self.method == "ar" and params["n_samples"] < 10 * s1.n_features:
             raise ValueError(

@@ -71,6 +71,22 @@ CAUSAL_DIGESTS = {
     "report.json": "38fd57d7421c21df652f87ba8291df4c78f5d85a744113c2e14bce65fa35c91e",
 }
 
+# sha256 of the report files (csv, json) of ar runs on chain CSVs, by model kind and norm
+AR_DIGESTS = {
+    ("logistic_regression", "L1"): (
+        "2b74f6d95cdef445601a3b33f77a6844544e44d4fca14cd44fcbc58bb2338dda",
+        "199dcddb0ea27ee83bfbe6a3a6bc0bbe61b1d6d8eccbb64f987b027792d5acd4"),
+    ("logistic_regression", "L2"): (
+        "010746695b1e5f73eed6bf01dcc2dbe288c39b494d452b3bbe9c6cdc8d5bb55c",
+        "711a71be6542f5019951b7c2cb89ae524d215103030591f62b0ff31acf70e026"),
+    ("linear_svm", "L1"): (
+        "eb91db12080f62987e55202f9ec5bb2f40c9773dbc0a885065399b93b81a6f35",
+        "2ef94bdec77faecebf2e02d1d4b5e9f97c0341c14b92a0d822e5999df827b98f"),
+    ("linear_svm", "L2"): (
+        "c8ee8f0f7d4c0dc3fa5ae5761786ec48e8549b69a0350f648534489a0ff688c9",
+        "b6fe28448403ae58b3593a90f980d4b0a8985ac02237c3e47593e5a111ffd857"),
+}
+
 
 def write_chain_csv(path, n, x0_mean, seed, labels=None):
     """Rows of the default chain SCM, labelled +1 above a curved boundary unless `labels`."""
@@ -200,6 +216,23 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         for name, digest in CAUSAL_DIGESTS.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+    @pytest.mark.parametrize("kind, norm", list(AR_DIGESTS))
+    def test_csv_linear_ar_bytes_pinned(self, tmp_path, kind, norm):
+        cfg = write_config(
+            tmp_path,
+            d1_source=write_chain_csv(tmp_path / "d1.csv", 300, 0.0, 11),
+            d2_source=write_chain_csv(tmp_path / "d2.csv", 300, 0.3, 12),
+            model={"kind": kind},
+            recourse={"method": "ar", "params": {}},
+            cost={"norm": norm},
+            cv_folds=3,
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in ("report.csv", "report.json"))
+        assert got == AR_DIGESTS[kind, norm]
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -740,6 +773,25 @@ class TestExitCodesAgree:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "config error: scm: no scm given" in err and "needs 3 features, got 2" in err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_ar_without_actionable_feature_exits_2_before_loading(
+            self, tmp_path, capsys, monkeypatch, command):
+        def no_loading(*args, **kwargs):
+            raise AssertionError("config errors must come before any sample loads")
+
+        monkeypatch.setattr(shiftlab, "_materialize", no_loading)
+        schema = {"features": [{"name": "x0", "actionable": False},
+                               {"name": "x1", "actionable": False}]}
+        source = {"csv": {"path": str(tmp_path / "d.csv"), "schema": schema}}
+        cfg = write_config(tmp_path, d1_source=source, d2_source=source,
+                           recourse={"method": "ar", "params": {}})
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+        if command == "sweep":
+            argv += ["--scenario", "target_shift", "--alphas", "0,0.4"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: d1_source.csv.schema.features: ar needs an actionable feature")
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_runtime_value_error_exits_1(self, tmp_path, capsys, monkeypatch, command):

@@ -13,11 +13,11 @@ from recourse_lab.dataset import _snap_to_schema
 from recourse_lab.errors import DataValidationError, SchemaMismatchError, SearchError
 from recourse_lab.models import _ADAM_BETA1 as _B1
 from recourse_lab.models import _ADAM_BETA2 as _B2
-from recourse_lab.models import TrainedModel
 from recourse_lab.recourse import (
     _METHODS,
     DECILE_PERCENTILES,
-    _ar_point,
+    _CAUSAL_BLOCK_ROWS,
+    _ar_batch,
     _causal_batch,
     _cfe_batch,
     _kept_candidate,
@@ -484,11 +484,7 @@ class TestArSearch:
         assert cf.size == 0 and cf.not_found == data.n
 
     @pytest.mark.parametrize("norm", ["L1", "L2"])
-    def test_matches_exhaustive_oracle(self, norm, monkeypatch):
-        calls = []
-        score = TrainedModel.decision_values
-        monkeypatch.setattr(TrainedModel, "decision_values",
-                            lambda model, X: calls.append(len(X)) or score(model, X))
+    def test_matches_exhaustive_oracle(self, norm):
         rng = np.random.default_rng(17)
         cost = rl.CostFn(norm)
         solvable = 0
@@ -508,17 +504,43 @@ class TestArSearch:
                     continue
                 solvable += 1
                 assert abs(rec.cost - best) <= 1e-12
-                # past the root's, each call scores the children of one expanded
-                # node: popped, invalid, and with fewer than max_changed changes
-                actions = [int(np.sum(grids[j] != x[j])) for j in range(d)]
-                shallow = sum(math.prod(combo) for r in range(max_changed)
-                              for combo in itertools.combinations(actions, r))
-                calls.clear()
-                point, popped = _ar_point(m, x, grids, cost, max_changed)
-                assert np.array_equal(point, rec.recourse) and popped == rec.iterations
-                assert len(calls) <= 1 + min(popped - 1, shallow)
+                assert rec.iterations == count_changing_actions(grids, x, max_changed)
             assert records == {}
         assert solvable >= 100
+
+    @pytest.mark.parametrize("norm", ["L1", "L2"])
+    def test_matches_exhaustive_oracle_on_ordinal_ties(self, norm):
+        # equal weights on integer grids: many origins have several cheapest points
+        schema = rl.FeatureSchema(tuple(
+            rl.FeatureSpec(f"o{j}", kind="ordinal", lower=0, upper=10) for j in range(3)))
+        X = np.random.default_rng(23).integers(0, 11, (500, 3)).astype(float)
+        m = rl.linear_model([1.0, 1.0, 1.0], -20.0, schema)
+        data = rl.Dataset(schema, X, m.predict(X))
+        cost = rl.CostFn(norm)
+        cf = rl.batch_recourse(m, data, "ar", cost)
+        assert cf.size == int(np.sum(data.y == -1)) > 300
+        grids = {j: _percentile_grid(X[:, j], DECILE_PERCENTILES) for j in range(3)}
+        for rec in cf.records:
+            assert rec.cost == brute_force_ar(m, rec.origin, grids, cost, 3)
+            assert rec.iterations == count_changing_actions(grids, rec.origin, 3)
+
+    @pytest.mark.parametrize("norm", ["L1", "L2"])
+    def test_never_proposes_the_origin(self, chain_models, norm):
+        # a surrogate may accept an origin that the MLP rejects; no candidate is the origin
+        data, fits = chain_models
+        model = fits["mlp"]
+        rows = np.flatnonzero(model.predict(data.X) == -1)
+        points, _ = _ar_batch(model, data, rows, rl.CostFn(norm), method_params("ar"), 0, None)
+        assert sum(pt is not None for pt in points) > 200
+        assert not any(pt is not None and np.array_equal(pt, data.X[i])
+                       for pt, i in zip(points, rows))
+
+
+def count_changing_actions(grids, x, max_changed):
+    """The grid combinations on 1..max_changed features whose every action changes x."""
+    actions = [int(np.sum(grid != x[j])) for j, grid in grids.items()]
+    return sum(math.prod(combo) for r in range(1, max_changed + 1)
+               for combo in itertools.combinations(actions, r))
 
 
 class TestMarkovSearch:
@@ -717,6 +739,10 @@ def causal_by_origin(model, data, scm):
     return {r.origin.tobytes(): r for r in cf.records}
 
 
+# costs within and just past the 1e-12 tie margin of each other
+TIE_COSTS = [1.0, 1.0 - 0.6e-12, 1.0 - 1.2e-12, 1.0 - 1e-11, 0.5, np.inf]
+
+
 class TestCausalRecourse:
     def setup_case(self):
         scm = rl.Scm((
@@ -807,18 +833,58 @@ class TestCausalRecourse:
     def test_kept_candidate_matches_scan(self, costs, want):
         assert reference_kept_candidate(costs) == want
         assert _kept_candidate(np.array(costs)) == want
+        # from a kept cost carried over from an earlier chunk
+        for kept in (5.0, 3.0, 1.0 + 1e-12, 1.0, 1.0 - 0.6e-12, 0.0):
+            assert _kept_candidate(np.array(costs), kept) == reference_kept_candidate(costs, kept)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.sampled_from([1.0, 1.0 - 0.6e-12, 1.0 - 1.2e-12, 1.0 - 1e-11, 0.5,
-                                     np.inf]), max_size=30))
-    def test_kept_candidate_matches_scan_on_ties(self, costs):
+    @given(st.lists(st.sampled_from(TIE_COSTS), max_size=30), st.sampled_from(TIE_COSTS))
+    def test_kept_candidate_matches_scan_on_ties(self, costs, kept):
         assert _kept_candidate(np.array(costs)) == reference_kept_candidate(costs)
+        assert _kept_candidate(np.array(costs), kept) == reference_kept_candidate(costs, kept)
+
+    def test_kept_candidate_carries_across_chunks(self):
+        # chunks scanned one after another, each from the last one's kept cost,
+        # keep what one scan over all the costs keeps
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            costs = rng.choice(TIE_COSTS, size=int(rng.integers(0, 40)))
+            cuts = np.sort(rng.integers(0, len(costs) + 1, size=3))
+            best, kept = None, np.inf
+            for lo, hi in zip([0, *cuts], [*cuts, len(costs)]):
+                j = _kept_candidate(costs[lo:hi], kept)
+                if j is not None:
+                    best, kept = lo + j, costs[lo + j]
+            assert best == reference_kept_candidate(costs.tolist())
+
+    def test_enumeration_calls_stay_within_the_block_bound(self, monkeypatch):
+        # 5 ordinal features and 3 changes give up to 8 145 candidates per origin,
+        # with exact cost ties between chunks
+        schema = rl.FeatureSchema(tuple(
+            rl.FeatureSpec(f"o{j}", kind="ordinal", lower=0, upper=10) for j in range(5)))
+        X = np.random.default_rng(29).integers(0, 11, (300, 5)).astype(float)
+        model = rl.linear_model(np.ones(5), -30.0, schema)
+        data = rl.Dataset(schema, X, model.predict(X))
+        rows = np.flatnonzero(data.y == -1)[:12]
+        p = method_params("ar")
+        calls = count_decision_calls(monkeypatch)
+        for norm in ("L1", "L2"):
+            monkeypatch.setattr(recourse, "_CAUSAL_BLOCK_ROWS", 10**6)
+            want, _ = _ar_batch(model, data, rows, rl.CostFn(norm), p, 0, None)
+            monkeypatch.setattr(recourse, "_CAUSAL_BLOCK_ROWS", _CAUSAL_BLOCK_ROWS)
+            calls.clear()
+            points, iters = _ar_batch(model, data, rows, rl.CostFn(norm), p, 0, None)
+            assert iters.min() > _CAUSAL_BLOCK_ROWS and sum(calls) == iters.sum()
+            assert max(calls) <= _CAUSAL_BLOCK_ROWS
+            assert len(calls) == sum(math.ceil(n / _CAUSAL_BLOCK_ROWS) for n in iters)
+            assert all(pt is not None for pt in points)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(points, want, strict=True))
 
 
-def reference_kept_candidate(costs):
-    """The causal search's tie rule as a plain scan: a later candidate wins
-    only if it is cheaper by more than 1e-12."""
-    best, best_cost = None, np.inf
+def reference_kept_candidate(costs, best_cost=np.inf):
+    """The causal search's tie rule as a plain scan from a kept cost of
+    best_cost: a later candidate wins only if it is cheaper by more than 1e-12."""
+    best = None
     for k, c in enumerate(costs):
         if c < best_cost - 1e-12:
             best, best_cost = k, c
@@ -960,10 +1026,10 @@ class TestBatchRecourse:
         assert len(calls) <= negatives + 3
 
     @pytest.mark.parametrize("kind", ["logistic_regression", "mlp"])
-    @pytest.mark.parametrize("block_rows", [1, 300, 600, 1024, 10**6])
+    @pytest.mark.parametrize("block_rows", [1, 100, 300, 600, 1024, 10**6])
     def test_causal_scores_each_block_in_one_call(self, chain_models, monkeypatch, kind,
                                                   block_rows):
-        # one origin per block is the search one origin at a time
+        # below 270 rows a block is one origin, whose candidates go in chunks of block_rows
         data, fits = chain_models
         model = fits[kind]
         rows = np.flatnonzero(model.predict(data.X) == -1)
@@ -974,7 +1040,11 @@ class TestBatchRecourse:
         points, iters = _causal_batch(model, data, rows, rl.CostFn("L2"), p, 0, None)
         # 270 interventions on the default chain's three variables
         per_block = max(1, block_rows // 270)
-        assert len(calls) == math.ceil(rows.size / per_block)
+        if block_rows >= 270:
+            assert len(calls) == math.ceil(rows.size / per_block)
+        else:
+            assert len(calls) == sum(math.ceil(n / block_rows) for n in iters)
+        assert max(calls) <= block_rows
         assert sum(calls) == iters.sum() > 0
         assert np.array_equal(iters, want_iters)
         for got, want in zip(points, want_points, strict=True):
