@@ -397,17 +397,19 @@ def _intervention_rows(scm: Scm, schema: FeatureSchema, data: Dataset, percentil
     then variables, then grid values."""
     targets = _intervention_targets(scm, schema)
     grids = {j: _percentile_grid(data.X[:, j], percentiles) for j in targets}
-    actions = [
-        (list(combo), chosen)
-        for r in range(1, max_intervened + 1)
-        for combo in itertools.combinations(targets, r)
-        for chosen in itertools.product(*(grids[j] for j in combo))
-    ]
-    values = np.zeros((len(actions), scm.n_variables))
+    combos = [list(combo) for r in range(1, max_intervened + 1)
+              for combo in itertools.combinations(targets, r)]
+    sizes = [math.prod(len(grids[j]) for j in combo) for combo in combos]
+    values = np.zeros((sum(sizes), scm.n_variables))
     mask = np.zeros(values.shape, dtype=bool)
-    for k, (combo, chosen) in enumerate(actions):
-        values[k, combo] = chosen
-        mask[k, combo] = True
+    start = 0
+    for combo, size in zip(combos, sizes):
+        # a combination's rows are the product of its grids, the last variable's fastest
+        rows = slice(start, start + size)
+        for j, column in zip(combo, np.meshgrid(*(grids[j] for j in combo), indexing="ij")):
+            values[rows, j] = column.ravel()
+        mask[rows, combo] = True
+        start += size
     return values, mask
 
 

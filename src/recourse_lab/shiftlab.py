@@ -10,6 +10,8 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import os
+import pickle
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -25,7 +27,7 @@ from .dataset import (
     synth_schema,
     synth_shift,
 )
-from .errors import ConfigError, DegenerateMetricError, SchemaMismatchError
+from .errors import ConfigError, DegenerateMetricError, RecourseLabError, SchemaMismatchError
 from .models import ModelSpec, TrainedModel, cross_val_accuracy, train
 from .recourse import CostFn, RecourseSet, Scm, _causal_scm, batch_recourse, method_params
 from .util import derive_seed
@@ -197,19 +199,70 @@ def _evaluate_m2(points: np.ndarray, m2: TrainedModel) -> tuple[np.ndarray, floa
     return flags, _percent(flags)
 
 
-def _cross_validate(spec: ModelSpec, data: Dataset, folds: int) -> float:
-    # a pool task; it looks cross_val_accuracy up when called, so a worker
-    # runs whatever this module binds to that name
-    return cross_val_accuracy(spec, data, folds)
+def _fork_cv(spec: ModelSpec, samples, folds: int) -> tuple[int, io.BufferedReader]:
+    """Fork a child that cross-validates each of `samples` in order; return its
+    pid and the read end of its pipe. The child inherits the samples, so
+    nothing is pickled into it. For each sample it pickles (True, accuracy)
+    or (False, the exception) into the pipe, then it leaves by os._exit."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                for data in samples:
+                    try:
+                        # looked up when called, so the child runs whatever this
+                        # module binds to that name
+                        result = (True, cross_val_accuracy(spec, data, folds))
+                    except Exception as exc:
+                        result = (False, exc)
+                    pickle.dump(result, pipe)
+                    pipe.flush()
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
 
 
-def _fork_pool(workers: int):
-    """A pool of `workers` forked processes. Only a parallel `run` forks, so the
-    pool modules are imported here, not at module level."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+def _cv_result(pid: int, pipe) -> float:
+    """The next accuracy that child `pid` sends; raises the error it sends instead."""
+    try:
+        ok, value = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
+        raise RecourseLabError(f"cross-validation worker {pid} ended without a result") from None
+    if not ok:
+        raise value
+    return value
 
-    return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
+
+@contextlib.contextmanager
+def _cv_reads(spec: ModelSpec, samples, folds: int, workers: int):
+    """One call per sample that returns its CV accuracy. With workers == 0 the
+    call cross-validates in this process. Otherwise `workers` forked children
+    run the CVs while this process goes on, child i the samples i, i +
+    workers, ...; leaving the block reaps every child, and SIGKILLs them all
+    first if the block raises."""
+    if not workers:
+        yield [partial(cross_val_accuracy, spec, data, folds) for data in samples]
+        return
+    children = []
+    try:
+        for i in range(workers):
+            children.append(_fork_cv(spec, samples[i::workers], folds))
+        yield [partial(_cv_result, *children[i % workers]) for i in range(len(samples))]
+    except BaseException:
+        import signal  # only a failing parallel run kills its children
+
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.waitpid(pid, 0)
 
 
 def run_pipeline(cfg: ExperimentConfig, jobs: int = 1) -> InvalidationReport:
@@ -217,12 +270,14 @@ def run_pipeline(cfg: ExperimentConfig, jobs: int = 1) -> InvalidationReport:
 
     Both training samples are loaded before any training, and each must
     hold at least cv_folds rows, or ConfigError names its source's `n` or
-    `path`. With jobs > 1, min(jobs - 1, 2) forked workers cross-validate
-    the two samples while this process trains M1, searches recourses, trains
-    M2 and evaluates; with jobs == 1 the CV runs last, in this process. The
-    report is the same at every `jobs`, and so is the first error: this
-    process raises its own before it reads a worker's result, and reads the
-    d1 CV before the d2 CV.
+    `path`. With jobs > 1, min(jobs - 1, 2) children forked by os.fork
+    cross-validate the two samples while this process trains M1, searches
+    recourses, trains M2 and evaluates; with jobs == 1 the CV runs last, in
+    this process. The report is the same at every `jobs`, and so is the
+    first error: this process raises its own before it reads a child's
+    result, and reads the d1 CV before the d2 CV. When this process raises,
+    it kills and reaps every child first; a child that ends without sending
+    its result raises RecourseLabError.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
@@ -237,12 +292,7 @@ def run_pipeline(cfg: ExperimentConfig, jobs: int = 1) -> InvalidationReport:
     d1_train, d2_train = samples = (_less_holdout(cfg, loaded[0], "d1-split"),
                                     _less_holdout(cfg, loaded[1], "d2-split"))
     spec = _model_spec(cfg)
-    workers = min(jobs - 1, len(samples))
-    with _fork_pool(workers) if workers else contextlib.nullcontext() as pool:
-        if pool is None:
-            cv = [partial(cross_val_accuracy, spec, data, cfg.cv_folds) for data in samples]
-        else:
-            cv = [pool.submit(_cross_validate, spec, data, cfg.cv_folds).result for data in samples]
+    with _cv_reads(spec, samples, cfg.cv_folds, min(jobs - 1, len(samples))) as cv:
         cf1 = _prepare(cfg, d1_train)
         flags, _ = _evaluate_m2(cf1.points, train(spec, d2_train))
         m1_acc, m2_acc = (read() for read in cv)

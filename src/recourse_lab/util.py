@@ -53,8 +53,10 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write-then-rename so readers never observe a partial file."""
+def atomic_write_text(path, text) -> None:
+    """Write-then-rename so readers never observe a partial file. `text` is a
+    string or an iterable of strings, written in order; if the iterable
+    raises, neither the file nor its temporary remains."""
     import tempfile  # only `run` and `sweep` write files
 
     path = os.fspath(path)
@@ -62,7 +64,10 @@ def atomic_write_text(path, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            if isinstance(text, str):
+                fh.write(text)
+            else:
+                fh.writelines(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -5,8 +5,10 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -19,6 +21,8 @@ from hypothesis import strategies as st
 import recourse_lab as rl
 from recourse_lab import cli, models, shiftlab, theory
 from recourse_lab.cli import main
+from recourse_lab.errors import TrainingError
+from recourse_lab.util import atomic_write_text
 
 
 def write_config(tmp_path, **overrides):
@@ -201,6 +205,21 @@ class TestRunCommand:
         assert all(os.path.exists(p) for p in manifest["outputs"])
         assert manifest["tool_version"]
         assert manifest["wall_time"] > 0
+
+    @pytest.mark.parametrize("source", ["readme", "nan"])
+    def test_report_json_streams_the_dumped_bytes(self, tmp_path, monkeypatch, source):
+        cfg = tmp_path / "readme.json"
+        cfg.write_text(json.dumps(README_DOC))
+        if source == "nan":  # no recourse found, so Invalidation % reads NAN
+            monkeypatch.setattr(cli, "run_pipeline", lambda *args, **kwargs: rl.InvalidationReport(
+                algorithm="AR", model_kind="LR", m1_cv_acc=90.0, m2_cv_acc=91.0, per_record=()))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--jobs", "1"]) == 0
+        text = (out / "report.json").read_text(encoding="utf-8")
+        doc = json.loads(text)  # floats round-trip, so this is the report's dict
+        assert text == json.dumps(doc, indent=2) + "\n"
+        assert (doc["cf1_size"], doc["invalidation_pct"] == "NAN") == (
+            (2325, False) if source == "readme" else (0, True))
 
     def test_csv_mlp_causal_bytes_pinned(self, tmp_path):
         cfg = write_config(
@@ -417,6 +436,24 @@ class TestRunCommand:
         assert "d2_source" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("existing", [None, "old text\n"])
+def test_atomic_write_leaves_nothing_when_chunks_raise(tmp_path, existing):
+    target = tmp_path / "report.json"
+    if existing is not None:
+        target.write_text(existing)
+
+    def chunks():
+        yield "{\n"
+        yield '  "a": 1'
+        raise RuntimeError("chunk failed")
+
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        atomic_write_text(target, chunks())
+    assert [p.name for p in tmp_path.iterdir()] == ([] if existing is None else ["report.json"])
+    if existing is not None:
+        assert target.read_text() == existing
+
+
 class TestSweepCommand:
     def test_rows_in_input_order(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -485,7 +522,7 @@ class TestSweepCommand:
             raise AssertionError("started work before checking --jobs")
 
         monkeypatch.setattr(shiftlab, "_prepare", no_work)
-        monkeypatch.setattr(shiftlab, "_fork_pool", no_work)
+        monkeypatch.setattr(shiftlab, "_fork_cv", no_work)
         cfg = write_config(tmp_path)
         for jobs in ("0", "-3"):
             assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s"),
@@ -503,10 +540,10 @@ class TestSweepCommand:
 
     def test_parallel_jobs_match_serial(self, tmp_path, monkeypatch):
         # the sweep runs in one process whatever --jobs is
-        def no_pool(*args, **kwargs):
-            raise AssertionError("the sweep made a process pool")
+        def no_fork(*args, **kwargs):
+            raise AssertionError("the sweep forked a CV child")
 
-        monkeypatch.setattr(shiftlab, "_fork_pool", no_pool)
+        monkeypatch.setattr(shiftlab, "_fork_cv", no_fork)
         cfg = write_config(tmp_path)
         files = []
         for jobs in ("1", "2", "64"):
@@ -693,6 +730,46 @@ class TestParallelRun:
         for jobs in ("0", "-2"):
             code, err, _ = self.run_at_jobs(cfg, tmp_path, capsys, jobs)
             assert code == 2 and "config error: --jobs:" in err
+
+    @pytest.mark.parametrize("death", ["exit", "sigkill"])
+    def test_cv_child_without_result_exits_1(self, tmp_path, capsys, monkeypatch, death):
+        def dying(*args, **kwargs):  # called in the forked child only
+            if death == "exit":
+                os._exit(3)
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(shiftlab, "cross_val_accuracy", dying)
+        code, err, _ = self.run_at_jobs(write_config(tmp_path), tmp_path, capsys, "2")
+        assert code == 1
+        assert re.fullmatch(r"error: cross-validation worker \d+ ended without a result\n", err)
+
+    def test_parent_error_kills_and_reaps_every_child(self, tmp_path, capsys, monkeypatch):
+        def slow_cv(*args, **kwargs):
+            time.sleep(20)
+            return 50.0
+
+        def failing_prepare(*args):
+            raise TrainingError("M1 failed")
+
+        forked = []
+        fork_cv = shiftlab._fork_cv
+
+        def recording_fork_cv(*args):
+            child = fork_cv(*args)
+            forked.append(child[0])
+            return child
+
+        monkeypatch.setattr(shiftlab, "cross_val_accuracy", slow_cv)
+        monkeypatch.setattr(shiftlab, "_prepare", failing_prepare)
+        monkeypatch.setattr(shiftlab, "_fork_cv", recording_fork_cv)
+        started = time.monotonic()
+        code, err, _ = self.run_at_jobs(write_config(tmp_path), tmp_path, capsys, "3")
+        assert time.monotonic() - started < 10
+        assert code == 1 and err == "error: M1 failed\n"
+        assert len(forked) == 2
+        for pid in forked:  # each was reaped, so it is no child of this process any more
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
 
     def test_missing_d2_csv_fails_before_training(self, tmp_path, capsys, monkeypatch):
         def no_training(*args, **kwargs):

@@ -39,14 +39,35 @@ def test_cli_import_loads_no_scipy(fresh_env):
 RUN_SWEEP_MODULES = ("recourse_lab.recourse", "recourse_lab.shiftlab")
 
 
-def test_cli_import_loads_no_process_pool(fresh_env):
-    # bounds and --help load no run/sweep module, and only a parallel run
-    # forks, so loading shiftlab pays for no pool module either
+POOL_PACKAGES = ("concurrent", "multiprocessing")
+
+
+def pool_modules_after_main(env: dict, tmp_path, argv: list[str]) -> list[str]:
+    """main(argv)'s exit code, then the pool modules loaded, run in a fresh
+    interpreter on a small synthetic config."""
+    source = {"scenario": "target_shift", "alpha": 0.0, "n": 300, "seed": 31}
+    (tmp_path / "config.json").write_text(json.dumps({
+        "d1_source": {"synthetic": source}, "d2_source": {"synthetic": {**source, "seed": 32}},
+        "model": {"kind": "logistic_regression", "epochs": 30}, "recourse": {"method": "cfe"},
+        "seeds": {"data": 0, "model": 1, "recourse": 2},
+    }))
+    argv = argv + ["--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]
+    code = ("import contextlib, io, sys\nfrom recourse_lab.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main({argv})\n"
+            f"print(code, [m for m in sys.modules if m.split('.')[0] in {POOL_PACKAGES}])")
+    return fresh_run(env, code)
+
+
+def test_cli_import_loads_no_process_pool(fresh_env, tmp_path):
+    # bounds and --help load no run/sweep module, and a parallel run forks bare
+    # children, so neither loading shiftlab nor running it loads a pool module
     assert [m for m in modules_after_cli_import(fresh_env) if m in RUN_SWEEP_MODULES] == []
     loaded = fresh_run(fresh_env, "import sys, recourse_lab.cli, recourse_lab.shiftlab; "
                                   "print('\\n'.join(sys.modules))")
     assert "recourse_lab.shiftlab" in loaded
-    assert [m for m in loaded if m.split(".")[0] in ("concurrent", "multiprocessing")] == []
+    assert [m for m in loaded if m.split(".")[0] in POOL_PACKAGES] == []
+    assert pool_modules_after_main(fresh_env, tmp_path, ["run", "--jobs", "2"]) == ["0 []"]
 
 
 def test_bounds_verify_loads_no_run_or_sweep_module(fresh_env):
@@ -59,19 +80,14 @@ def test_bounds_verify_loads_no_run_or_sweep_module(fresh_env):
 
 
 def test_parallel_sweep_loads_no_process_pool(fresh_env, tmp_path):
-    source = {"scenario": "target_shift", "alpha": 0.0, "n": 300, "seed": 31}
-    (tmp_path / "config.json").write_text(json.dumps({
-        "d1_source": {"synthetic": source}, "d2_source": {"synthetic": {**source, "seed": 32}},
-        "model": {"kind": "logistic_regression", "epochs": 30}, "recourse": {"method": "cfe"},
-        "seeds": {"data": 0, "model": 1, "recourse": 2},
-    }))
-    argv = ["sweep", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out"),
-            "--scenario", "target_shift", "--alphas", "0,0.4", "--jobs", "2"]
-    code = ("import contextlib, io, sys\nfrom recourse_lab.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    code = main({argv})\n"
-            "print(code, [m for m in sys.modules if m in ('concurrent.futures', 'multiprocessing')])")
-    assert fresh_run(fresh_env, code) == ["0 []"]
+    argv = ["sweep", "--scenario", "target_shift", "--alphas", "0,0.4", "--jobs", "2"]
+    assert pool_modules_after_main(fresh_env, tmp_path, argv) == ["0 []"]
+
+
+def test_cli_import_freezes_the_start_up_heap(fresh_env):
+    # the start-up objects sit in the permanent generation; collection stays on
+    code = "import gc, recourse_lab.cli; print(gc.isenabled(), gc.get_freeze_count() > 0)"
+    assert fresh_run(fresh_env, code) == ["True True"]
 
 
 def test_package_import_loads_no_numpy(fresh_env):

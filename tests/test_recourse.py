@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from recourse_lab.recourse import (
     _ar_batch,
     _causal_batch,
     _cfe_batch,
+    _intervention_rows,
     _kept_candidate,
     _percentile_grid,
     method_params,
@@ -889,6 +891,66 @@ def reference_kept_candidate(costs, best_cost=np.inf):
         if c < best_cost - 1e-12:
             best, best_cost = k, c
     return best
+
+
+def reference_intervention_rows(scm, schema, data, percentiles, max_intervened):
+    """_intervention_rows built from a list of every (combination, grid values) pair."""
+    targets = [i for i, (var, f) in enumerate(zip(scm.variables, schema.features))
+               if var.intervenable and f.actionable]
+    grids = {j: _percentile_grid(data.X[:, j], percentiles) for j in targets}
+    actions = [
+        (list(combo), chosen)
+        for r in range(1, max_intervened + 1)
+        for combo in itertools.combinations(targets, r)
+        for chosen in itertools.product(*(grids[j] for j in combo))
+    ]
+    values = np.zeros((len(actions), scm.n_variables))
+    mask = np.zeros(values.shape, dtype=bool)
+    for k, (combo, chosen) in enumerate(actions):
+        values[k, combo] = chosen
+        mask[k, combo] = True
+    return values, mask
+
+
+class TestInterventionRows:
+    @pytest.mark.parametrize("max_intervened", [1, 2, 3, 4])
+    def test_matches_list_reference(self, max_intervened):
+        # x1 is not actionable, x3 not intervenable, and x2 is ordinal on 0..2,
+        # so its grid has 3 values where the others have 9
+        schema = rl.FeatureSchema((
+            rl.FeatureSpec("x0"), rl.FeatureSpec("x1", actionable=False),
+            rl.FeatureSpec("x2", kind="ordinal", lower=0, upper=2),
+            rl.FeatureSpec("x3"), rl.FeatureSpec("x4"),
+        ))
+        rng = np.random.default_rng(19)
+        X = rng.standard_normal((300, 5))
+        X[:, 2] = rng.integers(0, 3, 300)
+        scm = rl.Scm((rl.ScmVariable("x0"), rl.ScmVariable("x1", parents=((0, 0.5),)),
+                      rl.ScmVariable("x2"), rl.ScmVariable("x3", intervenable=False),
+                      rl.ScmVariable("x4", parents=((2, 1.0),))))
+        data = rl.Dataset(schema, X, np.ones(300, dtype=int))
+        got = _intervention_rows(scm, schema, data, DECILE_PERCENTILES, max_intervened)
+        want = reference_intervention_rows(scm, schema, data, DECILE_PERCENTILES, max_intervened)
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    def test_memory_stays_near_the_arrays(self):
+        # a parentless SCM, d = 10, k = 3 and 9 grid values: 91 215 rows
+        schema = rl.FeatureSchema(tuple(rl.FeatureSpec(f"x{i}") for i in range(10)))
+        X = np.random.default_rng(4).standard_normal((200, 10))
+        data = rl.Dataset(schema, X, np.ones(200, dtype=int))
+        scm = rl.Scm(tuple(rl.ScmVariable(name) for name in schema.names))
+        want = reference_intervention_rows(scm, schema, data, DECILE_PERCENTILES, 3)
+        tracemalloc.start()
+        try:
+            got = _intervention_rows(scm, schema, data, DECILE_PERCENTILES, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got[0].shape == (91215, 10)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want, strict=True))
+        assert peak <= 1.5 * sum(a.nbytes for a in got)
 
 
 @pytest.fixture(scope="module")
