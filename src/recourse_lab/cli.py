@@ -18,7 +18,6 @@ import argparse
 import atexit
 import gc
 import hashlib
-import itertools
 import json
 import os
 import sys
@@ -247,8 +246,7 @@ def cmd_run(args) -> int:
     _write_outputs(args.out, {
         "report.csv": report.to_csv_text(),
         # streamed: the text of every record is never joined into one string
-        "report.json": itertools.chain(
-            json.JSONEncoder(indent=2).iterencode(report.to_json_dict()), ["\n"]),
+        "report.json": report.json_chunks(),
     }, doc, started)
     return 0
 

@@ -147,15 +147,19 @@ class Dataset:
 
     def __post_init__(self):
         X = np.ascontiguousarray(np.asarray(self.X, dtype=float))
-        y = np.asarray(self.y, dtype=int)
+        raw = np.asarray(self.y)
         if X.ndim != 2:
             raise DataValidationError(f"feature matrix must be 2-D, got ndim={X.ndim}")
-        if y.ndim != 1 or y.shape[0] != X.shape[0]:
+        if raw.ndim != 1 or raw.shape[0] != X.shape[0]:
             raise DataValidationError(
-                f"label count {y.shape} does not match row count {X.shape[0]}"
+                f"label count {raw.shape} does not match row count {X.shape[0]}"
             )
-        if y.size and not np.isin(y, (-1, 1)).all():
-            raise DataValidationError("labels must be -1 or +1")
+        # checked before the int cast, which would truncate 1.7 to 1; a NaN or
+        # non-numeric label equals neither
+        bad = np.flatnonzero(~((raw == 1) | (raw == -1)))
+        if bad.size:
+            raise DataValidationError(f"label at row {bad[0]} must be -1 or +1, got {raw[bad[0]]}")
+        y = raw.astype(int, copy=False)
         self.schema.validate_matrix(X)
         X.flags.writeable = False
         y.flags.writeable = False

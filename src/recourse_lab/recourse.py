@@ -146,7 +146,8 @@ def _cfe_batch(model, data, rows, cost, p, seed, scm):
     takes the costs and their subgradient from one difference to the origins;
     the Adam moments and the step are updated in place, in the order of their
     textbook expressions, so every bit is theirs. Rows only leave a stage, so
-    its live rows share one step count and one bias correction.
+    its live rows share one step count, one bias correction and one penalty
+    weight.
 
     The input gradient is zeroed on the non-actionable features, so their
     cost subgradient stays 0 too and no iterate moves them.
@@ -162,7 +163,7 @@ def _cfe_batch(model, data, rows, cost, p, seed, scm):
     fixed = np.flatnonzero(~schema.actionable_mask())
     margin = p["margin_target"]
     step_size = p["step_size"]
-    lam = np.full(n, p["lambda_init"])
+    lam = p["lambda_init"]
     z = X.copy()
     # Adam bias corrections per step, as array powers (Python's float ** may differ in the last bit)
     bias1, bias2 = (1.0 - b ** np.arange(1.0, p["inner_iters"] + 1.0)
@@ -189,7 +190,7 @@ def _cfe_batch(model, data, rows, cost, p, seed, scm):
         active = np.flatnonzero(~done)
         if not active.size:
             break
-        idx, zl, Xl, laml, seenl = active, z[active], X[active], lam[active], seen_cost[active]
+        idx, zl, Xl, seenl = active, z[active], X[active], seen_cost[active]
         m_adam, v_adam = np.zeros((idx.size, d)), np.zeros((idx.size, d))
         step, work = np.empty((idx.size, d)), np.empty((idx.size, d))
         for t in range(p["inner_iters"]):
@@ -207,7 +208,7 @@ def _cfe_batch(model, data, rows, cost, p, seed, scm):
                 grad[:, fixed] = 0.0
             # an overflow or NaN here fails the bound check
             with np.errstate(over="ignore", invalid="ignore"):
-                g = (laml * (-2.0 * gap))[:, None] * grad
+                g = (lam * (-2.0 * gap))[:, None] * grad
                 g += sub
                 if not np.abs(g).max() <= _G_MAX:
                     raise SearchError("non-finite search gradient")
@@ -230,8 +231,8 @@ def _cfe_batch(model, data, rows, cost, p, seed, scm):
                 z[idx[frozen]] = zl[frozen]
                 iters[idx[frozen]] += t + 1
                 keep = np.flatnonzero(~frozen)
-                idx, zl, Xl, laml, seenl, m_adam, v_adam = (
-                    a.take(keep, axis=0) for a in (idx, zl, Xl, laml, seenl, m_adam, v_adam))
+                idx, zl, Xl, seenl, m_adam, v_adam = (
+                    a.take(keep, axis=0) for a in (idx, zl, Xl, seenl, m_adam, v_adam))
                 step, work = np.empty_like(zl), np.empty_like(zl)
         z[idx] = zl
         iters[idx] += p["inner_iters"]  # rows still live ran every step
@@ -245,7 +246,7 @@ def _cfe_batch(model, data, rows, cost, p, seed, scm):
         rows = active[~done[active] & (seen_cost[active] < np.inf)]
         if rows.size:
             accept(rows, _snap_to_schema(schema, seen_z[rows]))
-        lam[~done] *= p["lambda_growth"]
+        lam *= p["lambda_growth"]
 
     return [point if ok else None for point, ok in zip(final, done)], iters
 
@@ -288,11 +289,14 @@ def fit_local_linear(
 
 def _percentile_grid(column: np.ndarray, percentiles) -> np.ndarray:
     """Empirical values at the requested percentiles (nearest-rank,
-    deduplicated); none for an empty column."""
+    deduplicated), in ascending order; none for an empty column.
+
+    Sorting the few values and keeping each that differs from the one before
+    it gives np.unique's array, and np.unique would load numpy.ma."""
     if not column.size:
         return column
-    vals = np.percentile(column, list(percentiles), method="nearest")
-    return np.unique(vals)
+    vals = np.sort(np.percentile(column, list(percentiles), method="nearest"))
+    return vals[np.concatenate(([True], vals[1:] != vals[:-1]))]
 
 
 def _walk_batch(model, data, rows, cost, p, seed, scm):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import json
 import os
 import pickle
 from dataclasses import dataclass, field, replace
@@ -129,22 +130,36 @@ def _csv_text(header, rows) -> str:
 
 @dataclass(frozen=True, eq=False)
 class InvalidationReport:
+    """One run's result: the labels, both CV accuracies, and per recourse of
+    CF1 its cost and whether M2 invalidates it, as read-only columns `costs`
+    (finite floats) and `flags` (bools) of equal length."""
+
     algorithm: str
     model_kind: str
     m1_cv_acc: float
     m2_cv_acc: float
-    per_record: tuple[tuple[float, bool], ...]
+    costs: np.ndarray
+    flags: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "per_record", tuple(self.per_record))
+        for name, dtype in (("costs", float), ("flags", bool)):
+            column = np.array(getattr(self, name), dtype=dtype)
+            if column.ndim != 1:
+                raise ValueError(f"{name}: expected one dimension, got shape {column.shape}")
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        if self.costs.size != self.flags.size:
+            raise ValueError(f"flags: expected {self.costs.size} entries, got {self.flags.size}")
+        if not np.all(np.isfinite(self.costs)):
+            raise ValueError("costs: must be finite")
 
     @property
     def cf1_size(self) -> int:
-        return len(self.per_record)
+        return self.costs.size
 
     @property
     def invalidation_pct(self) -> float | None:
-        return _percent([flag for _, flag in self.per_record])
+        return _percent(self.flags)
 
     def to_csv_text(self) -> str:
         return _csv_text(REPORT_COLUMNS, [(
@@ -152,19 +167,34 @@ class InvalidationReport:
             self.cf1_size, self.invalidation_pct,
         )])
 
-    def to_json_dict(self) -> dict:
+    def json_chunks(self):
+        """report.json's text in chunks: json.dumps(doc, indent=2) + "\n" for
+        the document of the scalars and a `per_record` list of {"cost",
+        "invalidated"} objects, written from the columns without building it."""
         pct = self.invalidation_pct
-        return {
+        head = json.dumps({
             "algorithm": self.algorithm,
             "model_kind": self.model_kind,
             "m1_cv_acc": self.m1_cv_acc,
             "m2_cv_acc": self.m2_cv_acc,
             "cf1_size": self.cf1_size,
             "invalidation_pct": "NAN" if pct is None else pct,
-            "per_record": [
-                {"cost": cost, "invalidated": bool(flag)} for cost, flag in self.per_record
-            ],
-        }
+            "per_record": [],
+        }, indent=2)
+        if not self.cf1_size:
+            yield head + "\n"
+            return
+        yield head.removesuffix("]\n}")
+        # json writes a finite float as its repr
+        records = map(_JSON_RECORD.format, map(repr, self.costs.tolist()),
+                      map(("false", "true").__getitem__, self.flags.tolist()))
+        yield next(records)[1:]  # the first record has no comma before it
+        yield from records
+        yield "\n  ]\n}\n"
+
+
+# one per_record entry of report.json, as json.dumps(..., indent=2) lays it out
+_JSON_RECORD = ',\n    {{\n      "cost": {},\n      "invalidated": {}\n    }}'
 
 
 def _less_holdout(cfg: ExperimentConfig, data: Dataset, split_name: str) -> Dataset:
@@ -283,14 +313,15 @@ def run_pipeline(cfg: ExperimentConfig, jobs: int = 1) -> InvalidationReport:
         raise ValueError("jobs must be at least 1")
     sources = {"d1_source": cfg.d1_source, "d2_source": cfg.d2_source}
     loaded = [_materialize(source) for source in sources.values()]
-    for (name, source), data in zip(sources.items(), loaded):
-        rows = data.n - holdout_size(data.n, cfg.holdout_fraction)
+    for (name, source), n in zip(sources.items(), [data.n for data in loaded]):
+        rows = n - holdout_size(n, cfg.holdout_fraction)
         if rows < cfg.cv_folds:
             field = "synthetic.n" if isinstance(source, ShiftSpec) else "csv.path"
             raise ConfigError(f"{name}.{field}: leaves {rows} training rows after the holdout, "
                               f"fewer than cv_folds ({cfg.cv_folds})")
     d1_train, d2_train = samples = (_less_holdout(cfg, loaded[0], "d1-split"),
                                     _less_holdout(cfg, loaded[1], "d2-split"))
+    del loaded  # the full samples; only their training rows are used from here
     spec = _model_spec(cfg)
     with _cv_reads(spec, samples, cfg.cv_folds, min(jobs - 1, len(samples))) as cv:
         cf1 = _prepare(cfg, d1_train)
@@ -301,7 +332,8 @@ def run_pipeline(cfg: ExperimentConfig, jobs: int = 1) -> InvalidationReport:
         model_kind=MODEL_LABELS[cfg.model_spec.kind],
         m1_cv_acc=m1_acc,
         m2_cv_acc=m2_acc,
-        per_record=tuple(zip(cf1.costs.tolist(), flags.tolist())),
+        costs=cf1.costs,
+        flags=flags,
     )
 
 

@@ -206,20 +206,45 @@ class TestRunCommand:
         assert manifest["tool_version"]
         assert manifest["wall_time"] > 0
 
-    @pytest.mark.parametrize("source", ["readme", "nan"])
+    @pytest.mark.parametrize("source", ["readme", "nan", "one"])
     def test_report_json_streams_the_dumped_bytes(self, tmp_path, monkeypatch, source):
         cfg = tmp_path / "readme.json"
         cfg.write_text(json.dumps(README_DOC))
-        if source == "nan":  # no recourse found, so Invalidation % reads NAN
-            monkeypatch.setattr(cli, "run_pipeline", lambda *args, **kwargs: rl.InvalidationReport(
-                algorithm="AR", model_kind="LR", m1_cv_acc=90.0, m2_cv_acc=91.0, per_record=()))
+        reports = []
+        stubs = {  # no recourse found, so Invalidation % reads NAN; or a single one
+            "nan": dict(costs=(), flags=()),
+            "one": dict(costs=[0.1 + 0.2], flags=[True]),
+        }
+
+        def run_pipeline(*args, **kwargs):
+            if source == "readme":
+                reports.append(shiftlab.run_pipeline(*args, **kwargs))
+            else:
+                reports.append(rl.InvalidationReport(
+                    algorithm="AR", model_kind="LR", m1_cv_acc=90.0, m2_cv_acc=91.0,
+                    **stubs[source]))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "run_pipeline", run_pipeline)
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out), "--jobs", "1"]) == 0
         text = (out / "report.json").read_text(encoding="utf-8")
-        doc = json.loads(text)  # floats round-trip, so this is the report's dict
-        assert text == json.dumps(doc, indent=2) + "\n"
-        assert (doc["cf1_size"], doc["invalidation_pct"] == "NAN") == (
-            (2325, False) if source == "readme" else (0, True))
+        report, = reports
+        pct = report.invalidation_pct
+        want = {
+            "algorithm": report.algorithm,
+            "model_kind": report.model_kind,
+            "m1_cv_acc": report.m1_cv_acc,
+            "m2_cv_acc": report.m2_cv_acc,
+            "cf1_size": report.cf1_size,
+            "invalidation_pct": "NAN" if pct is None else pct,
+            "per_record": [{"cost": cost, "invalidated": flag}
+                           for cost, flag in zip(report.costs.tolist(), report.flags.tolist())],
+        }
+        assert text == json.dumps(want, indent=2) + "\n"
+        doc = json.loads(text)
+        assert (doc["cf1_size"], doc["invalidation_pct"] == "NAN") == {
+            "readme": (2325, False), "nan": (0, True), "one": (1, False)}[source]
 
     def test_csv_mlp_causal_bytes_pinned(self, tmp_path):
         cfg = write_config(
@@ -603,7 +628,7 @@ class TestParallelRun:
         assert pids - {str(os.getpid())}
 
     @pytest.mark.parametrize("command, name, result", [
-        ("run", "run_pipeline", SimpleNamespace(to_csv_text=lambda: "", to_json_dict=dict)),
+        ("run", "run_pipeline", SimpleNamespace(to_csv_text=lambda: "", json_chunks=list)),
         ("sweep", "sensitivity_sweep", []),
     ])
     def test_commands_call_cli_bindings(self, tmp_path, monkeypatch, command, name, result):

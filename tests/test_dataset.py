@@ -63,6 +63,19 @@ class TestDatasetValidation:
         with pytest.raises(DataValidationError):
             rl.Dataset(schema, np.zeros((2, 2)), np.array([1, 2]))
 
+    @pytest.mark.parametrize("labels, row", [
+        ([1.7, -1.2], 0), ([1.0, np.nan], 1), (["a"], 0), ([1, -1, 0.5], 2), ([None], 0),
+    ])
+    def test_label_checked_before_int_cast(self, labels, row):
+        # a fractional, NaN or non-numeric label is named, not truncated or cast
+        n = len(labels)
+        with pytest.raises(DataValidationError, match=f"label at row {row} must be -1 or \\+1"):
+            rl.Dataset(two_feature_schema(), np.zeros((n, 2)), labels)
+
+    def test_float_labels_accepted(self):
+        data = rl.Dataset(two_feature_schema(), np.zeros((3, 2)), [1.0, -1.0, True])
+        assert data.y.tolist() == [1, -1, 1] and data.y.dtype == int
+
     def test_binary_grid(self):
         schema = rl.FeatureSchema((rl.FeatureSpec("b", kind="binary"),))
         with pytest.raises(DataValidationError):

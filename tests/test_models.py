@@ -203,7 +203,10 @@ class TestTrainingOracles:
         rl.ModelSpec.mlp(epochs=6, seed=2),
         rl.ModelSpec.mlp(hidden_layers=(10, 10, 5), learning_rate=1e-2, epochs=4,
                          l2_penalty=1e-2, seed=7),
-    ], ids=["16-16", "10-10-5"])
+        # width-1 hidden layers back-propagate a width-1 delta
+        rl.ModelSpec.mlp(hidden_layers=(1,), learning_rate=1e-2, epochs=5, seed=4),
+        rl.ModelSpec.mlp(hidden_layers=(3, 1), learning_rate=1e-2, epochs=5, seed=5),
+    ], ids=["16-16", "10-10-5", "1", "3-1"])
     def test_mlp_weights_equal(self, spec):
         data = rl.synth_base(1080, 3)
         model = rl.train(spec, data)

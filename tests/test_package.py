@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import recourse_lab as rl
 from conftest import BLAS_THREAD_VARS
 
@@ -42,20 +44,21 @@ RUN_SWEEP_MODULES = ("recourse_lab.recourse", "recourse_lab.shiftlab")
 POOL_PACKAGES = ("concurrent", "multiprocessing")
 
 
-def pool_modules_after_main(env: dict, tmp_path, argv: list[str]) -> list[str]:
-    """main(argv)'s exit code, then the pool modules loaded, run in a fresh
-    interpreter on a small synthetic config."""
+def modules_after_main(env: dict, tmp_path, argv: list[str], packages, **config) -> list[str]:
+    """main(argv)'s exit code, then the modules of `packages` loaded, run in a
+    fresh interpreter on a small synthetic config updated by `config`."""
     source = {"scenario": "target_shift", "alpha": 0.0, "n": 300, "seed": 31}
     (tmp_path / "config.json").write_text(json.dumps({
         "d1_source": {"synthetic": source}, "d2_source": {"synthetic": {**source, "seed": 32}},
         "model": {"kind": "logistic_regression", "epochs": 30}, "recourse": {"method": "cfe"},
-        "seeds": {"data": 0, "model": 1, "recourse": 2},
+        "seeds": {"data": 0, "model": 1, "recourse": 2}, **config,
     }))
     argv = argv + ["--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]
     code = ("import contextlib, io, sys\nfrom recourse_lab.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    code = main({argv})\n"
-            f"print(code, [m for m in sys.modules if m.split('.')[0] in {POOL_PACKAGES}])")
+            f"print(code, [m for m in sys.modules if any((m + '.').startswith(p + '.') "
+            f"for p in {tuple(packages)})])")
     return fresh_run(env, code)
 
 
@@ -67,7 +70,16 @@ def test_cli_import_loads_no_process_pool(fresh_env, tmp_path):
                                   "print('\\n'.join(sys.modules))")
     assert "recourse_lab.shiftlab" in loaded
     assert [m for m in loaded if m.split(".")[0] in POOL_PACKAGES] == []
-    assert pool_modules_after_main(fresh_env, tmp_path, ["run", "--jobs", "2"]) == ["0 []"]
+    assert modules_after_main(fresh_env, tmp_path, ["run", "--jobs", "2"],
+                              POOL_PACKAGES) == ["0 []"]
+
+
+@pytest.mark.parametrize("method", ["causal", "ar"])
+def test_grid_search_run_loads_no_numpy_ma(fresh_env, tmp_path, method):
+    # the percentile grids drop duplicates without np.unique, which loads numpy.ma
+    scm = [{"name": "x0"}, {"name": "x1", "parents": {"0": 0.5}}] if method == "causal" else None
+    assert modules_after_main(fresh_env, tmp_path, ["run", "--jobs", "1"], ["numpy.ma"],
+                              recourse={"method": method}, scm=scm) == ["0 []"]
 
 
 def test_bounds_verify_loads_no_run_or_sweep_module(fresh_env):
@@ -81,7 +93,7 @@ def test_bounds_verify_loads_no_run_or_sweep_module(fresh_env):
 
 def test_parallel_sweep_loads_no_process_pool(fresh_env, tmp_path):
     argv = ["sweep", "--scenario", "target_shift", "--alphas", "0,0.4", "--jobs", "2"]
-    assert pool_modules_after_main(fresh_env, tmp_path, argv) == ["0 []"]
+    assert modules_after_main(fresh_env, tmp_path, argv, POOL_PACKAGES) == ["0 []"]
 
 
 def test_cli_import_freezes_the_start_up_heap(fresh_env):

@@ -912,6 +912,32 @@ def reference_intervention_rows(scm, schema, data, percentiles, max_intervened):
     return values, mask
 
 
+class TestPercentileGrid:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("percentiles", [
+        DECILE_PERCENTILES, (0, 25, 50, 75, 100), (90, 10, 50, 10, 90), (50,),
+    ])
+    def test_equals_unique_of_percentiles(self, seed, percentiles):
+        # ties, repeats and both signs of zero, which np.unique keeps in sorted order
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        columns = [
+            rng.standard_normal(n),
+            rng.integers(-3, 4, n).astype(float),
+            np.where(rng.random(n) < 0.5, 0.0, -0.0),
+            np.where(rng.random(n) < 0.6, rng.choice([-0.0, 0.0], n), rng.integers(-2, 3, n)),
+            np.full(n, 2.5),
+        ]
+        for column in columns:
+            got = _percentile_grid(column, percentiles)
+            want = np.unique(np.percentile(column, list(percentiles), method="nearest"))
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), column
+
+    def test_empty_column_gives_no_values(self):
+        assert _percentile_grid(np.empty(0), DECILE_PERCENTILES).size == 0
+
+
 class TestInterventionRows:
     @pytest.mark.parametrize("max_intervened", [1, 2, 3, 4])
     def test_matches_list_reference(self, max_intervened):

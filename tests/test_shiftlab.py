@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -143,7 +144,8 @@ class TestRunPipeline:
         a = rl.run_pipeline(small_config())
         b = rl.run_pipeline(small_config())
         assert a.to_csv_text() == b.to_csv_text()
-        assert a.per_record == b.per_record
+        assert a.costs.tobytes() == b.costs.tobytes()
+        assert np.array_equal(a.flags, b.flags)
 
     def test_labels_in_report(self):
         report = rl.run_pipeline(small_config())
@@ -159,10 +161,33 @@ class TestRunPipeline:
     def test_nan_representation(self):
         report = rl.InvalidationReport(
             algorithm="AR", model_kind="LR", m1_cv_acc=90.0, m2_cv_acc=91.0,
-            per_record=(),
+            costs=(), flags=(),
         )
         assert report.to_csv_text().splitlines()[1].endswith("NAN")
-        assert report.to_json_dict()["invalidation_pct"] == "NAN"
+        assert json.loads("".join(report.json_chunks()))["invalidation_pct"] == "NAN"
+
+    def test_report_columns_are_read_only(self):
+        costs, flags = np.array([0.5, 1.5]), np.array([True, False])
+        report = rl.InvalidationReport(
+            algorithm="CFE", model_kind="LR", m1_cv_acc=90.0, m2_cv_acc=91.0,
+            costs=costs, flags=flags,
+        )
+        assert (report.cf1_size, report.invalidation_pct) == (2, 50.0)
+        for column in (report.costs, report.flags):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+        costs[0] = 9.0  # the report holds its own copy
+        assert report.costs.tolist() == [0.5, 1.5] and costs.flags.writeable
+
+    @pytest.mark.parametrize("columns, message", [
+        (dict(costs=[1.0, 2.0], flags=[True]), "flags: expected 2 entries, got 1"),
+        (dict(costs=[[1.0]], flags=[[True]]), "costs: expected one dimension"),
+        (dict(costs=[np.inf], flags=[True]), "costs: must be finite"),
+    ])
+    def test_report_rejects_bad_columns(self, columns, message):
+        with pytest.raises(ValueError, match=message):
+            rl.InvalidationReport(algorithm="CFE", model_kind="LR", m1_cv_acc=90.0,
+                                  m2_cv_acc=91.0, **columns)
 
     def test_mlp_with_surrogate_actions_end_to_end(self):
         cfg = small_config(
