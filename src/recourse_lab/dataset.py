@@ -155,10 +155,11 @@ class Dataset:
                 f"label count {raw.shape} does not match row count {X.shape[0]}"
             )
         # checked before the int cast, which would truncate 1.7 to 1; a NaN or
-        # non-numeric label equals neither
+        # non-numeric label, the string '1' included, equals neither
         bad = np.flatnonzero(~((raw == 1) | (raw == -1)))
         if bad.size:
-            raise DataValidationError(f"label at row {bad[0]} must be -1 or +1, got {raw[bad[0]]}")
+            raise DataValidationError(
+                f"label at row {bad[0]} must be -1 or +1, got {raw.item(int(bad[0]))!r}")
         y = raw.astype(int, copy=False)
         self.schema.validate_matrix(X)
         X.flags.writeable = False

@@ -77,19 +77,14 @@ class ModelSpec:
 
 def _mlp_forward(params, X):
     """(each layer's input, decision values) of (W, b) layers on a batch X,
-    or on k stacked batches when every W and b carries a leading k axis.
-    Each layer adds its bias to its product, and applies ReLU, in place."""
+    or on k stacked batches when every W and b carries a leading k axis."""
     acts = [X]
     Z = X
     for W, b in params[:-1]:
-        Z = Z @ W
-        Z += b
-        np.maximum(Z, 0.0, out=Z)
+        Z = np.maximum(Z @ W + b, 0.0)
         acts.append(Z)
     W, b = params[-1]
-    Z = Z @ W
-    Z += b
-    return acts, Z[..., 0]
+    return acts, (Z @ W + b)[..., 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,15 +328,10 @@ def _train_mlp(spec: ModelSpec, sets: list[Dataset]) -> list[TrainedModel]:
             for li in range(len(params) - 1, -1, -1):
                 W, _ = params[li]
                 gW, gb = grads[li]
-                np.matmul(acts[li].transpose(0, 2, 1), delta, out=gW)
-                gW += decay * W
+                np.add(acts[li].transpose(0, 2, 1) @ delta, decay * W, out=gW)
                 delta.sum(axis=1, keepdims=True, out=gb)
                 if li > 0:
-                    # a width-1 delta's product has inner size 1: a broadcast
-                    # product gives its bits without a BLAS call
-                    Wt = W.transpose(0, 2, 1)
-                    delta = delta * Wt if delta.shape[-1] == 1 else delta @ Wt
-                    delta *= acts[li] > 0.0
+                    delta = (delta @ W.transpose(0, 2, 1)) * (acts[li] > 0.0)
             step += 1
             c1 = 1.0 - _ADAM_BETA1 ** step
             c2 = 1.0 - _ADAM_BETA2 ** step

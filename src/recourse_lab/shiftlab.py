@@ -170,7 +170,8 @@ class InvalidationReport:
     def json_chunks(self):
         """report.json's text in chunks: json.dumps(doc, indent=2) + "\n" for
         the document of the scalars and a `per_record` list of {"cost",
-        "invalidated"} objects, written from the columns without building it."""
+        "invalidated"} objects, written from the columns without building it:
+        one chunk per record, in json's layout, with a finite cost as its repr."""
         pct = self.invalidation_pct
         head = json.dumps({
             "algorithm": self.algorithm,
@@ -185,16 +186,12 @@ class InvalidationReport:
             yield head + "\n"
             return
         yield head.removesuffix("]\n}")
-        # json writes a finite float as its repr
-        records = map(_JSON_RECORD.format, map(repr, self.costs.tolist()),
-                      map(("false", "true").__getitem__, self.flags.tolist()))
-        yield next(records)[1:]  # the first record has no comma before it
-        yield from records
+        sep = "\n"
+        for cost, flag in zip(self.costs.tolist(), self.flags.tolist()):
+            value = "true" if flag else "false"
+            yield f'{sep}    {{\n      "cost": {cost!r},\n      "invalidated": {value}\n    }}'
+            sep = ",\n"
         yield "\n  ]\n}\n"
-
-
-# one per_record entry of report.json, as json.dumps(..., indent=2) lays it out
-_JSON_RECORD = ',\n    {{\n      "cost": {},\n      "invalidated": {}\n    }}'
 
 
 def _less_holdout(cfg: ExperimentConfig, data: Dataset, split_name: str) -> Dataset:

@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -65,11 +66,13 @@ class TestDatasetValidation:
 
     @pytest.mark.parametrize("labels, row", [
         ([1.7, -1.2], 0), ([1.0, np.nan], 1), (["a"], 0), ([1, -1, 0.5], 2), ([None], 0),
+        (["1", "-1"], 0),
     ])
     def test_label_checked_before_int_cast(self, labels, row):
         # a fractional, NaN or non-numeric label is named, not truncated or cast
         n = len(labels)
-        with pytest.raises(DataValidationError, match=f"label at row {row} must be -1 or \\+1"):
+        message = f"label at row {row} must be -1 or +1, got {labels[row]!r}"
+        with pytest.raises(DataValidationError, match=f"^{re.escape(message)}$"):
             rl.Dataset(two_feature_schema(), np.zeros((n, 2)), labels)
 
     def test_float_labels_accepted(self):
