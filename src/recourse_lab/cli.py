@@ -171,7 +171,7 @@ def parse_config(doc) -> ExperimentConfig:
     spec = _made("model.", ModelSpec, **{
         **model, "hidden_layers": tuple(model["hidden_layers"]),
         "learning_rate": float(model["learning_rate"]), "l2_penalty": float(model["l2_penalty"]),
-    }, seed=seeds.model)
+    })
     recourse = _read(top["recourse"], "recourse", {"method": (..., _TEXT), "params": ({}, _OBJECT)})
     cost = _read(top["cost"], "cost", {"norm": ("L2", _TEXT)})
     return _made(

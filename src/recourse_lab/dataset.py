@@ -32,6 +32,9 @@ class FeatureSpec:
             raise DataValidationError("feature name must be nonempty")
         if self.kind not in FEATURE_KINDS:
             raise DataValidationError(f"unknown feature kind {self.kind!r}")
+        for side, bound in (("lower", self.lower), ("upper", self.upper)):
+            if math.isnan(bound):
+                raise DataValidationError(f"feature {self.name!r}: {side} bound must not be NaN")
         if self.lower > self.upper:
             raise DataValidationError(
                 f"feature {self.name!r}: lower bound {self.lower} exceeds upper bound {self.upper}"
@@ -173,7 +176,7 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=int)
-        return Dataset(self.schema, self.X[idx].copy(), self.y[idx].copy())
+        return Dataset(self.schema, self.X[idx], self.y[idx])  # indexing copies
 
 
 @dataclass(frozen=True)

@@ -317,6 +317,10 @@ class ScmVariable:
 
     def __post_init__(self):
         object.__setattr__(self, "parents", tuple((int(i), float(c)) for i, c in self.parents))
+        for i, c in self.parents:
+            if not math.isfinite(c):
+                raise ValueError(
+                    f"variable {self.name!r}: coefficient of parent {i} must be finite, got {c}")
 
 
 @dataclass(frozen=True)

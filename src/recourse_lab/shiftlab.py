@@ -61,7 +61,8 @@ class CsvSource:
 class ExperimentConfig:
     """One paired-model experiment. Construction checks the fields together;
     each error's message starts with the path of the config field it
-    concerns, such as `recourse.params.n_samples: `."""
+    concerns, such as `recourse.params.n_samples: `. Both models are trained
+    with seeds.model: construction sets it as model_spec's seed."""
 
     d1_source: ShiftSpec | CsvSource
     d2_source: ShiftSpec | CsvSource
@@ -75,6 +76,7 @@ class ExperimentConfig:
     scm: Scm | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "model_spec", replace(self.model_spec, seed=self.seeds.model))
         if not 0.0 <= self.holdout_fraction <= 0.5:
             raise ValueError(
                 f"holdout_fraction: must lie in [0, 0.5], got {self.holdout_fraction}"
@@ -132,7 +134,8 @@ def _csv_text(header, rows) -> str:
 class InvalidationReport:
     """One run's result: the labels, both CV accuracies, and per recourse of
     CF1 its cost and whether M2 invalidates it, as read-only columns `costs`
-    (finite floats) and `flags` (bools) of equal length."""
+    (finite floats) and `flags` (bools) of equal length. Costs are checked
+    finite because json would write a NaN as `NaN`, which is not JSON."""
 
     algorithm: str
     model_kind: str
@@ -168,30 +171,21 @@ class InvalidationReport:
         )])
 
     def json_chunks(self):
-        """report.json's text in chunks: json.dumps(doc, indent=2) + "\n" for
-        the document of the scalars and a `per_record` list of {"cost",
-        "invalidated"} objects, written from the columns without building it:
-        one chunk per record, in json's layout, with a finite cost as its repr."""
+        """report.json's text in chunks: json's indent-2 encoding of the
+        scalars and a `per_record` list of {"cost", "invalidated"} objects,
+        then a newline."""
         pct = self.invalidation_pct
-        head = json.dumps({
+        yield from json.JSONEncoder(indent=2).iterencode({
             "algorithm": self.algorithm,
             "model_kind": self.model_kind,
             "m1_cv_acc": self.m1_cv_acc,
             "m2_cv_acc": self.m2_cv_acc,
             "cf1_size": self.cf1_size,
             "invalidation_pct": "NAN" if pct is None else pct,
-            "per_record": [],
-        }, indent=2)
-        if not self.cf1_size:
-            yield head + "\n"
-            return
-        yield head.removesuffix("]\n}")
-        sep = "\n"
-        for cost, flag in zip(self.costs.tolist(), self.flags.tolist()):
-            value = "true" if flag else "false"
-            yield f'{sep}    {{\n      "cost": {cost!r},\n      "invalidated": {value}\n    }}'
-            sep = ",\n"
-        yield "\n  ]\n}\n"
+            "per_record": [{"cost": cost, "invalidated": flag}
+                           for cost, flag in zip(self.costs.tolist(), self.flags.tolist())],
+        })
+        yield "\n"
 
 
 def _less_holdout(cfg: ExperimentConfig, data: Dataset, split_name: str) -> Dataset:
@@ -206,13 +200,9 @@ def _training_sample(cfg: ExperimentConfig, source, split_name: str) -> Dataset:
     return _less_holdout(cfg, _materialize(source), split_name)
 
 
-def _model_spec(cfg: ExperimentConfig) -> ModelSpec:
-    return replace(cfg.model_spec, seed=cfg.seeds.model)
-
-
 def _prepare(cfg: ExperimentConfig, d1_train: Dataset) -> RecourseSet:
     """The recourses against M1, the model trained on d1_train; M1 is the set's model."""
-    m1 = train(_model_spec(cfg), d1_train)
+    m1 = train(cfg.model_spec, d1_train)
     return batch_recourse(
         m1, d1_train, cfg.method, cfg.cost,
         params=cfg.method_params, seed=cfg.seeds.recourse, scm=cfg.scm,
@@ -319,10 +309,9 @@ def run_pipeline(cfg: ExperimentConfig, jobs: int = 1) -> InvalidationReport:
     d1_train, d2_train = samples = (_less_holdout(cfg, loaded[0], "d1-split"),
                                     _less_holdout(cfg, loaded[1], "d2-split"))
     del loaded  # the full samples; only their training rows are used from here
-    spec = _model_spec(cfg)
-    with _cv_reads(spec, samples, cfg.cv_folds, min(jobs - 1, len(samples))) as cv:
+    with _cv_reads(cfg.model_spec, samples, cfg.cv_folds, min(jobs - 1, len(samples))) as cv:
         cf1 = _prepare(cfg, d1_train)
-        flags, _ = _evaluate_m2(cf1.points, train(spec, d2_train))
+        flags, _ = _evaluate_m2(cf1.points, train(cfg.model_spec, d2_train))
         m1_acc, m2_acc = (read() for read in cv)
     return InvalidationReport(
         algorithm=ALGORITHM_LABELS[cfg.method],
@@ -344,7 +333,7 @@ class SweepPoint:
 def _sweep_point(cfg: ExperimentConfig, d2_source: ShiftSpec, points: np.ndarray) -> SweepPoint:
     """M2 trained on d2_source's sample, and how many of the recourse points it rejects."""
     d2_train = _training_sample(cfg, d2_source, "d2-split")
-    _, pct = _evaluate_m2(points, train(_model_spec(cfg), d2_train))
+    _, pct = _evaluate_m2(points, train(cfg.model_spec, d2_train))
     return SweepPoint(d2_source.alpha, pct, len(points))
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, _snap_to_schema
-from .errors import InsufficientSampleError, SearchError, UnsupportedModelError
+from .errors import InsufficientSampleError, SearchError
 from .models import TrainedModel, parallel_perturb
 from .util import derive_seed, row_norms
 
@@ -115,13 +115,11 @@ def _markov_batch(
 
     Returns (list of points or None, iterations array); a walker keeps its
     point when it crossed and did not fail, a budget stop included.
+
+    The callers check step > 0, rho > 0 and max_steps >= 1: method_params
+    for the `markov` method, and verify_bound through invalidation_bound and
+    its own step and budget.
     """
-    if not step > 0:
-        raise ValueError("step must be positive")
-    if not rho > 0:
-        raise ValueError("rho must be positive")
-    if max_steps < 1:
-        raise ValueError("max_steps must be at least 1")
     straight = model.is_linear and not model.schema.grid_mask().any()
     walks = _straight_walks if straight else _stepped_walks
     return walks(model, X, step, _steps_past_crossing(u, rho, step), max_steps, settle_at)
@@ -277,8 +275,6 @@ def _comparison_perturb(model: TrainedModel, delta_m: float, data: Dataset) -> T
     boundary by about delta_m along its local normal. Only the direction of the
     resulting inequality is meaningful.
     """
-    if model.is_linear:
-        raise UnsupportedModelError("use parallel_perturb for linear models")
     f = model.decision_values(data.X)
     take = max(50, data.n // 10)
     near = np.argsort(np.abs(f))[:take]

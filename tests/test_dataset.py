@@ -40,6 +40,11 @@ class TestSchema:
         with pytest.raises(DataValidationError):
             rl.FeatureSpec("a", lower=2.0, upper=1.0)
 
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_nan_bound_rejected(self, side):
+        with pytest.raises(DataValidationError, match=f"feature 'a': {side} bound must not be NaN"):
+            rl.FeatureSpec("a", **{side: math.nan})
+
     @pytest.mark.parametrize("kind", ["ordinal", "binary"])
     @pytest.mark.parametrize("bounds", [
         {"lower": 0.5}, {"upper": 9.5}, {"lower": -1e-9, "upper": 1},

@@ -672,6 +672,11 @@ class TestScm:
         with pytest.raises(ValueError):
             rl.Scm((rl.ScmVariable("a", parents=((1, 0.5),)), rl.ScmVariable("b")))
 
+    @pytest.mark.parametrize("coeff", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_rejected(self, coeff):
+        with pytest.raises(ValueError, match="variable 'x1': coefficient of parent 0 must be finite"):
+            rl.ScmVariable("x1", parents=((0, coeff),))
+
     def test_propagate_matches_structural_equations(self):
         # random DAGs with up to three parents per variable; one-row and batch calls alike
         rng = np.random.default_rng(31)

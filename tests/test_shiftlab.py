@@ -78,6 +78,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="must be a nonnegative integer, got -1"):
             make()
 
+    def test_seeds_model_is_the_model_seed(self):
+        cfg = small_config(model_spec=rl.ModelSpec.logistic(epochs=150, seed=5),
+                           seeds=rl.Seeds(0, 1, 2))
+        assert cfg.model_spec.seed == 1
+        one = small_config(model_spec=rl.ModelSpec.logistic(epochs=150, seed=1))
+        a, b = rl.run_pipeline(cfg), rl.run_pipeline(one)
+        assert a.to_csv_text() == b.to_csv_text()
+        assert "".join(a.json_chunks()) == "".join(b.json_chunks())
+
     def test_schema_compatibility_enforced(self):
         other = rl.FeatureSchema((rl.FeatureSpec("z"),))
         with pytest.raises(SchemaMismatchError):
