@@ -11,6 +11,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -204,57 +205,64 @@ def _check_trainable(data: Dataset) -> None:
         raise TrainingError(f"training data holds a single class ({int(data.y[0]):+d})")
 
 
-def _train_linear(spec: ModelSpec, data: Dataset, hinge: bool) -> TrainedModel:
-    """Full-batch gradient descent on the mean hinge (SVM) or softplus (LR)
-    loss plus the L2 penalty, raising DivergenceError at the first epoch
-    whose loss is not finite.
+# overflow to inf is exactly what the divergence check looks for
+@np.errstate(over="ignore", invalid="ignore")
+def _train_linear(spec: ModelSpec, sets: list[Dataset], hinge: bool) -> list[TrainedModel]:
+    """One linear model per dataset, fitted as one stacked model; the datasets
+    share a row count. Full-batch gradient descent on the mean hinge (SVM) or
+    softplus (LR) loss plus the L2 penalty, with _train_mlp's stacking: per
+    fit the BLAS calls of a lone fit, so equal weights bit for bit, and the
+    first diverging fit in order raises DivergenceError with its own epoch.
 
-    Each epoch writes its row-sized arrays into buffers made once, and takes
-    |margin| once for both the divergence check and the logistic term, whose
-    y * sigmoid(-margin) it computes from that |margin| with util.sigmoid's
-    arithmetic; the weights equal those of the plain expressions bit for bit.
+    Each epoch writes its sample-sized arrays into (k, n) buffers made once,
+    and takes |margin| once for both the divergence check and the logistic
+    term, whose y * sigmoid(-margin) it computes from that |margin| with
+    util.sigmoid's arithmetic, bit for bit.
     """
-    X = data.X
-    y = data.y.astype(float)
-    n, d = X.shape
-    w = np.zeros(d)
-    b = 0.0
-    lr = spec.learning_rate
+    X = np.stack([data.X for data in sets])
+    y = np.stack([data.y for data in sets]).astype(float)
+    k, n, d = X.shape
+    # each fit's weights as a column, so a stacked product is a batch of matrix-vector calls
+    w = np.zeros((k, d, 1))
+    b = np.zeros((k, 1))
     # Each hinge or softplus term is at most |margin| + 1, so while every
-    # |margin| and the penalty stay within this limit the loss is finite and
-    # the divergence check need not compute it.
+    # |margin| and the penalty of all fits together stay within this limit
+    # every loss is finite and the divergence check need not compute one.
     limit = sys.float_info.max / (2.0 * (n + 1))
-    margin, abs_margin, coeff = np.empty(n), np.empty(n), np.empty(n)
-    mask = np.empty(n, dtype=bool)
+    margin, abs_margin, coeff = np.empty((3, k, n))
+    mask = np.empty((k, n), dtype=bool)
+    diverged = {}  # fit -> first epoch with a non-finite loss
     for epoch in range(spec.epochs):
-        # overflow to inf is exactly what the divergence check looks for
-        with np.errstate(over="ignore", invalid="ignore"):
-            # margin = y * (X @ w + b)
-            np.matmul(X, w, out=margin)
-            margin += b
-            margin *= y
-            penalty = spec.l2_penalty * (w @ w)
-            np.abs(margin, out=abs_margin)
-            if not (abs_margin.max() <= limit and penalty <= limit):
-                terms = np.maximum(0.0, 1.0 - margin) if hinge else np.logaddexp(0.0, -margin)
-                if not np.isfinite(np.mean(terms) + penalty):
-                    raise DivergenceError(f"non-finite loss at epoch {epoch}")
-            if hinge:
-                # coeff = y * ((1 - margin) > 0); 1 - margin > 0 exactly when margin < 1
-                np.multiply(y, np.less(margin, 1.0, out=mask), out=coeff)
-            else:
-                # coeff = y * sigmoid(-margin): e = exp(-|margin|), then 1 / (1 + e)
-                # where -margin >= 0 and e / (1 + e) elsewhere
-                np.exp(np.negative(abs_margin, out=coeff), out=coeff)
-                denominator = np.add(coeff, 1.0, out=abs_margin)
-                np.copyto(coeff, 1.0, where=np.less_equal(margin, 0.0, out=mask))
-                coeff /= denominator
-                coeff *= y
-        gw = -(X.T @ coeff) / n + 2.0 * spec.l2_penalty * w
-        gb = -(coeff.sum() / n)
-        w = w - lr * gw
-        b = b - lr * gb
-    return TrainedModel(spec, data.schema, ((w[:, None], np.array([b])),))
+        # margin = y * (X @ w + b)
+        np.matmul(X, w, out=margin[..., None])
+        margin += b
+        margin *= y
+        np.abs(margin, out=abs_margin)
+        if not (abs_margin.max() <= limit and spec.l2_penalty * np.vdot(w, w) <= limit):
+            terms = np.maximum(0.0, 1.0 - margin) if hinge else np.logaddexp(0.0, -margin)
+            penalty = spec.l2_penalty * (w.transpose(0, 2, 1) @ w)[:, 0, 0]
+            for fit in np.flatnonzero(~np.isfinite(terms.mean(axis=1) + penalty)):
+                diverged.setdefault(int(fit), epoch)
+            if 0 in diverged:
+                break
+        if hinge:
+            # coeff = y * ((1 - margin) > 0); 1 - margin > 0 exactly when margin < 1
+            np.multiply(y, np.less(margin, 1.0, out=mask), out=coeff)
+        else:
+            # coeff = y * sigmoid(-margin): e = exp(-|margin|), then 1 / (1 + e)
+            # where -margin >= 0 and e / (1 + e) elsewhere
+            np.exp(np.negative(abs_margin, out=coeff), out=coeff)
+            denominator = np.add(coeff, 1.0, out=abs_margin)
+            np.copyto(coeff, 1.0, where=np.less_equal(margin, 0.0, out=mask))
+            coeff /= denominator
+            coeff *= y
+        gw = -(X.transpose(0, 2, 1) @ coeff[..., None]) / n + 2.0 * spec.l2_penalty * w
+        gb = -(coeff.sum(axis=1, keepdims=True) / n)
+        w = w - spec.learning_rate * gw
+        b = b - spec.learning_rate * gb
+    if diverged:
+        raise DivergenceError(f"non-finite loss at epoch {diverged[min(diverged)]}")
+    return [TrainedModel(spec, data.schema, ((w[i], b[i]),)) for i, data in enumerate(sets)]
 
 
 def _layer_views(flat: np.ndarray, dims: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -369,14 +377,32 @@ def _train_mlp(spec: ModelSpec, sets: list[Dataset]) -> list[TrainedModel]:
     ]
 
 
+def train_many(spec: ModelSpec, sets: list[Dataset]) -> list[TrainedModel]:
+    """One model per dataset, or the first error of a loop of `train` calls.
+
+    Consecutive datasets of one row count train as one stacked model. The
+    datasets before the first untrainable one train before its TrainingError
+    is raised, so an earlier divergence wins, as it does in the loop.
+    """
+    usable, fault = sets, None
+    for i, data in enumerate(sets):
+        try:
+            _check_trainable(data)
+        except TrainingError as exc:
+            usable, fault = sets[:i], exc
+            break
+    fit = _train_mlp if spec.kind == "mlp" else partial(_train_linear, hinge=spec.kind == "linear_svm")
+    models = []
+    for _, group in itertools.groupby(usable, key=lambda data: data.n):
+        models += fit(spec, list(group))
+    if fault is not None:
+        raise fault
+    return models
+
+
 def train(spec: ModelSpec, data: Dataset) -> TrainedModel:
     """Fit a model; deterministic given (spec, data)."""
-    _check_trainable(data)
-    if spec.kind == "logistic_regression":
-        return _train_linear(spec, data, hinge=False)
-    if spec.kind == "linear_svm":
-        return _train_linear(spec, data, hinge=True)
-    return _train_mlp(spec, [data])[0]
+    return train_many(spec, [data])[0]
 
 
 def parallel_perturb(model: TrainedModel, delta_m: float) -> TrainedModel:
@@ -402,28 +428,6 @@ def accuracy(model: TrainedModel, data: Dataset) -> float:
     return 100.0 * float(np.mean(model.predict(data.X) == data.y))
 
 
-def _train_mlp_folds(spec: ModelSpec, sets: list[Dataset]) -> list[TrainedModel]:
-    """What a loop of `train` calls, one per set, gives: the MLPs, or its first error.
-
-    Consecutive sets of one size train as one stacked model. The sets before
-    the first untrainable one train before its TrainingError is raised, so an
-    earlier divergence wins, as it does in the loop.
-    """
-    usable, fault = sets, None
-    for i, data in enumerate(sets):
-        try:
-            _check_trainable(data)
-        except TrainingError as exc:
-            usable, fault = sets[:i], exc
-            break
-    models = []
-    for _, group in itertools.groupby(usable, key=lambda data: data.n):
-        models += _train_mlp(spec, list(group))
-    if fault is not None:
-        raise fault
-    return models
-
-
 def cross_val_accuracy(spec: ModelSpec, data: Dataset, k: int) -> float:
     """Mean held-out accuracy over k seeded, disjoint, near-equal folds, in [0, 100]."""
     if k < 2:
@@ -437,10 +441,6 @@ def cross_val_accuracy(spec: ModelSpec, data: Dataset, k: int) -> float:
         mask = np.ones(data.n, dtype=bool)
         mask[fold] = False
         sets.append(data.subset(np.flatnonzero(mask)))
-    if spec.kind == "mlp":
-        # array_split gives at most two fold sizes, so at most two stacked fits
-        models = _train_mlp_folds(spec, sets)
-    else:
-        # stacked linear fits were slower than this loop
-        models = [train(spec, fold_data) for fold_data in sets]
+    # array_split gives at most two fold sizes, so at most two stacked fits
+    models = train_many(spec, sets)
     return float(np.mean([accuracy(m, data.subset(fold)) for m, fold in zip(models, folds)]))

@@ -453,21 +453,24 @@ def _enumerate(model, X, values, mask, cost, scm):
 
     Blocks of origins with at most _CAUSAL_BLOCK_ROWS candidates, listed origin
     by origin, share one propagation, model call and cost call. A block with
-    more, which is one origin, is scored in chunks of _CAUSAL_BLOCK_ROWS rows,
-    and its kept cost carries from chunk to chunk."""
+    more, which is one origin, is scored in chunks of at most
+    _CAUSAL_BLOCK_ROWS interventions, and its kept cost carries from chunk to
+    chunk."""
     points, iters = [None] * len(X), np.zeros(len(X), dtype=int)
     size = max(1, _CAUSAL_BLOCK_ROWS // max(1, len(values)))
     for start in range(0, len(X), size):
         block = X[start:start + size]
-        # a component that sets a variable to its current value is covered by a smaller combo
-        keep = ~np.any(mask & (values == block[:, None]), axis=2)
-        iters[start:start + len(block)] = keep.sum(axis=1)
-        origins, actions = np.nonzero(keep)
         kept_cost = np.full(len(block), np.inf)
-        for lo in range(0, len(origins), _CAUSAL_BLOCK_ROWS):
-            origin, action = origins[lo:lo + _CAUSAL_BLOCK_ROWS], actions[lo:lo + _CAUSAL_BLOCK_ROWS]
+        for lo in range(0, len(values), _CAUSAL_BLOCK_ROWS):
+            chunk = slice(lo, lo + _CAUSAL_BLOCK_ROWS)
+            # a component that sets a variable to its current value is covered by a smaller combo
+            keep = ~np.any(mask[chunk] & (values[chunk] == block[:, None]), axis=2)
+            iters[start:start + len(block)] += keep.sum(axis=1)
+            origin, action = np.nonzero(keep)
+            if not origin.size:
+                continue
             base = block[origin]
-            candidates = scm.propagate(base, values[action], mask[action])
+            candidates = scm.propagate(base, values[chunk][action], mask[chunk][action])
             accepted = model.decision_values(candidates) >= 0.0
             costs = cost.pairwise(base, candidates)
             for k in range(origin[0], origin[-1] + 1):

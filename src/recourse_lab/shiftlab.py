@@ -29,7 +29,7 @@ from .dataset import (
     synth_shift,
 )
 from .errors import ConfigError, DegenerateMetricError, RecourseLabError, SchemaMismatchError
-from .models import ModelSpec, TrainedModel, cross_val_accuracy, train
+from .models import ModelSpec, TrainedModel, cross_val_accuracy, train, train_many
 from .recourse import CostFn, RecourseSet, Scm, _causal_scm, batch_recourse, method_params
 from .util import derive_seed
 
@@ -200,9 +200,8 @@ def _training_sample(cfg: ExperimentConfig, source, split_name: str) -> Dataset:
     return _less_holdout(cfg, _materialize(source), split_name)
 
 
-def _prepare(cfg: ExperimentConfig, d1_train: Dataset) -> RecourseSet:
-    """The recourses against M1, the model trained on d1_train; M1 is the set's model."""
-    m1 = train(cfg.model_spec, d1_train)
+def _prepare(cfg: ExperimentConfig, m1: TrainedModel, d1_train: Dataset) -> RecourseSet:
+    """The recourses against M1 from d1_train, the sample M1 was trained on."""
     return batch_recourse(
         m1, d1_train, cfg.method, cfg.cost,
         params=cfg.method_params, seed=cfg.seeds.recourse, scm=cfg.scm,
@@ -310,7 +309,7 @@ def run_pipeline(cfg: ExperimentConfig, jobs: int = 1) -> InvalidationReport:
                                     _less_holdout(cfg, loaded[1], "d2-split"))
     del loaded  # the full samples; only their training rows are used from here
     with _cv_reads(cfg.model_spec, samples, cfg.cv_folds, min(jobs - 1, len(samples))) as cv:
-        cf1 = _prepare(cfg, d1_train)
+        cf1 = _prepare(cfg, train(cfg.model_spec, d1_train), d1_train)
         flags, _ = _evaluate_m2(cf1.points, train(cfg.model_spec, d2_train))
         m1_acc, m2_acc = (read() for read in cv)
     return InvalidationReport(
@@ -328,13 +327,6 @@ class SweepPoint:
     alpha: float
     invalidation_pct: float | None
     cf1_size: int
-
-
-def _sweep_point(cfg: ExperimentConfig, d2_source: ShiftSpec, points: np.ndarray) -> SweepPoint:
-    """M2 trained on d2_source's sample, and how many of the recourse points it rejects."""
-    d2_train = _training_sample(cfg, d2_source, "d2-split")
-    _, pct = _evaluate_m2(points, train(cfg.model_spec, d2_train))
-    return SweepPoint(d2_source.alpha, pct, len(points))
 
 
 def sweep_sources(scenario: str, alphas, base: ExperimentConfig) -> list[ShiftSpec]:
@@ -365,14 +357,18 @@ def sweep_sources(scenario: str, alphas, base: ExperimentConfig) -> list[ShiftSp
 def sensitivity_sweep(scenario: str, alphas, base: ExperimentConfig) -> list[SweepPoint]:
     """One pipeline run per shift magnitude, with the d1 sample and model fixed.
 
-    Every alpha (see sweep_sources) is validated before any training. The d1
-    side is prepared once, then each alpha's d2 side, all in this process. The
-    sweep trains no CV folds: a SweepPoint holds no accuracy. Invalidation and
-    CF1 size match per-alpha run_pipeline calls exactly (all stages are pure).
+    Every alpha (see sweep_sources) is validated before any training. M1 and
+    every M2 train in one train_many call before the search, which runs once
+    the d2 samples are dropped. No CV folds: a SweepPoint holds no accuracy.
+    Invalidation and CF1 size match per-alpha run_pipeline calls exactly.
     """
     specs = sweep_sources(scenario, alphas, base)
-    points = _prepare(base, _training_sample(base, base.d1_source, "d1-split")).points
-    return [_sweep_point(base, spec, points) for spec in specs]
+    d1_train = _training_sample(base, base.d1_source, "d1-split")
+    m1, *m2s = train_many(base.model_spec, [
+        d1_train, *(_training_sample(base, spec, "d2-split") for spec in specs)])
+    points = _prepare(base, m1, d1_train).points
+    return [SweepPoint(spec.alpha, _evaluate_m2(points, m2)[1], len(points))
+            for spec, m2 in zip(specs, m2s)]
 
 
 def sweep_csv_text(points) -> str:

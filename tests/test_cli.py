@@ -851,6 +851,7 @@ class TestExitCodesAgree:
             raise AssertionError("config errors must come before any training")
 
         monkeypatch.setattr(shiftlab, "train", no_training)
+        monkeypatch.setattr(shiftlab, "train_many", no_training)
         cfg = write_config(tmp_path, model={"kind": "mlp", "hidden_layers": [4]},
                            recourse={"method": "ar", "params": {"n_samples": 5}})
         argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
@@ -866,6 +867,7 @@ class TestExitCodesAgree:
             raise AssertionError("config errors must come before any training")
 
         monkeypatch.setattr(shiftlab, "train", no_training)
+        monkeypatch.setattr(shiftlab, "train_many", no_training)
         monkeypatch.setattr(models, "train", no_training)
         # the synthetic samples have 2 features; the default chain needs 3
         cfg = write_config(tmp_path, recourse={"method": "causal", "params": {}})
@@ -927,16 +929,17 @@ class TestExitCodesAgree:
 
 
 def count_train_calls(monkeypatch):
-    """Log the model kind of every train call made through models or shiftlab."""
+    """Log the model kind of every fit: `train` and the CV folds fit through
+    models.train_many, and the sweep calls it through shiftlab."""
     calls = []
-    real_train = models.train
+    real_train_many = models.train_many
 
-    def counting(spec, data):
-        calls.append(spec.kind)
-        return real_train(spec, data)
+    def counting(spec, sets):
+        calls.extend(spec.kind for _ in sets)
+        return real_train_many(spec, sets)
 
-    monkeypatch.setattr(models, "train", counting)
-    monkeypatch.setattr(shiftlab, "train", counting)
+    monkeypatch.setattr(models, "train_many", counting)
+    monkeypatch.setattr(shiftlab, "train_many", counting)
     return calls
 
 

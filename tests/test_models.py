@@ -1,6 +1,10 @@
 import itertools
+import os
+import platform
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from hypothesis import strategies as st
 
 import recourse_lab as rl
 from recourse_lab import models
-from recourse_lab.models import _train_mlp_folds
+from recourse_lab.models import train_many
 from recourse_lab.errors import (
     DivergenceError,
     SchemaMismatchError,
@@ -235,7 +239,9 @@ class TestTrainingOracles:
 
     def test_divergence_epoch_matches(self):
         data = rl.synth_base(300, 1)
-        epochs = set()
+        # features of 1e100 make the same fit diverge at an earlier epoch
+        scaled = rl.Dataset(data.schema, data.X * 1e100, data.y)
+        epochs, seen = set(), set()
         for kind in ("logistic_regression", "linear_svm"):
             for lr in (1.0, 1e5, 1e50, 1e100, 1e150, 1e160, 1e200, 1e300):
                 for l2 in (0.0, 1e-4, 1.0, 1e3):
@@ -248,7 +254,47 @@ class TestTrainingOracles:
                         epochs.add(int(want.rsplit(" ", 1)[1]))
                     else:
                         rl.train(spec, data)
+                    # stacked, the first diverging fit in order names its own epoch
+                    wants = {"data": want, "scaled": reference_train_linear(spec, scaled)}
+                    wants = {name: w if isinstance(w, str) else None for name, w in wants.items()}
+                    for order in (("data", "scaled"), ("scaled", "data")):
+                        sets = [{"data": data, "scaled": scaled}[name] for name in order]
+                        first = next((wants[name] for name in order if wants[name]), None)
+                        assert divergence_message(train_many, spec, sets) == first, (kind, lr, l2)
+                    if wants["data"] and wants["scaled"] and wants["data"] != wants["scaled"]:
+                        seen.add("a later fit diverges at an earlier epoch")
+                    if wants["scaled"] and not wants["data"]:
+                        seen.add("only the second fit diverges")
         assert len(epochs) >= 3 and min(epochs) >= 1
+        assert seen == {"a later fit diverges at an earlier epoch", "only the second fit diverges"}
+
+    @pytest.mark.parametrize("spec", [
+        rl.ModelSpec.logistic(epochs=60, seed=3),
+        rl.ModelSpec.svm(epochs=60, seed=3),
+        rl.ModelSpec.mlp(hidden_layers=(8,), learning_rate=1e-2, epochs=3, seed=3),
+    ], ids=["logistic", "svm", "mlp"])
+    def test_stacked_fits_equal_lone_fits(self, spec, monkeypatch):
+        # consecutive runs of one row count stack; a size may come back later
+        data = rl.synth_base(700, 4)
+        sizes = (400, 400, 399, 399, 400)
+        sets = [data.subset(np.arange(i, i + size)) for i, size in zip(range(0, 50, 10), sizes)]
+        stacked_fits = []
+        for name in ("_train_linear", "_train_mlp"):
+            real = getattr(models, name)
+            monkeypatch.setattr(models, name, lambda spec, group, *args, real=real, **kwargs: (
+                stacked_fits.append(len(group)) or real(spec, group, *args, **kwargs)))
+        got = train_many(spec, sets)
+        assert stacked_fits == [2, 2, 1]
+        for model, fit_data in zip(got, sets, strict=True):
+            if spec.kind == "mlp":
+                wants = [rl.train(spec, fit_data).layers, reference_train_mlp(spec, fit_data)]
+            else:
+                wants = [rl.train(spec, fit_data).layers]
+                np.testing.assert_allclose(np.r_[model.weight_vector, model.bias],
+                                           reference_train_linear(spec, fit_data), rtol=1e-12, atol=0)
+            for want in wants:
+                for (W, b), (W0, b0) in zip(model.layers, want, strict=True):
+                    assert np.array_equal(W, W0) and np.array_equal(b, b0)
 
     # diverging fits overflow on the way to a non-finite loss
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
@@ -272,7 +318,7 @@ class TestTrainingOracles:
             assert divergence_message(rl.train, spec, data) == lone, (lr, l2)
             # the first diverging fold names its own epoch
             first = next((want for want in folds if want), None)
-            assert divergence_message(_train_mlp_folds, spec, sets) == first, (lr, l2)
+            assert divergence_message(train_many, spec, sets) == first, (lr, l2)
             if first and not folds[0]:
                 seen.add("first diverging fold after fold 0")
         assert seen == {"logits above the cap, finite loss", "finite weights, non-finite loss",
@@ -285,7 +331,7 @@ class TestTrainingOracles:
         _, sets = cv_training_sets(data, 5, spec.seed)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for fit, arg in ((rl.train, data), (_train_mlp_folds, sets)):
+            for fit, arg in ((rl.train, data), (train_many, sets)):
                 with pytest.raises(DivergenceError, match="^non-finite loss at epoch 0$"):
                     fit(spec, arg)
 
@@ -303,8 +349,64 @@ class TestTrainingOracles:
         assert calls == [128, 128, 44] * 5
         calls.clear()
         _, sets = cv_training_sets(rl.synth_base(300, 1), 4, spec.seed)
-        _train_mlp_folds(spec, sets)
+        train_many(spec, sets)
         assert calls == [128, 97] * 5
+
+
+# Run in a fresh interpreter under one OpenBLAS kernel: prints the kernel's
+# name, or "?" where the library does not say, once train_many on 10 CV folds
+# has matched lone `train` calls bit for bit and the test-local references.
+KERNEL_CHECK = """
+import ctypes, glob, os
+import numpy as np
+import recourse_lab as rl
+from test_models import (cv_training_sets, reference_train_linear, reference_train_mlp,
+                         train_many)
+
+data = rl.synth_base(600, 2)
+for spec in (rl.ModelSpec.logistic(epochs=50), rl.ModelSpec.svm(epochs=50),
+             rl.ModelSpec.mlp(hidden_layers=(4,), learning_rate=1e-2, epochs=2)):
+    _, sets = cv_training_sets(data, 10, spec.seed)
+    for model, fit_data in zip(train_many(spec, sets), sets, strict=True):
+        if spec.kind == "mlp":
+            wants = [rl.train(spec, fit_data).layers, reference_train_mlp(spec, fit_data)]
+        else:
+            wants = [rl.train(spec, fit_data).layers]
+            np.testing.assert_allclose(np.r_[model.weight_vector, model.bias],
+                                       reference_train_linear(spec, fit_data), rtol=1e-12, atol=0)
+        for want in wants:
+            for (W, b), (W0, b0) in zip(model.layers, want, strict=True):
+                assert np.array_equal(W, W0) and np.array_equal(b, b0), spec.kind
+libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*"))
+corename = getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_corename64_", None) if libs else None
+if corename is None:
+    print("?")
+else:
+    corename.restype = ctypes.c_char_p
+    print(corename().decode())
+"""
+
+
+def openblas_dynamic_arch() -> bool:
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+@pytest.mark.skipif(not openblas_dynamic_arch() or platform.machine() not in ("x86_64", "AMD64"),
+                    reason="needs an x86-64 OpenBLAS built with DYNAMIC_ARCH")
+def test_stacked_fits_equal_lone_fits_under_every_kernel(fresh_env):
+    tests = str(Path(__file__).resolve().parent)
+    cores = []
+    for coretype in ("Prescott", "Sandybridge", "Haswell", "SkylakeX"):
+        env = {**fresh_env, "OPENBLAS_CORETYPE": coretype, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join((fresh_env["PYTHONPATH"], tests))}
+        proc = subprocess.run([sys.executable, "-c", KERNEL_CHECK], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, (coretype, proc.stderr)
+        cores.append(proc.stdout.strip())
+    # a CPU without AVX-512 may run another kernel for SkylakeX, but never
+    # the same one for Prescott and Haswell
+    assert "?" in cores or len(set(cores)) >= 3, cores
 
 
 class TestModelSpec:
@@ -593,7 +695,7 @@ class TestStackedFolds:
     def test_weights_equal_separate_fits(self, spec, n, k):
         _, sets = cv_training_sets(rl.synth_base(n, 3), k, spec.seed)
         assert len({fold_data.n for fold_data in sets}) == (1 if n % k == 0 else 2)
-        stacked = _train_mlp_folds(spec, sets)
+        stacked = train_many(spec, sets)
         for model, fold_data in zip(stacked, sets, strict=True):
             for want in (rl.train(spec, fold_data).layers, reference_train_mlp(spec, fold_data)):
                 for (W, b), (W0, b0) in zip(model.layers, want, strict=True):

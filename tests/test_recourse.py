@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -21,6 +22,7 @@ from recourse_lab.recourse import (
     _ar_batch,
     _causal_batch,
     _cfe_batch,
+    _enumerate,
     _intervention_rows,
     _kept_candidate,
     _percentile_grid,
@@ -77,6 +79,14 @@ def readme_m1():
     train, _ = rl.split(d1, 0.1, derive_seed(0, "d1-split"))
     spec = rl.ModelSpec.logistic(learning_rate=0.5, epochs=300, l2_penalty=1e-4, seed=1)
     return train, rl.train(spec, train)
+
+
+def one_origin_block_calls(X, values, mask, block_rows):
+    """The model calls _enumerate makes when each origin X[k] is a block of its
+    own: one per chunk of block_rows interventions that keeps a candidate."""
+    keep = ~np.any(mask & (values == X[:, None]), axis=2)
+    return sum(int(keep[:, lo:lo + block_rows].any(axis=1).sum())
+               for lo in range(0, len(values), block_rows))
 
 
 def count_decision_calls(monkeypatch):
@@ -874,6 +884,9 @@ class TestCausalRecourse:
         data = rl.Dataset(schema, X, model.predict(X))
         rows = np.flatnonzero(data.y == -1)[:12]
         p = method_params("ar")
+        values, mask = _intervention_rows(rl.Scm(tuple(rl.ScmVariable(n) for n in schema.names)),
+                                          schema, data, p["grid_percentiles"],
+                                          p["max_changed_features"])
         calls = count_decision_calls(monkeypatch)
         for norm in ("L1", "L2"):
             monkeypatch.setattr(recourse, "_CAUSAL_BLOCK_ROWS", 10**6)
@@ -883,7 +896,8 @@ class TestCausalRecourse:
             points, iters = _ar_batch(model, data, rows, rl.CostFn(norm), p, 0, None)
             assert iters.min() > _CAUSAL_BLOCK_ROWS and sum(calls) == iters.sum()
             assert max(calls) <= _CAUSAL_BLOCK_ROWS
-            assert len(calls) == sum(math.ceil(n / _CAUSAL_BLOCK_ROWS) for n in iters)
+            assert len(calls) == one_origin_block_calls(data.X[rows], values, mask,
+                                                        _CAUSAL_BLOCK_ROWS)
             assert all(pt is not None for pt in points)
             assert all(a.tobytes() == b.tobytes() for a, b in zip(points, want, strict=True))
 
@@ -921,17 +935,21 @@ class TestPercentileGrid:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("percentiles", [
         DECILE_PERCENTILES, (0, 25, 50, 75, 100), (90, 10, 50, 10, 90), (50,),
+        (100, 0, 62.5, 100, 12.5, 0, 37.5),
     ])
     def test_equals_unique_of_percentiles(self, seed, percentiles):
         # ties, repeats and both signs of zero, which np.unique keeps in sorted order
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 40))
         columns = [
-            rng.standard_normal(n),
-            rng.integers(-3, 4, n).astype(float),
-            np.where(rng.random(n) < 0.5, 0.0, -0.0),
-            np.where(rng.random(n) < 0.6, rng.choice([-0.0, 0.0], n), rng.integers(-2, 3, n)),
-            np.full(n, 2.5),
+            column
+            for n in range(1, 51)
+            for column in (
+                rng.standard_normal(n),
+                rng.integers(-3, 4, n).astype(float),
+                np.where(rng.random(n) < 0.5, 0.0, -0.0),
+                np.where(rng.random(n) < 0.6, rng.choice([-0.0, 0.0], n), rng.integers(-2, 3, n)),
+                np.full(n, 2.5),
+            )
         ]
         for column in columns:
             got = _percentile_grid(column, percentiles)
@@ -982,6 +1000,32 @@ class TestInterventionRows:
         assert got[0].shape == (91215, 10)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want, strict=True))
         assert peak <= 1.5 * sum(a.nbytes for a in got)
+
+    def test_enumeration_memory_stays_within_the_block_bound(self):
+        # 91 215 interventions on a parentless SCM, so each origin is a block of
+        # its own whose candidates would fill 3.2 MB of masks and indices at once
+        schema = rl.FeatureSchema(tuple(rl.FeatureSpec(f"x{i}") for i in range(10)))
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((200, 10))
+        data = rl.Dataset(schema, X, np.where(X[:, 0] > 0, 1, -1))
+        model = rl.linear_model(rng.standard_normal(10), 3.0, schema)
+        scm = rl.Scm(tuple(rl.ScmVariable(name) for name in schema.names))
+        values, mask = _intervention_rows(scm, schema, data, DECILE_PERCENTILES, 3)
+        tracemalloc.start()
+        try:
+            points, iters = _enumerate(model, X[:5], values, mask, rl.CostFn("L2"), scm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        # the points and counts of the enumeration that held an origin's candidates at once
+        assert iters.tolist() == [88217, 91215, 85292, 88217, 91215]
+        digest = hashlib.sha256()
+        for point in points:
+            digest.update(point.tobytes())
+        digest.update(iters.astype(np.int64).tobytes())
+        assert digest.hexdigest() == (
+            "ad0d0ceb510d5e352b95744a148c42573447f6aecfde280500a7c97c53f4e7fc")
 
 
 @pytest.fixture(scope="module")
@@ -1136,7 +1180,9 @@ class TestBatchRecourse:
         if block_rows >= 270:
             assert len(calls) == math.ceil(rows.size / per_block)
         else:
-            assert len(calls) == sum(math.ceil(n / block_rows) for n in iters)
+            values, mask = _intervention_rows(rl.default_chain_scm(), data.schema, data,
+                                              p["grid_percentiles"], p["max_intervened"])
+            assert len(calls) == one_origin_block_calls(data.X[rows], values, mask, block_rows)
         assert max(calls) <= block_rows
         assert sum(calls) == iters.sum() > 0
         assert np.array_equal(iters, want_iters)

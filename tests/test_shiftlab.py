@@ -1,4 +1,5 @@
 import json
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -38,7 +39,7 @@ def small_config(**overrides):
 def prepare(cfg):
     """The d1 training sample and the recourses against M1, the set's model."""
     d1_train = _training_sample(cfg, cfg.d1_source, "d1-split")
-    return d1_train, _prepare(cfg, d1_train)
+    return d1_train, _prepare(cfg, rl.train(cfg.model_spec, d1_train), d1_train)
 
 
 class TestConfig:
@@ -267,6 +268,25 @@ class TestSensitivitySweep:
         )
         assert points[0].invalidation_pct == solo.invalidation_pct
         assert points[0].cf1_size == solo.cf1_size
+
+    def test_trains_every_model_in_one_call_before_the_search(self, monkeypatch):
+        # M1 and both M2s train together, and the d2 samples are gone before the search
+        events, d2_samples = [], []
+        real_train_many, real_search = shiftlab.train_many, shiftlab.batch_recourse
+
+        def recording_train_many(spec, sets):
+            events.append(("train_many", len(sets)))
+            d2_samples.extend(weakref.ref(data) for data in sets[1:])
+            return real_train_many(spec, sets)
+
+        def recording_search(*args, **kwargs):
+            events.append(("search", sum(ref() is not None for ref in d2_samples)))
+            return real_search(*args, **kwargs)
+
+        monkeypatch.setattr(shiftlab, "train_many", recording_train_many)
+        monkeypatch.setattr(shiftlab, "batch_recourse", recording_search)
+        rl.sensitivity_sweep("target_shift", [0.0, 0.4], small_config())
+        assert events == [("train_many", 3), ("search", 0)]
 
     def test_runs_no_cross_validation(self, monkeypatch):
         # sweep.csv prints no accuracy, so the sweep may fit no CV fold
