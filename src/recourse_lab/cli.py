@@ -323,8 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    jobs_help = ("most processes doing work at once "
-                 "(default: usable CPUs, or 1 where processes cannot fork; here %(default)s)")
+    jobs_help = ("most processes doing work at once; from 2 on, `run` forks one worker that "
+                 "cross-validates both samples (default: usable CPUs, or 1 where processes "
+                 "cannot fork; here %(default)s)")
 
     p_run = sub.add_parser("run", help="run the paired-model pipeline from a JSON config")
     p_run.add_argument("--config", required=True)

@@ -206,11 +206,12 @@ class ShiftSpec:
 def load_csv(path, schema: FeatureSchema) -> Dataset:
     """Read a comma-separated file whose header holds the schema columns plus the label.
 
-    Labels may be given as {-1,+1} or {0,1}; 0 maps to -1.
+    Labels may be given as {-1,+1} or {0,1}; 0 maps to -1. A leading UTF-8
+    byte-order mark, as spreadsheet programs write one, is skipped.
     """
     import csv  # only a CSV source reads one
 
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -207,20 +207,17 @@ def _check_trainable(data: Dataset) -> None:
 
 # overflow to inf is exactly what the divergence check looks for
 @np.errstate(over="ignore", invalid="ignore")
-def _train_linear(spec: ModelSpec, sets: list[Dataset], hinge: bool) -> list[TrainedModel]:
-    """One linear model per dataset, fitted as one stacked model; the datasets
-    share a row count. Full-batch gradient descent on the mean hinge (SVM) or
+def _train_linear(spec: ModelSpec, X: np.ndarray, y: np.ndarray, hinge: bool):
+    """k linear fits on stacked (k, n, d) X and (k, n) y, as train_many's
+    trainers do. Full-batch gradient descent on the mean hinge (SVM) or
     softplus (LR) loss plus the L2 penalty, with _train_mlp's stacking: per
-    fit the BLAS calls of a lone fit, so equal weights bit for bit, and the
-    first diverging fit in order raises DivergenceError with its own epoch.
+    fit the BLAS calls of a lone fit, so equal weights bit for bit.
 
     Each epoch writes its sample-sized arrays into (k, n) buffers made once,
     and takes |margin| once for both the divergence check and the logistic
     term, whose y * sigmoid(-margin) it computes from that |margin| with
     util.sigmoid's arithmetic, bit for bit.
     """
-    X = np.stack([data.X for data in sets])
-    y = np.stack([data.y for data in sets]).astype(float)
     k, n, d = X.shape
     # each fit's weights as a column, so a stacked product is a batch of matrix-vector calls
     w = np.zeros((k, d, 1))
@@ -260,9 +257,7 @@ def _train_linear(spec: ModelSpec, sets: list[Dataset], hinge: bool) -> list[Tra
         gb = -(coeff.sum(axis=1, keepdims=True) / n)
         w = w - spec.learning_rate * gw
         b = b - spec.learning_rate * gb
-    if diverged:
-        raise DivergenceError(f"non-finite loss at epoch {diverged[min(diverged)]}")
-    return [TrainedModel(spec, data.schema, ((w[i], b[i]),)) for i, data in enumerate(sets)]
+    return [(w, b)], diverged
 
 
 def _layer_views(flat: np.ndarray, dims: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -281,22 +276,18 @@ def _layer_views(flat: np.ndarray, dims: list[int]) -> list[tuple[np.ndarray, np
 
 # overflow to inf is exactly what the divergence check looks for
 @np.errstate(over="ignore", invalid="ignore")
-def _train_mlp(spec: ModelSpec, sets: list[Dataset]) -> list[TrainedModel]:
-    """One MLP per dataset, fitted as one stacked model; the datasets share a row count.
+def _train_mlp(spec: ModelSpec, X: np.ndarray, y: np.ndarray):
+    """k MLP fits on stacked (k, n, d) X and (k, n) y, as train_many's trainers do.
 
     Every fit gets the initial weights and batch order of a lone fit, since
     both depend only on spec.seed and the row count, and each stacked matmul
     makes per fit the BLAS call of the lone fit's 2-D product, so the weights
-    equal those of separate fits bit for bit. A fit whose loss turns
-    non-finite raises DivergenceError once no earlier fit can: the first
-    diverging fit in order, with its own epoch.
+    equal those of separate fits bit for bit.
 
     Each epoch ends with a divergence check that bounds every fit's |logit|
     from its weights and max|X|, and runs the forward pass over the whole
     sample for the loss only when that bound could overflow.
     """
-    X = np.stack([data.X for data in sets])
-    y = np.stack([data.y for data in sets]).astype(float)
     k, n, d = X.shape
     # A layer maps |input| <= B to |output| <= B * max_j sum_i |W_ij| + max|b|
     # and ReLU does not grow it. Each softplus term is at most |logit| + 1, so
@@ -369,20 +360,20 @@ def _train_mlp(spec: ModelSpec, sets: list[Dataset]) -> list[TrainedModel]:
                 diverged.setdefault(int(fit), epoch)
         if 0 in diverged:
             break
-    if diverged:
-        raise DivergenceError(f"non-finite loss at epoch {diverged[min(diverged)]}")
-    return [
-        TrainedModel(spec, data.schema, tuple((W[i].copy(), b[i, 0].copy()) for W, b in params))
-        for i, data in enumerate(sets)
-    ]
+    return [(W, b[:, 0]) for W, b in params], diverged
 
 
 def train_many(spec: ModelSpec, sets: list[Dataset]) -> list[TrainedModel]:
     """One model per dataset, or the first error of a loop of `train` calls.
 
-    Consecutive datasets of one row count train as one stacked model. The
-    datasets before the first untrainable one train before its TrainingError
-    is raised, so an earlier divergence wins, as it does in the loop.
+    Consecutive datasets of one row count train as one stacked model: a
+    trainer takes their (k, n, d) X and (k, n) y and returns each layer's
+    (W, b) with the k fits stacked on a leading axis, and {fit: first epoch
+    with a non-finite loss}. A trainer may stop once fit 0 diverges, so the
+    first diverging fit in order raises DivergenceError with its own epoch.
+    The datasets before the first untrainable one train before its
+    TrainingError is raised, so an earlier divergence wins, as it does in
+    the loop.
     """
     usable, fault = sets, None
     for i, data in enumerate(sets):
@@ -394,7 +385,15 @@ def train_many(spec: ModelSpec, sets: list[Dataset]) -> list[TrainedModel]:
     fit = _train_mlp if spec.kind == "mlp" else partial(_train_linear, hinge=spec.kind == "linear_svm")
     models = []
     for _, group in itertools.groupby(usable, key=lambda data: data.n):
-        models += fit(spec, list(group))
+        group = list(group)
+        layers, diverged = fit(spec, np.stack([data.X for data in group]),
+                               np.stack([data.y for data in group]).astype(float))
+        if diverged:
+            raise DivergenceError(f"non-finite loss at epoch {diverged[min(diverged)]}")
+        models += [
+            TrainedModel(spec, data.schema, tuple((W[i].copy(), b[i].copy()) for W, b in layers))
+            for i, data in enumerate(group)
+        ]
     if fault is not None:
         raise fault
     return models

@@ -215,70 +215,57 @@ def _evaluate_m2(points: np.ndarray, m2: TrainedModel) -> tuple[np.ndarray, floa
     return flags, _percent(flags)
 
 
-def _fork_cv(spec: ModelSpec, samples, folds: int) -> tuple[int, io.BufferedReader]:
-    """Fork a child that cross-validates each of `samples` in order; return its
-    pid and the read end of its pipe. The child inherits the samples, so
-    nothing is pickled into it. For each sample it pickles (True, accuracy)
-    or (False, the exception) into the pipe, then it leaves by os._exit."""
+def _cross_validate(spec: ModelSpec, samples, folds: int) -> list[float]:
+    """The CV accuracy of each sample in order; the first error stops the list."""
+    # looked up when called, so a forked child runs whatever this module binds to that name
+    return [cross_val_accuracy(spec, data, folds) for data in samples]
+
+
+@contextlib.contextmanager
+def _forked_cv(spec: ModelSpec, samples, folds: int):
+    """Fork one child that runs _cross_validate while this process goes on,
+    and yield a call that returns its accuracies or raises its error. The
+    child inherits the samples, so nothing is pickled into it; it pickles
+    (True, the accuracies) or (False, the first error) into a pipe as one
+    message, then leaves by os._exit. Leaving the block reaps the child, and
+    SIGKILLs it first if the block raises."""
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
             os.close(read_fd)
+            try:
+                result = (True, _cross_validate(spec, samples, folds))
+            except Exception as exc:
+                result = (False, exc)
             with open(write_fd, "wb") as pipe:
-                for data in samples:
-                    try:
-                        # looked up when called, so the child runs whatever this
-                        # module binds to that name
-                        result = (True, cross_val_accuracy(spec, data, folds))
-                    except Exception as exc:
-                        result = (False, exc)
-                    pickle.dump(result, pipe)
-                    pipe.flush()
+                pickle.dump(result, pipe)
             code = 0
         finally:
             os._exit(code)
     os.close(write_fd)
-    return pid, open(read_fd, "rb")
+    pipe = open(read_fd, "rb")
 
+    def read() -> list[float]:
+        try:
+            ok, value = pickle.load(pipe)
+        except (EOFError, pickle.UnpicklingError):
+            raise RecourseLabError(f"cross-validation worker {pid} ended without a result") from None
+        if not ok:
+            raise value
+        return value
 
-def _cv_result(pid: int, pipe) -> float:
-    """The next accuracy that child `pid` sends; raises the error it sends instead."""
     try:
-        ok, value = pickle.load(pipe)
-    except (EOFError, pickle.UnpicklingError):
-        raise RecourseLabError(f"cross-validation worker {pid} ended without a result") from None
-    if not ok:
-        raise value
-    return value
-
-
-@contextlib.contextmanager
-def _cv_reads(spec: ModelSpec, samples, folds: int, workers: int):
-    """One call per sample that returns its CV accuracy. With workers == 0 the
-    call cross-validates in this process. Otherwise `workers` forked children
-    run the CVs while this process goes on, child i the samples i, i +
-    workers, ...; leaving the block reaps every child, and SIGKILLs them all
-    first if the block raises."""
-    if not workers:
-        yield [partial(cross_val_accuracy, spec, data, folds) for data in samples]
-        return
-    children = []
-    try:
-        for i in range(workers):
-            children.append(_fork_cv(spec, samples[i::workers], folds))
-        yield [partial(_cv_result, *children[i % workers]) for i in range(len(samples))]
+        yield read
     except BaseException:
-        import signal  # only a failing parallel run kills its children
+        import signal  # only a failing parallel run kills its child
 
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
+        os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for pid, pipe in children:
-            pipe.close()
-            os.waitpid(pid, 0)
+        pipe.close()
+        os.waitpid(pid, 0)
 
 
 def run_pipeline(cfg: ExperimentConfig, jobs: int = 1) -> InvalidationReport:
@@ -286,14 +273,14 @@ def run_pipeline(cfg: ExperimentConfig, jobs: int = 1) -> InvalidationReport:
 
     Both training samples are loaded before any training, and each must
     hold at least cv_folds rows, or ConfigError names its source's `n` or
-    `path`. With jobs > 1, min(jobs - 1, 2) children forked by os.fork
-    cross-validate the two samples while this process trains M1, searches
-    recourses, trains M2 and evaluates; with jobs == 1 the CV runs last, in
-    this process. The report is the same at every `jobs`, and so is the
-    first error: this process raises its own before it reads a child's
-    result, and reads the d1 CV before the d2 CV. When this process raises,
-    it kills and reaps every child first; a child that ends without sending
-    its result raises RecourseLabError.
+    `path`. With jobs > 1, one child forked by os.fork cross-validates both
+    samples while this process trains M1, searches recourses, trains M2 and
+    evaluates; with jobs == 1 the CV runs last, in this process. The report
+    is the same at every `jobs`, and so is the first error: this process
+    raises its own before it reads the child's result, and the d1 CV runs
+    before the d2 CV. When this process raises, it kills and reaps the child
+    first; a child that ends without sending its result raises
+    RecourseLabError.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
@@ -308,10 +295,12 @@ def run_pipeline(cfg: ExperimentConfig, jobs: int = 1) -> InvalidationReport:
     d1_train, d2_train = samples = (_less_holdout(cfg, loaded[0], "d1-split"),
                                     _less_holdout(cfg, loaded[1], "d2-split"))
     del loaded  # the full samples; only their training rows are used from here
-    with _cv_reads(cfg.model_spec, samples, cfg.cv_folds, min(jobs - 1, len(samples))) as cv:
+    cv = (_forked_cv(cfg.model_spec, samples, cfg.cv_folds) if jobs > 1 else
+          contextlib.nullcontext(partial(_cross_validate, cfg.model_spec, samples, cfg.cv_folds)))
+    with cv as accuracies:
         cf1 = _prepare(cfg, train(cfg.model_spec, d1_train), d1_train)
         flags, _ = _evaluate_m2(cf1.points, train(cfg.model_spec, d2_train))
-        m1_acc, m2_acc = (read() for read in cv)
+        m1_acc, m2_acc = accuracies()
     return InvalidationReport(
         algorithm=ALGORITHM_LABELS[cfg.method],
         model_kind=MODEL_LABELS[cfg.model_spec.kind],

@@ -56,14 +56,19 @@ def canonical_json(obj) -> str:
 def atomic_write_text(path, text) -> None:
     """Write-then-rename so readers never observe a partial file. `text` is a
     string or an iterable of strings, written in order; if the iterable
-    raises, neither the file nor its temporary remains."""
+    raises, neither the file nor its temporary remains. The file gets the
+    mode a plain open would give it, 0o666 less the umask."""
     import tempfile  # only `run` and `sweep` write files
 
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
+    # mkstemp makes its file 0o600 whatever the umask; reading the umask sets it
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.chmod(tmp, 0o666 & ~umask)
             if isinstance(text, str):
                 fh.write(text)
             else:

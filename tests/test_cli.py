@@ -353,12 +353,16 @@ class TestRunCommand:
                      "features": [{"name": "x0"}, {"name": "x1", "actionable": False}],
                      "label": "label"}}},
                  "scm": [{"name": "x0", "intervenable": False}, {"name": "x1"}]}),
+        ("d1_source", {"d1_source": {}}),
+        ("d1_source", {"d1_source": {
+            "synthetic": {"scenario": "target_shift", "alpha": 0.0, "n": 1200, "seed": 31},
+            "csv": {"path": "d1.csv", "schema": CHAIN_SCHEMA}}}),
     ], ids=["step-str", "inner-iters-negative", "percentile-200", "hidden-float", "hidden-str",
             "scm-entry-int", "scm-parent-key", "rate-bool", "epochs-bool", "l2-nan", "l2-inf",
             "method-holdout-fraction", "method-n-samples", "cv-folds-1", "holdout-0.9",
             "synthetic-seed-negative", "model-seed-negative", "data-seed-negative",
             "recourse-seed-negative", "scm-3-variables", "scm-none-intervenable",
-            "scm-none-intervenable-and-actionable"])
+            "scm-none-intervenable-and-actionable", "source-neither", "source-both"])
     def test_bad_value_names_field(self, tmp_path, capsys, monkeypatch, field, overrides):
         def no_training(*args, **kwargs):
             raise AssertionError("config errors must come before any training")
@@ -460,6 +464,62 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "d2_source" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("keys, overrides", [
+        (("d1_source",), {}),
+        (("seeds",), {}),
+        (("seeds", "model"), {}),
+        (("model", "kind"), {}),
+        (("recourse", "method"), {}),
+        (("d2_source", "synthetic", "scenario"), {}),
+        (("d2_source", "synthetic", "alpha"), {}),
+        (("d2_source", "synthetic", "n"), {}),
+        (("d2_source", "synthetic", "seed"), {}),
+        (("d2_source", "csv", "path"), {"d2_source": {"csv": {"path": "d2.csv", "schema": CHAIN_SCHEMA}}}),
+        (("d2_source", "csv", "schema"), {"d2_source": {"csv": {"path": "d2.csv", "schema": CHAIN_SCHEMA}}}),
+        (("d2_source", "csv", "schema", "features"),
+         {"d2_source": {"csv": {"path": "d2.csv", "schema": CHAIN_SCHEMA}}}),
+        (("d2_source", "csv", "schema", "features", 1, "name"),
+         {"d2_source": {"csv": {"path": "d2.csv", "schema": CHAIN_SCHEMA}}}),
+        (("scm", 1, "name"), {"scm": CHAIN_SCM}),
+    ], ids=["top", "seeds", "seeds-model", "model-kind", "recourse-method", "synthetic-scenario",
+            "synthetic-alpha", "synthetic-n", "synthetic-seed", "csv-path", "csv-schema",
+            "schema-features", "feature-name", "scm-name"])
+    def test_missing_required_field_names_path(self, tmp_path, capsys, monkeypatch, keys,
+                                               overrides):
+        def no_work(*args, **kwargs):
+            raise AssertionError("config errors must come before any loading or training")
+
+        monkeypatch.setattr(shiftlab, "_materialize", no_work)
+        monkeypatch.setattr(shiftlab, "train", no_work)
+        cfg = write_config(tmp_path, **overrides)
+        doc = json.loads(cfg.read_text())
+        *parents, last = keys
+        section = doc
+        for key in parents:
+            section = section[key]
+        del section[last]
+        cfg.write_text(json.dumps(doc))
+        path = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in keys)[1:]
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: {path}: missing required field\n"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_output_files_get_the_umask_mode(tmp_path, umask):
+    # a plain open makes files 0o666 less the umask, and so must the atomic writes
+    cfg = write_config(tmp_path)
+    previous = os.umask(umask)
+    try:
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep"),
+                     "--scenario", "target_shift", "--alphas", "0,0.4"]) == 0
+    finally:
+        os.umask(previous)
+    modes = {f"{p.parent.name}/{p.name}": p.stat().st_mode & 0o777
+             for out in ("run", "sweep") for p in (tmp_path / out).iterdir()}
+    assert modes == dict.fromkeys(["run/report.csv", "run/report.json", "run/manifest.json",
+                                   "sweep/sweep.csv", "sweep/manifest.json"], 0o666 & ~umask)
+
 
 @pytest.mark.parametrize("existing", [None, "old text\n"])
 def test_atomic_write_leaves_nothing_when_chunks_raise(tmp_path, existing):
@@ -547,7 +607,7 @@ class TestSweepCommand:
             raise AssertionError("started work before checking --jobs")
 
         monkeypatch.setattr(shiftlab, "_prepare", no_work)
-        monkeypatch.setattr(shiftlab, "_fork_cv", no_work)
+        monkeypatch.setattr(shiftlab, "_forked_cv", no_work)
         cfg = write_config(tmp_path)
         for jobs in ("0", "-3"):
             assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s"),
@@ -568,7 +628,7 @@ class TestSweepCommand:
         def no_fork(*args, **kwargs):
             raise AssertionError("the sweep forked a CV child")
 
-        monkeypatch.setattr(shiftlab, "_fork_cv", no_fork)
+        monkeypatch.setattr(shiftlab, "_forked_cv", no_fork)
         cfg = write_config(tmp_path)
         files = []
         for jobs in ("1", "2", "64"):
@@ -768,6 +828,29 @@ class TestParallelRun:
         assert code == 1
         assert re.fullmatch(r"error: cross-validation worker \d+ ended without a result\n", err)
 
+    def test_cv_child_stops_at_the_first_error(self, tmp_path, capsys, monkeypatch):
+        # d1's CV fails (see test_failure_identical_at_every_jobs), so the one
+        # child sends that error without cross-validating d2
+        cfg = write_config(
+            tmp_path,
+            d1_source=write_chain_csv(tmp_path / "d1.csv", 23, 0.0, 1, [1] * 22 + [-1]),
+            d2_source=write_chain_csv(tmp_path / "d2.csv", 23, 0.3, 2, [-1] * 22 + [1]),
+            cv_folds=20,
+        )
+        log = tmp_path / "cv.pids"
+        cross_val_accuracy = shiftlab.cross_val_accuracy
+
+        def logging_cv(*args, **kwargs):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return cross_val_accuracy(*args, **kwargs)
+
+        monkeypatch.setattr(shiftlab, "cross_val_accuracy", logging_cv)
+        code, err, _ = self.run_at_jobs(cfg, tmp_path, capsys, "2")
+        assert code == 1 and "training data holds a single class (+1)" in err
+        pids = log.read_text().split()
+        assert len(pids) == 1 and pids[0] != str(os.getpid())
+
     def test_parent_error_kills_and_reaps_every_child(self, tmp_path, capsys, monkeypatch):
         def slow_cv(*args, **kwargs):
             time.sleep(20)
@@ -777,21 +860,23 @@ class TestParallelRun:
             raise TrainingError("M1 failed")
 
         forked = []
-        fork_cv = shiftlab._fork_cv
+        fork = os.fork
 
-        def recording_fork_cv(*args):
-            child = fork_cv(*args)
-            forked.append(child[0])
-            return child
+        def recording_fork():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
 
         monkeypatch.setattr(shiftlab, "cross_val_accuracy", slow_cv)
         monkeypatch.setattr(shiftlab, "_prepare", failing_prepare)
-        monkeypatch.setattr(shiftlab, "_fork_cv", recording_fork_cv)
+        monkeypatch.setattr(os, "fork", recording_fork)
         started = time.monotonic()
         code, err, _ = self.run_at_jobs(write_config(tmp_path), tmp_path, capsys, "3")
         assert time.monotonic() - started < 10
         assert code == 1 and err == "error: M1 failed\n"
-        assert len(forked) == 2
+        # one child however many jobs are allowed
+        assert len(forked) == 1
         for pid in forked:  # each was reaped, so it is no child of this process any more
             with pytest.raises(ChildProcessError):
                 os.waitpid(pid, os.WNOHANG)

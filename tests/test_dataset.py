@@ -163,6 +163,28 @@ class TestLoadCsv:
         data = rl.load_csv(p, two_feature_schema())
         assert data.X[0, 0] == 1.0 and data.X[0, 1] == 2.0
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # spreadsheet programs start a "CSV UTF-8" file with a UTF-8 byte-order mark
+        text = "x0,x1,label\n1.0,2.0,1\n0.5,-1.0,0\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        schema = two_feature_schema()
+        assert same_data(rl.load_csv(marked, schema), rl.load_csv(plain, schema))
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("", CsvParseError, "empty file"),
+        ("x0,x1,label\n1.0,2.0,1\n0.5,1\n", CsvParseError, r"row 1: expected 3 cells, got 2"),
+        ("x0,x1,label\n1.0,2.0,1\n0.5,-1.0,2\n", DataValidationError,
+         r"row 1: label 2.0 not in \{-1, 0, 1\}"),
+        ("x0,x1,label\n1.0,2.0,1\n0.5,-1.0,0.5\n", DataValidationError,
+         r"row 1: label 0.5 not in \{-1, 0, 1\}"),
+    ], ids=["empty", "short-row", "label-2", "label-half"])
+    def test_malformed_file_named_error(self, tmp_path, text, error, message):
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        with pytest.raises(error, match=message):
+            rl.load_csv(p, two_feature_schema())
 
 class TestSplit:
     def test_sizes_round_half_up(self):

@@ -174,6 +174,17 @@ def straight_model(actionable=(True, True, True)):
     return rl.linear_model([0.8, -0.5, 0.3], -2.5, schema)
 
 
+def test_stepped_walks_fail_on_a_flat_model():
+    # an ordinal schema sends a linear model through the stepped loop; zero
+    # weights give no gradient to climb, so every walker fails without a step
+    schema = rl.FeatureSchema((rl.FeatureSpec("level", kind="ordinal", lower=0, upper=10),))
+    model = rl.linear_model([0.0], -1.0, schema)
+    X = np.arange(6.0)[:, None]
+    points, iters = theory._markov_batch(model, X, 1.0, 0.5, np.ones(6), 50)
+    assert points == [None] * 6
+    assert np.array_equal(iters, np.zeros(6, dtype=int))
+
+
 class TestStraightWalks:
     @pytest.mark.parametrize("settle_at", [None, 0.5])
     def test_closed_form_matches_the_stepped_loop(self, settle_at):
