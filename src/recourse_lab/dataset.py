@@ -234,6 +234,8 @@ def load_csv(path, schema: FeatureSchema) -> Dataset:
 
         rows, labels = [], []
         for i, rec in enumerate(reader):
+            if not rec:  # a blank line, which csv.DictReader skips too
+                continue
             if len(rec) != len(header):
                 raise CsvParseError(f"row {i}: expected {len(header)} cells, got {len(rec)}")
             try:

@@ -405,7 +405,8 @@ def _intervention_rows(scm: Scm, schema: FeatureSchema, data: Dataset, percentil
     then variables, then grid values."""
     targets = _intervention_targets(scm, schema)
     grids = {j: _percentile_grid(data.X[:, j], percentiles) for j in targets}
-    combos = [list(combo) for r in range(1, max_intervened + 1)
+    # past len(targets) combinations yields nothing, but each r still costs r indices
+    combos = [list(combo) for r in range(1, min(max_intervened, len(targets)) + 1)
               for combo in itertools.combinations(targets, r)]
     sizes = [math.prod(len(grids[j]) for j in combo) for combo in combos]
     values = np.zeros((sum(sizes), scm.n_variables))

@@ -29,7 +29,8 @@ from .dataset import (
     synth_shift,
 )
 from .errors import ConfigError, DegenerateMetricError, RecourseLabError, SchemaMismatchError
-from .models import ModelSpec, TrainedModel, cross_val_accuracy, train, train_many
+# `train` stays bound here, unused: perfbench/spans.py wraps shiftlab.train when it traces
+from .models import ModelSpec, cross_val_accuracy, train, train_many
 from .recourse import CostFn, RecourseSet, Scm, _causal_scm, batch_recourse, method_params
 from .util import derive_seed
 
@@ -200,19 +201,17 @@ def _training_sample(cfg: ExperimentConfig, source, split_name: str) -> Dataset:
     return _less_holdout(cfg, _materialize(source), split_name)
 
 
-def _prepare(cfg: ExperimentConfig, m1: TrainedModel, d1_train: Dataset) -> RecourseSet:
-    """The recourses against M1 from d1_train, the sample M1 was trained on."""
-    return batch_recourse(
+def _invalidation(cfg: ExperimentConfig, d1_train: Dataset, d2_trains) -> tuple[RecourseSet, list]:
+    """CF1, the recourses against M1, and per M2 the flags of the CF1 points
+    it rejects. M1 trains on d1_train and one M2 on each of d2_trains, all in
+    one train_many call before the search, so a generator's d2 samples are
+    gone by the time it runs."""
+    m1, *m2s = train_many(cfg.model_spec, [d1_train, *d2_trains])
+    cf1 = batch_recourse(
         m1, d1_train, cfg.method, cfg.cost,
         params=cfg.method_params, seed=cfg.seeds.recourse, scm=cfg.scm,
     )
-
-
-def _evaluate_m2(points: np.ndarray, m2: TrainedModel) -> tuple[np.ndarray, float | None]:
-    """Invalidation flags under M2 of the recourse points, one per row, and
-    their percentage (None when there are no points)."""
-    flags = m2.predict(points) == -1
-    return flags, _percent(flags)
+    return cf1, [m2.predict(cf1.points) == -1 for m2 in m2s]
 
 
 def _cross_validate(spec: ModelSpec, samples, folds: int) -> list[float]:
@@ -274,13 +273,12 @@ def run_pipeline(cfg: ExperimentConfig, jobs: int = 1) -> InvalidationReport:
     Both training samples are loaded before any training, and each must
     hold at least cv_folds rows, or ConfigError names its source's `n` or
     `path`. With jobs > 1, one child forked by os.fork cross-validates both
-    samples while this process trains M1, searches recourses, trains M2 and
-    evaluates; with jobs == 1 the CV runs last, in this process. The report
-    is the same at every `jobs`, and so is the first error: this process
-    raises its own before it reads the child's result, and the d1 CV runs
-    before the d2 CV. When this process raises, it kills and reaps the child
-    first; a child that ends without sending its result raises
-    RecourseLabError.
+    samples while this process takes the sweep's step, _invalidation; with
+    jobs == 1 the CV runs last, in this process. The report is the same at
+    every `jobs`, and so is the first error: M1's training error, M2's, the
+    search's, then the d1 CV's and the d2 CV's. When this process raises, it
+    kills and reaps the child first; a child that ends without sending its
+    result raises RecourseLabError.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
@@ -298,8 +296,7 @@ def run_pipeline(cfg: ExperimentConfig, jobs: int = 1) -> InvalidationReport:
     cv = (_forked_cv(cfg.model_spec, samples, cfg.cv_folds) if jobs > 1 else
           contextlib.nullcontext(partial(_cross_validate, cfg.model_spec, samples, cfg.cv_folds)))
     with cv as accuracies:
-        cf1 = _prepare(cfg, train(cfg.model_spec, d1_train), d1_train)
-        flags, _ = _evaluate_m2(cf1.points, train(cfg.model_spec, d2_train))
+        cf1, [flags] = _invalidation(cfg, d1_train, [d2_train])
         m1_acc, m2_acc = accuracies()
     return InvalidationReport(
         algorithm=ALGORITHM_LABELS[cfg.method],
@@ -346,18 +343,16 @@ def sweep_sources(scenario: str, alphas, base: ExperimentConfig) -> list[ShiftSp
 def sensitivity_sweep(scenario: str, alphas, base: ExperimentConfig) -> list[SweepPoint]:
     """One pipeline run per shift magnitude, with the d1 sample and model fixed.
 
-    Every alpha (see sweep_sources) is validated before any training. M1 and
-    every M2 train in one train_many call before the search, which runs once
-    the d2 samples are dropped. No CV folds: a SweepPoint holds no accuracy.
-    Invalidation and CF1 size match per-alpha run_pipeline calls exactly.
+    Every alpha (see sweep_sources) is validated before any training. It
+    takes run_pipeline's step, _invalidation, with a generator of d2
+    samples. No CV folds: a SweepPoint holds no accuracy. Invalidation and
+    CF1 size match per-alpha run_pipeline calls exactly.
     """
     specs = sweep_sources(scenario, alphas, base)
     d1_train = _training_sample(base, base.d1_source, "d1-split")
-    m1, *m2s = train_many(base.model_spec, [
-        d1_train, *(_training_sample(base, spec, "d2-split") for spec in specs)])
-    points = _prepare(base, m1, d1_train).points
-    return [SweepPoint(spec.alpha, _evaluate_m2(points, m2)[1], len(points))
-            for spec, m2 in zip(specs, m2s)]
+    cf1, flags = _invalidation(
+        base, d1_train, (_training_sample(base, spec, "d2-split") for spec in specs))
+    return [SweepPoint(spec.alpha, _percent(f), cf1.size) for spec, f in zip(specs, flags)]
 
 
 def sweep_csv_text(points) -> str:

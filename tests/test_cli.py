@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import recourse_lab as rl
 from recourse_lab import cli, models, shiftlab, theory
 from recourse_lab.cli import main
-from recourse_lab.errors import TrainingError
+from recourse_lab.errors import SearchError, TrainingError
 from recourse_lab.util import atomic_write_text
 
 
@@ -367,7 +367,7 @@ class TestRunCommand:
         def no_training(*args, **kwargs):
             raise AssertionError("config errors must come before any training")
 
-        monkeypatch.setattr(shiftlab, "train", no_training)
+        monkeypatch.setattr(shiftlab, "train_many", no_training)
         cfg = write_config(tmp_path, **overrides)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert f"config error: {field}:" in capsys.readouterr().err
@@ -389,7 +389,7 @@ class TestRunCommand:
         def no_training(*args, **kwargs):
             raise AssertionError("config errors must come before any training")
 
-        monkeypatch.setattr(shiftlab, "train", no_training)
+        monkeypatch.setattr(shiftlab, "train_many", no_training)
         cfg = write_config(tmp_path, **overrides)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert f"config error: {field}: unknown key" in capsys.readouterr().err
@@ -407,7 +407,7 @@ class TestRunCommand:
         def no_training(*args, **kwargs):
             raise AssertionError("config errors must come before any training")
 
-        monkeypatch.setattr(shiftlab, "train", no_training)
+        monkeypatch.setattr(shiftlab, "train_many", no_training)
         schema_doc = {"features": [{"name": "x0"}, {"name": "x1", **entry}], "label": "label"}
         cfg = write_config(tmp_path, d1_source={"csv": {"path": "d1.csv", "schema": schema_doc}})
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -490,7 +490,7 @@ class TestRunCommand:
             raise AssertionError("config errors must come before any loading or training")
 
         monkeypatch.setattr(shiftlab, "_materialize", no_work)
-        monkeypatch.setattr(shiftlab, "train", no_work)
+        monkeypatch.setattr(shiftlab, "train_many", no_work)
         cfg = write_config(tmp_path, **overrides)
         doc = json.loads(cfg.read_text())
         *parents, last = keys
@@ -589,13 +589,13 @@ class TestSweepCommand:
 
     def test_parallel_sweep_prepares_once_in_caller(self, tmp_path, monkeypatch):
         calls = []
-        prepare = shiftlab._prepare
+        invalidation = shiftlab._invalidation
 
-        def counting_prepare(*args):
+        def counting_invalidation(*args):
             calls.append(os.getpid())
-            return prepare(*args)
+            return invalidation(*args)
 
-        monkeypatch.setattr(shiftlab, "_prepare", counting_prepare)
+        monkeypatch.setattr(shiftlab, "_invalidation", counting_invalidation)
         cfg = write_config(tmp_path)
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s"),
                      "--scenario", "target_shift", "--alphas", "0,0.4",
@@ -606,7 +606,7 @@ class TestSweepCommand:
         def no_work(*args, **kwargs):
             raise AssertionError("started work before checking --jobs")
 
-        monkeypatch.setattr(shiftlab, "_prepare", no_work)
+        monkeypatch.setattr(shiftlab, "_invalidation", no_work)
         monkeypatch.setattr(shiftlab, "_forked_cv", no_work)
         cfg = write_config(tmp_path)
         for jobs in ("0", "-3"):
@@ -674,7 +674,7 @@ class TestParallelRun:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for wrapped in ("cross_val_accuracy", "train"):
+        for wrapped in ("cross_val_accuracy", "train_many"):
             log = tmp_path / f"{wrapped}.pids"
             monkeypatch.setattr(shiftlab, wrapped, recording(getattr(shiftlab, wrapped), log))
         cfg = write_config(tmp_path)
@@ -806,6 +806,46 @@ class TestParallelRun:
         assert results[0] == results[1] == results[2]
         assert results[0][0] == 1 and message in results[0][1]
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_m2_training_error_beats_the_search(self, tmp_path, capsys, monkeypatch, jobs):
+        # M1 and M2 train before the search, so a single-class d2 fails first
+        def failing_search(*args, **kwargs):
+            raise SearchError("search failed")
+
+        monkeypatch.setattr(shiftlab, "batch_recourse", failing_search)
+        cfg = write_config(
+            tmp_path,
+            d1_source=write_chain_csv(tmp_path / "d1.csv", 50, 0.0, 1),
+            d2_source=write_chain_csv(tmp_path / "d2.csv", 50, 0.3, 2, [-1] * 50),
+        )
+        code, err, _ = self.run_at_jobs(cfg, tmp_path, capsys, jobs)
+        assert code == 1 and err == "error: training data holds a single class (-1)\n"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_trains_both_models_in_one_call_before_the_search(self, tmp_path, capsys,
+                                                              monkeypatch, jobs):
+        # this process's only fit call gets both training samples, d1's first
+        events = []
+        real_train_many, real_search = shiftlab.train_many, shiftlab.batch_recourse
+
+        def recording_train_many(spec, sets):
+            events.append((os.getpid(), [data.n for data in sets]))
+            return real_train_many(spec, sets)
+
+        def recording_search(*args, **kwargs):
+            events.append((os.getpid(), "search"))
+            return real_search(*args, **kwargs)
+
+        monkeypatch.setattr(shiftlab, "train_many", recording_train_many)
+        monkeypatch.setattr(shiftlab, "batch_recourse", recording_search)
+        # 1 000 and 800 rows less a 0.1 holdout
+        data = {"scenario": "target_shift", "alpha": 0.0}
+        cfg = write_config(tmp_path, d1_source={"synthetic": {**data, "n": 1000, "seed": 31}},
+                           d2_source={"synthetic": {**data, "n": 800, "seed": 32}})
+        code, _, _ = self.run_at_jobs(cfg, tmp_path, capsys, jobs)
+        assert code == 0
+        assert events == [(os.getpid(), [900, 720]), (os.getpid(), "search")]
+
     def test_nonpositive_jobs_exit_2_before_loading(self, tmp_path, capsys, monkeypatch):
         def no_loading(*args, **kwargs):
             raise AssertionError("loaded a sample before checking --jobs")
@@ -856,7 +896,7 @@ class TestParallelRun:
             time.sleep(20)
             return 50.0
 
-        def failing_prepare(*args):
+        def failing_invalidation(*args):
             raise TrainingError("M1 failed")
 
         forked = []
@@ -869,7 +909,7 @@ class TestParallelRun:
             return pid
 
         monkeypatch.setattr(shiftlab, "cross_val_accuracy", slow_cv)
-        monkeypatch.setattr(shiftlab, "_prepare", failing_prepare)
+        monkeypatch.setattr(shiftlab, "_invalidation", failing_invalidation)
         monkeypatch.setattr(os, "fork", recording_fork)
         started = time.monotonic()
         code, err, _ = self.run_at_jobs(write_config(tmp_path), tmp_path, capsys, "3")
@@ -885,7 +925,7 @@ class TestParallelRun:
         def no_training(*args, **kwargs):
             raise AssertionError("trained before loading d2")
 
-        monkeypatch.setattr(shiftlab, "train", no_training)
+        monkeypatch.setattr(shiftlab, "train_many", no_training)
         cfg = write_config(
             tmp_path,
             d1_source=write_chain_csv(tmp_path / "d1.csv", 50, 0.0, 1),
@@ -935,7 +975,6 @@ class TestExitCodesAgree:
         def no_training(*args, **kwargs):
             raise AssertionError("config errors must come before any training")
 
-        monkeypatch.setattr(shiftlab, "train", no_training)
         monkeypatch.setattr(shiftlab, "train_many", no_training)
         cfg = write_config(tmp_path, model={"kind": "mlp", "hidden_layers": [4]},
                            recourse={"method": "ar", "params": {"n_samples": 5}})
@@ -951,7 +990,6 @@ class TestExitCodesAgree:
         def no_training(*args, **kwargs):
             raise AssertionError("config errors must come before any training")
 
-        monkeypatch.setattr(shiftlab, "train", no_training)
         monkeypatch.setattr(shiftlab, "train_many", no_training)
         monkeypatch.setattr(models, "train", no_training)
         # the synthetic samples have 2 features; the default chain needs 3
@@ -994,6 +1032,18 @@ class TestExitCodesAgree:
             argv += ["--scenario", "target_shift", "--alphas", "0,0.4"]
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: search failed\n"
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_sample_too_large_to_allocate_prints_one_error_line(self, tmp_path, capsys, command):
+        # 10**13 rows of 2 floats are 146 TiB, past the x86-64 user address
+        # space, so NumPy's allocation fails at once without touching memory
+        doc = {"scenario": "target_shift", "alpha": 0.0, "n": 10**13, "seed": 31}
+        cfg = write_config(tmp_path, d1_source={"synthetic": doc})
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o"), "--jobs", "1"]
+        if command == "sweep":
+            argv += ["--scenario", "target_shift", "--alphas", "0,0.4"]
+        assert main(argv) == 1
+        assert re.fullmatch(r"error: Unable to allocate 146\. TiB .*\n", capsys.readouterr().err)
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_huge_margin_target_prints_one_error_line(self, tmp_path, capsys, command):

@@ -172,6 +172,19 @@ class TestLoadCsv:
         schema = two_feature_schema()
         assert same_data(rl.load_csv(marked, schema), rl.load_csv(plain, schema))
 
+    @pytest.mark.parametrize("text", [
+        "x0,x1,label\n1.0,2.0,1\n0.5,-1.0,0\n\n",
+        "x0,x1,label\n1.0,2.0,1\n\n0.5,-1.0,0\n",
+        "x0,x1,label\r\n1.0,2.0,1\r\n\r\n0.5,-1.0,0\r\n\r\n",
+    ], ids=["trailing", "middle", "crlf"])
+    def test_blank_lines_are_skipped(self, tmp_path, text):
+        # as csv.DictReader skips them; a row of empty cells is no blank line
+        plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+        plain.write_text("x0,x1,label\n1.0,2.0,1\n0.5,-1.0,0\n")
+        blank.write_bytes(text.encode("utf-8"))
+        schema = two_feature_schema()
+        assert same_data(rl.load_csv(blank, schema), rl.load_csv(plain, schema))
+
     @pytest.mark.parametrize("text, error, message", [
         ("", CsvParseError, "empty file"),
         ("x0,x1,label\n1.0,2.0,1\n0.5,1\n", CsvParseError, r"row 1: expected 3 cells, got 2"),
@@ -179,7 +192,8 @@ class TestLoadCsv:
          r"row 1: label 2.0 not in \{-1, 0, 1\}"),
         ("x0,x1,label\n1.0,2.0,1\n0.5,-1.0,0.5\n", DataValidationError,
          r"row 1: label 0.5 not in \{-1, 0, 1\}"),
-    ], ids=["empty", "short-row", "label-2", "label-half"])
+        ("x0,x1,label\n1.0,2.0,1\n,,\n", CsvParseError, "row 1: non-numeric cell"),
+    ], ids=["empty", "short-row", "label-2", "label-half", "empty-cells"])
     def test_malformed_file_named_error(self, tmp_path, text, error, message):
         p = tmp_path / "d.csv"
         p.write_text(text)

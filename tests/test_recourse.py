@@ -984,6 +984,28 @@ class TestInterventionRows:
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
 
+    def test_large_max_intervened_stops_at_the_target_count(self, monkeypatch):
+        # past len(targets) combinations yields nothing, but it would still
+        # allocate r indices for each r, so max_intervened 10**6 took minutes
+        schema = rl.FeatureSchema(tuple(rl.FeatureSpec(f"x{i}") for i in range(3)))
+        data = rl.Dataset(schema, np.random.default_rng(5).standard_normal((100, 3)),
+                          np.ones(100, dtype=int))
+        scm = rl.Scm(tuple(rl.ScmVariable(name) for name in schema.names))
+        sizes, combinations = [], itertools.combinations
+
+        def recording(pool, r):
+            sizes.append(r)
+            if r > len(pool):
+                raise AssertionError(f"combinations of {r} from {len(pool)}")
+            return combinations(pool, r)
+
+        monkeypatch.setattr(itertools, "combinations", recording)
+        want = _intervention_rows(scm, schema, data, DECILE_PERCENTILES, 3)
+        got = _intervention_rows(scm, schema, data, DECILE_PERCENTILES, 10**6)
+        assert sizes == [1, 2, 3] * 2
+        for a, b in zip(got, want, strict=True):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
     def test_memory_stays_near_the_arrays(self):
         # a parentless SCM, d = 10, k = 3 and 9 grid values: 91 215 rows
         schema = rl.FeatureSchema(tuple(rl.FeatureSpec(f"x{i}") for i in range(10)))

@@ -13,8 +13,8 @@ from recourse_lab.errors import (
 )
 from recourse_lab.shiftlab import (
     REPORT_COLUMNS,
-    _evaluate_m2,
-    _prepare,
+    _invalidation,
+    _percent,
     _spearman,
     _training_sample,
     sweep_csv_text,
@@ -36,12 +36,6 @@ def small_config(**overrides):
     return rl.ExperimentConfig(**base)
 
 
-def prepare(cfg):
-    """The d1 training sample and the recourses against M1, the set's model."""
-    d1_train = _training_sample(cfg, cfg.d1_source, "d1-split")
-    return d1_train, _prepare(cfg, rl.train(cfg.model_spec, d1_train), d1_train)
-
-
 class TestConfig:
     def test_holdout_range(self):
         with pytest.raises(ValueError):
@@ -59,13 +53,13 @@ class TestConfig:
 
     def test_bad_method_params_rejected_before_training(self, monkeypatch):
         calls = []
-        real_train = shiftlab.train
+        real_train_many = shiftlab.train_many
 
-        def counting_train(*args, **kwargs):
+        def counting_train_many(*args, **kwargs):
             calls.append(args)
-            return real_train(*args, **kwargs)
+            return real_train_many(*args, **kwargs)
 
-        monkeypatch.setattr(shiftlab, "train", counting_train)
+        monkeypatch.setattr(shiftlab, "train_many", counting_train_many)
         with pytest.raises(ValueError, match="inner_iters"):
             rl.run_pipeline(small_config(method_params={"inner_iters": -1}))
         assert calls == []
@@ -94,29 +88,41 @@ class TestConfig:
             small_config(d2_source=rl.CsvSource("nowhere.csv", other))
 
 
-class TestEvaluateM2:
-    def make_cf(self):
-        data = rl.synth_base(400, 3)
-        model = rl.train(rl.ModelSpec.logistic(epochs=150), data)
-        return rl.batch_recourse(model, data, "cfe", rl.CostFn("L2")), model
+class TestInvalidation:
+    def with_m2(self, monkeypatch, make_m2):
+        """Stub train_many to return the real M1 and make_m2(M1) as the one M2."""
+        real_train_many = shiftlab.train_many
 
-    def test_counting(self):
-        cf, model = self.make_cf()
-        sub = rl.RecourseSet(model, cf.origins[:4], cf.points[:4], cf.costs[:4], cf.iterations[:4])
-        fake_preds = np.array([1, 1, -1, 1])
+        def train_many(spec, sets):
+            m1 = real_train_many(spec, sets[:1])[0]
+            return [m1, *(make_m2(m1) for _ in sets[1:])]
 
+        monkeypatch.setattr(shiftlab, "train_many", train_many)
+
+    def test_flags_are_m2_rejections(self, monkeypatch):
         class Stub:
             def predict(self, X):
-                return fake_preds[: len(X)]
+                return np.where(np.arange(len(X)) % 4 == 2, -1, 1)
 
-        flags, pct = _evaluate_m2(sub.points, Stub())
-        assert flags.tolist() == [False, False, True, False]
-        assert pct == pytest.approx(25.0)
+        self.with_m2(monkeypatch, lambda m1: Stub())
+        cfg = small_config()
+        d1_train = _training_sample(cfg, cfg.d1_source, "d1-split")
+        cf1, [flags] = _invalidation(cfg, d1_train, [d1_train])
+        assert cf1.size > 2
+        assert flags.tolist() == [i % 4 == 2 for i in range(cf1.size)]
 
-    def test_empty_set_has_no_percentage(self):
-        _, model = self.make_cf()
-        flags, pct = _evaluate_m2(np.empty((0, model.schema.n_features)), model)
-        assert flags.size == 0 and pct is None
+    def test_negated_model_invalidates_everything(self, monkeypatch):
+        self.with_m2(monkeypatch, lambda m1: rl.linear_model(
+            -m1.weight_vector, -m1.bias - 1e-9, m1.schema))
+        cfg = small_config()
+        d1_train = _training_sample(cfg, cfg.d1_source, "d1-split")
+        cf1, [flags] = _invalidation(cfg, d1_train, [d1_train])
+        assert flags.size == cf1.size > 0 and flags.all()
+        assert _percent(flags) == 100.0
+
+    def test_percent(self):
+        assert _percent(np.array([False, False, True, False])) == pytest.approx(25.0)
+        assert _percent(np.empty(0, dtype=bool)) is None
 
 
 class TestRunPipeline:
@@ -134,15 +140,6 @@ class TestRunPipeline:
         report = rl.run_pipeline(cfg)
         assert report.invalidation_pct == 0.0
         assert report.cf1_size > 0
-
-    def test_negated_model_invalidates_everything(self):
-        cfg = small_config()
-        _, cf1 = prepare(cfg)
-        m1 = cf1.model
-        negated = rl.linear_model(-m1.weight_vector, -m1.bias - 1e-9, m1.schema)
-        flags, pct = _evaluate_m2(cf1.points, negated)
-        assert pct == 100.0
-        assert flags.size == cf1.size and flags.all()
 
     def test_report_columns(self):
         report = rl.run_pipeline(small_config())
@@ -164,7 +161,9 @@ class TestRunPipeline:
 
     def test_accounting(self):
         cfg = small_config()
-        d1_train, cf1 = prepare(cfg)
+        d1_train = _training_sample(cfg, cfg.d1_source, "d1-split")
+        cf1, no_flags = _invalidation(cfg, d1_train, [])  # CF1 alone, with no M2
+        assert no_flags == []
         negatives = int(np.sum(cf1.model.predict(d1_train.X) == -1))
         assert cf1.size + cf1.not_found == negatives
 
